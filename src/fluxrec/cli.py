@@ -30,21 +30,12 @@ from .geometry import (
 )
 from .inversion import add_noise, build_forward_operator, choose_rho_discrepancy, tikhonov_solve
 from .manifest import RunManifest
-from .rates import ExperimentConfig, emit_report, run_rate_study
+from .rates import ExperimentConfig, _fmt, _write_lines, emit_report, run_rate_study
 from .spectral import build_spectral_basis, synthesize_flux_with_smoothness
 from .stability import fit_stability_modulus, generate_probe_ensemble
 from .vsc import check_vsc_inequality, fit_vsc_constants, sample_admissible_fluxes
 
 TRACE_CSV_HEADER = "vertex_index,arc_coord,value"
-
-
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
-def _write_lines(path, lines) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def write_boundary_csv(path, mesh, vector: BoundaryVector) -> None:
@@ -72,6 +63,8 @@ def read_boundary_csv(path, mesh, tag) -> BoundaryVector:
             values[ln - 2] = float(parts[2])
         except ValueError:
             raise MalformedFileError(f"malformed record {line!r}", ln) from None
+        if not np.isfinite(values[ln - 2]):
+            raise MalformedFileError(f"non-finite value {parts[2]!r}", ln)
     return BoundaryVector(tag, values)
 
 
@@ -153,10 +146,12 @@ def cmd_invert(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     result_path = os.path.join(args.out, "invert_result.csv")
+    # the iterations column is kept for file-format stability; the direct
+    # solve has no iterations to count
     _write_lines(result_path, [
         "rho,residual_norm,solution_norm,iterations",
         ",".join([_fmt(result.rho), _fmt(result.residual_norm),
-                  _fmt(result.solution_norm), str(result.iterations)]),
+                  _fmt(result.solution_norm), "0"]),
     ])
     flux_path = os.path.join(args.out, "flux_rec.csv")
     write_boundary_csv(flux_path, mesh, result.q_rec)
@@ -324,10 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
     p.add_argument("--data-trace", required=True, help="clean trace CSV on GammaA")
     p.add_argument("--delta", type=float, required=True)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--rho", type=float, default=None, help="fixed regularization weight")
-    group.add_argument("--discrepancy", action="store_true",
-                       help="choose rho by the discrepancy principle (default)")
+    p.add_argument("--rho", type=float, default=None,
+                   help="fixed regularization weight (default: discrepancy principle)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_invert)

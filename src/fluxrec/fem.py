@@ -35,7 +35,6 @@ from .errors import (
 from .geometry import GAMMA_A, GAMMA_I, Mesh, boundary_map, triangle_areas
 
 _AREA_FLOOR = 1e-14
-_DIRECT_SOLVE_LIMIT = 200_000
 
 # 2-point Gauss-Legendre on [0, 1]
 _GAUSS_T = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
@@ -214,34 +213,24 @@ def assemble_rhs(mesh: Mesh, data: ProblemData, q: BoundaryVector | None) -> np.
 
 
 class FactorizedSystem:
-    """Assembled system with a reusable factorization.
+    """Assembled system with a reusable sparse LU factorization.
 
-    Direct sparse LU for desk-scale systems, Jacobi-preconditioned CG
-    beyond _DIRECT_SOLVE_LIMIT unknowns.  Solves are deterministic and
-    the object is safe to share across concurrent callers once built.
+    Solves are deterministic and the object is safe to share across
+    concurrent callers once built.
     """
 
     def __init__(self, mesh: Mesh, data: ProblemData, system: sp.spmatrix | None = None):
         self.mesh = mesh
         self.data = data
         self.matrix = assemble_system(mesh, data) if system is None else system.tocsc()
-        self._direct = mesh.n_vertices <= _DIRECT_SOLVE_LIMIT
-        self._lu = spla.splu(sp.csc_matrix(self.matrix)) if self._direct else None
+        self._lu = spla.splu(sp.csc_matrix(self.matrix))
 
     def solve(self, rhs: np.ndarray) -> ScalarField:
         rhs = np.asarray(rhs, dtype=float)
         scale = float(np.linalg.norm(rhs))
         if scale == 0.0:
             return ScalarField(self.mesh, np.zeros(self.mesh.n_vertices))
-        if self._direct:
-            u = self._lu.solve(rhs)
-        else:
-            diag = self.matrix.diagonal()
-            prec = spla.LinearOperator(self.matrix.shape, matvec=lambda x: x / diag)
-            u, info = spla.cg(self.matrix, rhs, rtol=1e-12, atol=0.0,
-                              maxiter=20 * self.mesh.n_vertices, M=prec)
-            if info != 0:
-                raise SolverFailureError(f"CG did not converge (info={info})")
+        u = self._lu.solve(rhs)
         residual = float(np.linalg.norm(self.matrix @ u - rhs)) / scale
         if residual > 1e-10:
             raise SolverFailureError(f"relative residual {residual:.3e} above 1e-10")
@@ -249,11 +238,6 @@ class FactorizedSystem:
 
     def solve_flux(self, q: BoundaryVector | None) -> ScalarField:
         return self.solve(assemble_rhs(self.mesh, self.data, q))
-
-
-def solve_forward(mesh: Mesh, system: sp.spmatrix, rhs: np.ndarray) -> ScalarField:
-    """One-shot solve; prefer FactorizedSystem when reusing the matrix."""
-    return FactorizedSystem(mesh, ProblemData.from_constants(mesh), system).solve(rhs)
 
 
 def trace(u: ScalarField, tag: str) -> BoundaryVector:

@@ -2,9 +2,8 @@
 
 The measurement map q -> trace of the solution on GammaA is affine,
 A(q) = K q + b, with b the response to zero flux (carrying f and u_a).
-K is assembled column by column from unit nodal fluxes, reusing one
-factorization; beyond _DENSE_LIMIT inner-boundary unknowns the operator
-stays matrix-free.
+K is dense, assembled from unit nodal fluxes solved _K_BLOCK columns
+at a time against one sparse LU factorization.
 
 All boundary inner products are the lumped arc-weight L2 products, so
 the normal equations of the objective
@@ -21,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg as spla
 
 from .errors import (
     BracketFailureError,
@@ -42,7 +40,9 @@ from .spectral import SpectralBasis, sobolev_norm
 
 logger = logging.getLogger(__name__)
 
-_DENSE_LIMIT = 512
+# unit-flux columns per multi-right-hand-side solve; bounds the transient
+# load block at n_v x _K_BLOCK instead of n_v x n_i
+_K_BLOCK = 64
 RHO_BRACKET = (1e-14, 1e6)
 
 
@@ -52,7 +52,7 @@ class AffineForwardOperator:
 
     mesh: Mesh
     data: ProblemData
-    K: np.ndarray | None        # (n_a, n_i) when dense, None when matrix-free
+    K: np.ndarray               # (n_a, n_i)
     b: np.ndarray               # (n_a,)
     w_a: np.ndarray             # lumped weights on GammaA
     w_i: np.ndarray             # lumped weights on GammaI
@@ -71,10 +71,7 @@ class AffineForwardOperator:
         q_values = np.asarray(q_values, dtype=float)
         if q_values.shape != (self.n_i,):
             raise DimensionMismatchError(f"flux length {q_values.shape} != {self.n_i}")
-        if self.K is not None:
-            return self.K @ q_values
-        u = self.system.solve_flux(BoundaryVector(GAMMA_I, q_values))
-        return trace(u, GAMMA_A).values
+        return self.K @ q_values
 
     def apply(self, q: BoundaryVector) -> BoundaryVector:
         """A(q) = K q + b on GammaA."""
@@ -87,15 +84,7 @@ class AffineForwardOperator:
         w_values = np.asarray(w_values, dtype=float)
         if w_values.shape != (self.n_a,):
             raise DimensionMismatchError(f"trace length {w_values.shape} != {self.n_a}")
-        if self.K is not None:
-            return (self.K.T @ (self.w_a * w_values)) / self.w_i
-        # matrix-free: K = T A^-1 B, so K* = M_i^-1 B^T A^-1 T^T M_a
-        bmap_a = boundary_map(self.mesh, GAMMA_A)
-        load = np.zeros(self.mesh.n_vertices)
-        load[bmap_a.vertex_indices] = self.w_a * w_values
-        v = self.system.solve(load)
-        bt = -_flux_load_matrix_T(self.mesh, v.values)
-        return bt / self.w_i
+        return (self.K.T @ (self.w_a * w_values)) / self.w_i
 
     def misfit_norm(self, trace_values: np.ndarray, u_delta: np.ndarray) -> float:
         d = trace_values - u_delta
@@ -111,53 +100,27 @@ class TikhonovResult:
     residual_norm: float
     solution_norm: float
     admissible: bool | None
-    iterations: int
 
 
-def _flux_load_matrix_T(mesh: Mesh, v: np.ndarray) -> np.ndarray:
-    """B^T v where B maps GammaI flux coefficients to the (negated) load."""
-    bmap_i = boundary_map(mesh, GAMMA_I)
-    pos = {int(x): i for i, x in enumerate(bmap_i.vertex_indices)}
-    out = np.zeros(len(bmap_i))
-    for (a, b), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-        if tag != GAMMA_I:
-            continue
-        length = float(np.linalg.norm(mesh.vertices[b] - mesh.vertices[a]))
-        ia, ib = pos[int(a)], pos[int(b)]
-        out[ia] += length * (2.0 * v[a] + v[b]) / 6.0
-        out[ib] += length * (v[a] + 2.0 * v[b]) / 6.0
-    return out
-
-
-def build_forward_operator(mesh: Mesh, data: ProblemData,
-                           dense: bool | None = None) -> AffineForwardOperator:
-    """Assemble A(q) = K q + b, reusing one factorization for all columns.
-
-    K is dense for n_i <= 512 (enables SVD diagnostics), matrix-free
-    beyond; ``dense`` overrides the size rule.
-    """
+def build_forward_operator(mesh: Mesh, data: ProblemData) -> AffineForwardOperator:
+    """Assemble A(q) = K q + b, reusing one factorization for all columns."""
     system = FactorizedSystem(mesh, data)
     bmap_i = boundary_map(mesh, GAMMA_I)
     bmap_a = boundary_map(mesh, GAMMA_A)
     n_i = len(bmap_i)
 
     b = trace(system.solve_flux(None), GAMMA_A).values
-    if dense is None:
-        dense = n_i <= _DENSE_LIMIT
-
-    K = None
-    if dense:
-        zero_data = ProblemData(data.alpha, data.k, np.zeros(mesh.n_vertices),
-                                np.zeros(len(bmap_a)))
-        loads = np.empty((mesh.n_vertices, n_i))
-        for j in range(n_i):
+    zero_data = ProblemData(data.alpha, data.k, np.zeros(mesh.n_vertices),
+                            np.zeros(len(bmap_a)))
+    K = np.empty((len(bmap_a), n_i))
+    for start in range(0, n_i, _K_BLOCK):
+        cols = range(start, min(start + _K_BLOCK, n_i))
+        loads = np.empty((mesh.n_vertices, len(cols)))
+        for c, j in enumerate(cols):
             e = np.zeros(n_i)
             e[j] = 1.0
-            loads[:, j] = assemble_rhs(mesh, zero_data, BoundaryVector(GAMMA_I, e))
-        if system._lu is None:
-            raise SolverFailureError("dense K assembly requires the direct factorization")
-        sol = system._lu.solve(loads)
-        K = sol[bmap_a.vertex_indices, :]
+            loads[:, c] = assemble_rhs(mesh, zero_data, BoundaryVector(GAMMA_I, e))
+        K[:, cols.start:cols.stop] = system._lu.solve(loads)[bmap_a.vertex_indices, :]
     return AffineForwardOperator(mesh, data, K, b, bmap_a.weights, bmap_i.weights, system)
 
 
@@ -170,8 +133,6 @@ def adjoint_apply(op: AffineForwardOperator, w: BoundaryVector) -> BoundaryVecto
 
 def whitened_singular_values(op: AffineForwardOperator) -> np.ndarray:
     """Singular values of M_a^(1/2) K M_i^(-1/2); decay quantifies ill-posedness."""
-    if op.K is None:
-        raise SolverFailureError("singular-value diagnostics need the dense operator")
     white = np.sqrt(op.w_a)[:, None] * op.K / np.sqrt(op.w_i)[None, :]
     return scipy.linalg.svdvals(white)
 
@@ -210,35 +171,17 @@ def tikhonov_solve(op: AffineForwardOperator, u_delta: BoundaryVector,
     if u_delta.tag != GAMMA_A:
         raise TagMismatchError(f"data must be tagged {GAMMA_A}, got {u_delta.tag}")
     ud = u_delta.values
-    rhs_vec = _normal_rhs(op, ud)
+    rhs_vec = op.K.T @ (op.w_a * (ud - op.b))
 
-    iterations = 0
-    if op.K is not None:
-        G = op.K.T @ (op.w_a[:, None] * op.K) + np.diag(0.5 * rho * op.w_i)
-        try:
-            cho = scipy.linalg.cho_factor(G)
-            q = scipy.linalg.cho_solve(cho, rhs_vec)
-        except scipy.linalg.LinAlgError as exc:
-            raise SolverFailureError(f"normal equations not SPD: {exc}") from exc
-        # one refinement step guards the 1e-10 contract near rho ~ 0
-        q += scipy.linalg.cho_solve(cho, rhs_vec - G @ q)
-        resid = float(np.linalg.norm(G @ q - rhs_vec))
-        matvec = lambda x: G @ x
-    else:
-        def matvec(x):
-            return op.apply_adjoint(op.apply_linear(x)) * op.w_i + 0.5 * rho * op.w_i * x
-
-        lin = spla.LinearOperator((op.n_i, op.n_i), matvec=matvec)
-        prec = spla.LinearOperator((op.n_i, op.n_i),
-                                   matvec=lambda x: x / (0.5 * rho * op.w_i))
-        counter = _CgCounter()
-        q, info = spla.cg(lin, rhs_vec, rtol=1e-13, atol=0.0, maxiter=50 * op.n_i,
-                          M=prec, callback=counter)
-        iterations = counter.count
-        if info != 0:
-            raise SolverFailureError(f"normal-equation CG did not converge (info={info})")
-        resid = float(np.linalg.norm(matvec(q) - rhs_vec))
-
+    G = op.K.T @ (op.w_a[:, None] * op.K) + np.diag(0.5 * rho * op.w_i)
+    try:
+        cho = scipy.linalg.cho_factor(G)
+        q = scipy.linalg.cho_solve(cho, rhs_vec)
+    except scipy.linalg.LinAlgError as exc:
+        raise SolverFailureError(f"normal equations not SPD: {exc}") from exc
+    # one refinement step guards the 1e-10 contract near rho ~ 0
+    q += scipy.linalg.cho_solve(cho, rhs_vec - G @ q)
+    resid = float(np.linalg.norm(G @ q - rhs_vec))
     scale = float(np.linalg.norm(rhs_vec))
     if scale > 0.0 and resid / scale > 1e-10:
         raise SolverFailureError(f"normal-equation residual {resid / scale:.3e} above 1e-10")
@@ -246,21 +189,7 @@ def tikhonov_solve(op: AffineForwardOperator, u_delta: BoundaryVector,
     q_rec = BoundaryVector(GAMMA_I, q)
     residual_norm = op.misfit_norm(op.apply_linear(q) + op.b, ud)
     solution_norm = float(np.sqrt((op.w_i * q * q).sum()))
-    return TikhonovResult(q_rec, float(rho), residual_norm, solution_norm, None, iterations)
-
-
-class _CgCounter:
-    def __init__(self):
-        self.count = 0
-
-    def __call__(self, _):
-        self.count += 1
-
-
-def _normal_rhs(op: AffineForwardOperator, u_delta: np.ndarray) -> np.ndarray:
-    if op.K is not None:
-        return op.K.T @ (op.w_a * (u_delta - op.b))
-    return op.apply_adjoint(u_delta - op.b) * op.w_i
+    return TikhonovResult(q_rec, float(rho), residual_norm, solution_norm, None)
 
 
 def choose_rho_discrepancy(op: AffineForwardOperator, u_delta: BoundaryVector,

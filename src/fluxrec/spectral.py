@@ -15,6 +15,7 @@ spectrum.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +28,6 @@ from .errors import (
 )
 from .fem import BoundaryVector
 from .geometry import GAMMA_I, BoundaryIndexMap, Mesh, boundary_map
-
-_BASIS_CACHE: dict[int, "SpectralBasis"] = {}
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,16 +68,13 @@ class FluxCoefficients:
         self.values = np.asarray(self.values, dtype=float)
 
 
+@functools.lru_cache(maxsize=16)
 def build_spectral_basis(mesh: Mesh) -> SpectralBasis:
     """Full symmetric generalized eigendecomposition of the loop operator.
 
     Results are cached per mesh; the basis is immutable and safe to
     share.  Requires at least 8 vertices on GammaI.
     """
-    cached = _BASIS_CACHE.get(id(mesh))
-    if cached is not None and cached.mesh is mesh:
-        return cached
-
     bmap = boundary_map(mesh, GAMMA_I)
     n = len(bmap)
     if n < 8:
@@ -119,11 +115,7 @@ def build_spectral_basis(mesh: Mesh) -> SpectralBasis:
     if ortho_err > 1e-10:
         raise EigensolverFailureError(f"orthonormality residual {ortho_err:.3e}")
 
-    basis = SpectralBasis(mesh, bmap, lambdas, vecs, mass, stiff)
-    if len(_BASIS_CACHE) >= 16:
-        _BASIS_CACHE.clear()
-    _BASIS_CACHE[id(mesh)] = basis
-    return basis
+    return SpectralBasis(mesh, bmap, lambdas, vecs, mass, stiff)
 
 
 def _check_dim(basis: SpectralBasis, values: np.ndarray) -> None:

@@ -7,7 +7,8 @@ import pytest
 from fluxrec import cli
 from fluxrec.config import SCHEMAS, parse_config, resolve_field
 from fluxrec.errors import MalformedFileError, SchemaError, UnknownKeyError
-from fluxrec.geometry import GAMMA_I, load_mesh
+from fluxrec.fem import BoundaryVector
+from fluxrec.geometry import GAMMA_A, GAMMA_I, boundary_map, load_mesh
 from fluxrec.spectral import build_spectral_basis, synthesize_flux_with_smoothness
 
 
@@ -93,6 +94,33 @@ def test_missing_file_exits_2(tmp_path):
 def test_domain_error_exits_1(tmp_path):
     assert run(["mesh-gen", "--r-inner", "1.0", "--r-outer", "0.5",
                 "--h", "0.1", "--out", str(tmp_path / "m.txt")]) == 1
+
+
+def _corrupt_boundary_csv(path, mesh, tag, line_number, value):
+    cli.write_boundary_csv(path, mesh, BoundaryVector(tag, np.zeros(len(boundary_map(mesh, tag)))))
+    lines = path.read_text().splitlines()
+    idx, arc, _ = lines[line_number - 1].split(",")
+    lines[line_number - 1] = f"{idx},{arc},{value}"
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_non_finite_data_trace_exits_2(workdir, tmp_path, capsys):
+    mesh = load_mesh(workdir / "mesh.txt")
+    trace_path = tmp_path / "trace_nan.csv"
+    _corrupt_boundary_csv(trace_path, mesh, GAMMA_A, 3, "nan")
+    assert run(["invert", "--mesh", str(workdir / "mesh.txt"),
+                "--data-trace", str(trace_path), "--delta", "1e-4",
+                "--out", str(tmp_path / "inv")]) == 2
+    assert "non-finite value 'nan' (line 3)" in capsys.readouterr().err
+
+
+def test_non_finite_flux_exits_2(workdir, tmp_path, capsys):
+    mesh = load_mesh(workdir / "mesh.txt")
+    flux_path = tmp_path / "flux_inf.csv"
+    _corrupt_boundary_csv(flux_path, mesh, GAMMA_I, 5, "inf")
+    assert run(["forward", "--mesh", str(workdir / "mesh.txt"), "--flux", str(flux_path),
+                "--out-trace", str(tmp_path / "trace.csv")]) == 2
+    assert "non-finite value 'inf' (line 5)" in capsys.readouterr().err
 
 
 def test_forward_and_invert_pipeline(workdir):
