@@ -51,7 +51,8 @@ def read_boundary_csv(path, mesh, tag) -> BoundaryVector:
         raw = fh.read().splitlines()
     if not raw or raw[0] != TRACE_CSV_HEADER:
         raise MalformedFileError(f"bad header in {path}", 1)
-    n = len(boundary_map(mesh, tag))
+    indices = boundary_map(mesh, tag).vertex_indices
+    n = len(indices)
     if len(raw) - 1 != n:
         raise MalformedFileError(f"{path} has {len(raw) - 1} records, expected {n}")
     values = np.empty(n)
@@ -60,12 +61,26 @@ def read_boundary_csv(path, mesh, tag) -> BoundaryVector:
         if len(parts) != 3:
             raise MalformedFileError(f"expected 3 fields, got {len(parts)}", ln)
         try:
+            index = int(parts[0])
             values[ln - 2] = float(parts[2])
         except ValueError:
             raise MalformedFileError(f"malformed record {line!r}", ln) from None
+        if index != indices[ln - 2]:
+            raise MalformedFileError(
+                f"vertex_index {index} where the {tag} loop has vertex {indices[ln - 2]}", ln)
         if not np.isfinite(values[ln - 2]):
             raise MalformedFileError(f"non-finite value {parts[2]!r}", ln)
     return BoundaryVector(tag, values)
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def _problem_data(mesh, cfg) -> ProblemData:
@@ -330,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
     p.add_argument("--s", type=float, default=None)
     p.add_argument("--kappa", type=float, default=None)
-    p.add_argument("--n-samples", type=int, default=200)
+    p.add_argument("--n-samples", type=_positive_int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_vsc_check)
@@ -339,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mesh", required=True)
     p.add_argument("--config", default=None)
     p.add_argument("--kappa", type=float, default=None)
-    p.add_argument("--n-samples", type=int, default=100)
+    p.add_argument("--n-samples", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_stability_probe)

@@ -232,7 +232,7 @@ class FactorizedSystem:
             return ScalarField(self.mesh, np.zeros(self.mesh.n_vertices))
         u = self._lu.solve(rhs)
         residual = float(np.linalg.norm(self.matrix @ u - rhs)) / scale
-        if residual > 1e-10:
+        if not (residual <= 1e-10):
             raise SolverFailureError(f"relative residual {residual:.3e} above 1e-10")
         return ScalarField(self.mesh, u)
 

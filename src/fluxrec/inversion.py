@@ -11,11 +11,20 @@ the normal equations of the objective
     (1/rho) ||A(q) - u_delta||_a^2 + (1/2) ||q||_i^2
 
 read  (K^T M_a K + (rho/2) M_i) q = K^T M_a (u_delta - b).
+
+The discrepancy search evaluates the residual of those equations in
+closed form on the thin SVD of the whitened operator
+M_a^(1/2) K M_i^(-1/2) = U S V^T, and falls back to a Cholesky solve
+only where the closed-form value lies too close to a threshold for its
+side to be certain.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
+import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +53,9 @@ logger = logging.getLogger(__name__)
 # load block at n_v x _K_BLOCK instead of n_v x n_i
 _K_BLOCK = 64
 RHO_BRACKET = (1e-14, 1e6)
+# relative guard band of the closed-form discrepancy residual: see guard_margin
+_GUARD_FLOOR = 1e-3
+_GUARD_ULPS = 64.0
 
 
 @dataclass(eq=False)
@@ -57,6 +69,15 @@ class AffineForwardOperator:
     w_a: np.ndarray             # lumped weights on GammaA
     w_i: np.ndarray             # lumped weights on GammaI
     system: FactorizedSystem
+
+    @functools.cached_property
+    def whitened_svd(self) -> tuple[np.ndarray, np.ndarray]:
+        """Thin SVD factors (U, s) of M_a^(1/2) K M_i^(-1/2), read-only; V is never needed."""
+        white = np.sqrt(self.w_a)[:, None] * self.K / np.sqrt(self.w_i)[None, :]
+        U, s, _ = scipy.linalg.svd(white, full_matrices=False)
+        U.flags.writeable = False
+        s.flags.writeable = False
+        return U, s
 
     @property
     def n_i(self) -> int:
@@ -133,16 +154,15 @@ def adjoint_apply(op: AffineForwardOperator, w: BoundaryVector) -> BoundaryVecto
 
 def whitened_singular_values(op: AffineForwardOperator) -> np.ndarray:
     """Singular values of M_a^(1/2) K M_i^(-1/2); decay quantifies ill-posedness."""
-    white = np.sqrt(op.w_a)[:, None] * op.K / np.sqrt(op.w_i)[None, :]
-    return scipy.linalg.svdvals(white)
+    return op.whitened_svd[1]
 
 
 def add_noise(mesh: Mesh, u_exact: BoundaryVector, delta: float, seed: int) -> BoundaryVector:
     """Gaussian perturbation scaled to exact L2(GammaA) norm delta."""
     if u_exact.tag != GAMMA_A:
         raise TagMismatchError(f"data trace must be tagged {GAMMA_A}, got {u_exact.tag}")
-    if delta < 0.0:
-        raise ValueError("delta must be >= 0")
+    if not 0.0 <= delta < math.inf:
+        raise ValueError(f"delta must be finite and >= 0, got {delta}")
     if delta == 0.0:
         return BoundaryVector(GAMMA_A, u_exact.values.copy())
     rng = np.random.default_rng(seed)
@@ -166,8 +186,8 @@ def tikhonov_objective(op: AffineForwardOperator, q_values: np.ndarray,
 def tikhonov_solve(op: AffineForwardOperator, u_delta: BoundaryVector,
                    rho: float) -> TikhonovResult:
     """Minimizer of the Tikhonov objective via the normal equations."""
-    if rho <= 0.0:
-        raise ValueError(f"rho must be positive, got {rho}")
+    if not 0.0 < rho < math.inf:
+        raise ValueError(f"rho must be positive and finite, got {rho}")
     if u_delta.tag != GAMMA_A:
         raise TagMismatchError(f"data must be tagged {GAMMA_A}, got {u_delta.tag}")
     ud = u_delta.values
@@ -183,13 +203,49 @@ def tikhonov_solve(op: AffineForwardOperator, u_delta: BoundaryVector,
     q += scipy.linalg.cho_solve(cho, rhs_vec - G @ q)
     resid = float(np.linalg.norm(G @ q - rhs_vec))
     scale = float(np.linalg.norm(rhs_vec))
-    if scale > 0.0 and resid / scale > 1e-10:
+    if scale > 0.0 and not (resid / scale <= 1e-10):
         raise SolverFailureError(f"normal-equation residual {resid / scale:.3e} above 1e-10")
 
     q_rec = BoundaryVector(GAMMA_I, q)
     residual_norm = op.misfit_norm(op.apply_linear(q) + op.b, ud)
     solution_norm = float(np.sqrt((op.w_i * q * q).sum()))
     return TikhonovResult(q_rec, float(rho), residual_norm, solution_norm, None)
+
+
+def closed_form_residual(op: AffineForwardOperator,
+                         u_delta: BoundaryVector) -> Callable[[float], float]:
+    """rho -> Tikhonov residual ||K q_rho + b - u_delta||_a, without a solve.
+
+    With d = M_a^(1/2) (u_delta - b) projected once onto the whitened
+    SVD, c = U^T d and perp^2 = ||d - U c||^2, the residual at
+    lambda = rho/2 is  sqrt(sum_j (lambda / (s_j^2 + lambda))^2 c_j^2 + perp^2)
+    (the complements of the Tikhonov filter factors s^2 / (s^2 + lambda)).
+    """
+    if u_delta.tag != GAMMA_A:
+        raise TagMismatchError(f"data must be tagged {GAMMA_A}, got {u_delta.tag}")
+    U, s = op.whitened_svd
+    d = np.sqrt(op.w_a) * (u_delta.values - op.b)
+    c = U.T @ d
+    perp_sq = float(np.sum((d - U @ c) ** 2))
+    s_sq = s * s
+
+    def residual(rho: float) -> float:
+        lam = 0.5 * rho
+        return float(np.sqrt(np.sum((lam / (s_sq + lam) * c) ** 2) + perp_sq))
+
+    return residual
+
+
+def guard_margin(op: AffineForwardOperator, rho: float) -> float:
+    """Relative half-width of the band around a threshold where the search defers to Cholesky.
+
+    The Cholesky residual carries a relative error that grows like
+    eps * cond of the normal matrix, (s_max^2 + rho/2) / (s_min^2 + rho/2).
+    """
+    s = op.whitened_svd[1]
+    lam = 0.5 * rho
+    cond = float((s[0] ** 2 + lam) / (s[-1] ** 2 + lam))
+    return max(_GUARD_FLOOR, _GUARD_ULPS * np.finfo(float).eps * cond)
 
 
 def choose_rho_discrepancy(op: AffineForwardOperator, u_delta: BoundaryVector,
@@ -199,22 +255,41 @@ def choose_rho_discrepancy(op: AffineForwardOperator, u_delta: BoundaryVector,
     Converges on the largest rho whose residual stays at or below
     tau_d * delta, so the returned residual sits in [delta, tau_d*delta]
     near its upper edge (the classical "residual matches the noise
-    level" rule).  The residual is non-decreasing in rho, asserted on
-    the evaluation trace; failure to bracket raises BracketFailureError
-    with a diagnosis of which side failed.
+    level" rule).  Each residual is taken in closed form unless it lies
+    within the guard band of delta or tau_d * delta, where the Cholesky
+    residual of ``tikhonov_solve`` decides the side instead.  The band is
+    wider than the rounding error of the Cholesky residual, so every
+    comparison falls as it would on Cholesky residuals alone.  The
+    residual is non-decreasing in rho, asserted on the Cholesky and the
+    closed-form evaluations separately; failure to bracket raises
+    BracketFailureError with a diagnosis of which side failed.
     """
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
-    if tau_d <= 1.0:
-        raise ValueError("tau_d must be > 1")
+    if not delta > 0.0:
+        raise ValueError(f"delta must be positive, got {delta}")
+    if not tau_d > 1.0:
+        raise ValueError(f"tau_d must be > 1, got {tau_d}")
 
     lo, hi = RHO_BRACKET
-    evaluations: list[tuple[float, float]] = []
+    thresholds = (delta, tau_d * delta)
+    closed_form = closed_form_residual(op, u_delta)
+    cholesky_evals: list[tuple[float, float]] = []
+    closed_form_evals: list[tuple[float, float]] = []
 
     def residual(rho: float) -> float:
+        r = closed_form(rho)
+        margin = guard_margin(op, rho)
+        # a residual that is not finite also takes the Cholesky path
+        if math.isfinite(r) and all(abs(r - t) > margin * t for t in thresholds):
+            closed_form_evals.append((rho, r))
+            return r
         r = tikhonov_solve(op, u_delta, rho).residual_norm
-        evaluations.append((rho, r))
+        cholesky_evals.append((rho, r))
         return r
+
+    def checked(rho: float) -> float:
+        _assert_monotone(cholesky_evals)
+        _assert_monotone(closed_form_evals)
+        return rho
 
     r_lo = residual(lo)
     if r_lo > tau_d * delta:
@@ -229,8 +304,7 @@ def choose_rho_discrepancy(op: AffineForwardOperator, u_delta: BoundaryVector,
             "delta lies above the data scale (q = 0 already over-fits)"
         )
     if r_hi <= tau_d * delta:
-        _assert_monotone(evaluations)
-        return hi
+        return checked(hi)
 
     best_in_band = lo if r_lo >= delta else None
     log_lo, log_hi = np.log10(lo), np.log10(hi)
@@ -244,8 +318,7 @@ def choose_rho_discrepancy(op: AffineForwardOperator, u_delta: BoundaryVector,
             if r_mid >= delta:
                 best_in_band = mid
         if log_hi - log_lo < 1e-3 and best_in_band is not None:
-            _assert_monotone(evaluations)
-            return best_in_band
+            return checked(best_in_band)
     raise BracketFailureError("bisection exhausted its iteration budget")
 
 

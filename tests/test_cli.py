@@ -123,6 +123,44 @@ def test_non_finite_flux_exits_2(workdir, tmp_path, capsys):
     assert "non-finite value 'inf' (line 5)" in capsys.readouterr().err
 
 
+def test_foreign_vertex_index_exits_2(workdir, tmp_path, capsys):
+    mesh = load_mesh(workdir / "mesh.txt")
+    flux_path = tmp_path / "flux_9999.csv"
+    cli.write_boundary_csv(flux_path, mesh, BoundaryVector(
+        GAMMA_I, np.zeros(len(boundary_map(mesh, GAMMA_I)))))
+    lines = flux_path.read_text().splitlines()
+    lines[1:] = ["9999," + line.split(",", 1)[1] for line in lines[1:]]
+    flux_path.write_text("\n".join(lines) + "\n")
+    assert run(["forward", "--mesh", str(workdir / "mesh.txt"), "--flux", str(flux_path),
+                "--out-trace", str(tmp_path / "trace.csv")]) == 2
+    assert "vertex_index 9999 where the GammaI loop has vertex" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--delta", "nan", "delta must be finite and >= 0, got nan"),
+    ("--delta", "inf", "delta must be finite and >= 0, got inf"),
+    ("--rho", "nan", "rho must be positive and finite, got nan"),
+    ("--rho", "inf", "rho must be positive and finite, got inf"),
+])
+def test_non_finite_delta_or_rho_exits_1(workdir, tmp_path, capsys, flag, value, message):
+    mesh = load_mesh(workdir / "mesh.txt")
+    trace_path = tmp_path / "trace.csv"
+    cli.write_boundary_csv(trace_path, mesh, BoundaryVector(
+        GAMMA_A, np.ones(len(boundary_map(mesh, GAMMA_A)))))
+    argv = ["invert", "--mesh", str(workdir / "mesh.txt"), "--data-trace", str(trace_path),
+            "--delta", "1e-4", "--out", str(tmp_path / "inv"), flag, value]
+    assert run(argv) == 1
+    assert f"fluxrec: error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand", ["vsc-check", "stability-probe"])
+def test_non_positive_n_samples_exits_2(workdir, tmp_path, capsys, subcommand):
+    assert run([subcommand, "--mesh", str(workdir / "mesh.txt"), "--n-samples", "-5",
+                "--out", str(tmp_path / "out")]) == 2
+    assert "must be a positive integer, got -5" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_forward_and_invert_pipeline(workdir):
     mesh = load_mesh(workdir / "mesh.txt")
     basis = build_spectral_basis(mesh)

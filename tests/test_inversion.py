@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fluxrec import inversion
-from fluxrec.errors import BracketFailureError, TagMismatchError
+from fluxrec.errors import BracketFailureError, SolverFailureError, TagMismatchError
 from fluxrec.fem import BoundaryVector, FactorizedSystem, ProblemData, boundary_l2_norm, trace
 from fluxrec.geometry import GAMMA_A, GAMMA_I, generate_annulus_mesh
 from fluxrec.inversion import (
@@ -156,6 +156,22 @@ def test_tikhonov_rejects_bad_inputs(forward_op):
         tikhonov_solve(forward_op, u, 0.0)
     with pytest.raises(TagMismatchError):
         tikhonov_solve(forward_op, BoundaryVector(GAMMA_I, np.zeros(forward_op.n_i)), 1.0)
+
+
+def test_search_path_guards_reject_nan(forward_op, coarse_mesh):
+    u = BoundaryVector(GAMMA_A, forward_op.b + 1e-3)
+    nan = float("nan")
+    with pytest.raises(ValueError, match="rho must be positive"):
+        tikhonov_solve(forward_op, u, nan)
+    with pytest.raises(ValueError, match="delta must be positive"):
+        choose_rho_discrepancy(forward_op, u, nan)
+    with pytest.raises(ValueError, match="tau_d must be > 1"):
+        choose_rho_discrepancy(forward_op, u, 1e-4, tau_d=nan)
+    with pytest.raises(ValueError, match="delta must be finite and >= 0"):
+        add_noise(coarse_mesh, u, nan, seed=1)
+    system = FactorizedSystem(forward_op.mesh, forward_op.data)
+    with pytest.raises(SolverFailureError):
+        system.solve(np.full(coarse_mesh.n_vertices, nan))
 
 
 def test_discrepancy_band_and_small_rho(forward_op, basis):
