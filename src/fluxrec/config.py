@@ -8,6 +8,7 @@ back to the documented defaults.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -69,6 +70,10 @@ def _decreasing(v) -> str | None:
     return None
 
 
+def _positive_entries(v) -> str | None:
+    return None if all(0.0 < x < math.inf for x in v) else "entries must be positive and finite"
+
+
 def _rho_rule(v) -> str | None:
     return None if v in ("discrepancy", "fixed") else "must be 'discrepancy' or 'fixed'"
 
@@ -96,14 +101,21 @@ RATES_KEYS: dict[str, Key] = {
     "base_seed": Key(_int, 0),
     "flux_seed": Key(_int, 42),
     "rho_rule": Key(str, "discrepancy", _rho_rule),
-    "fixed_rho_schedule": Key(_float_list, ()),
+    "fixed_rho_schedule": Key(_float_list, (), _positive_entries),
 }
 
+
+def _only(*names: str) -> dict[str, Key]:
+    return {name: PROBLEM_KEYS[name] for name in names}
+
+
+# each subcommand accepts exactly the keys it reads
+_FIELDS = ("alpha", "k", "f", "u_a")
 SCHEMAS: dict[str, dict[str, Key]] = {
-    "forward": PROBLEM_KEYS,
-    "invert": PROBLEM_KEYS,
-    "vsc-check": PROBLEM_KEYS,
-    "stability-probe": PROBLEM_KEYS,
+    "forward": _only(*_FIELDS),
+    "invert": _only(*_FIELDS, "tau_d"),
+    "vsc-check": _only(*_FIELDS, "s", "kappa", "eps", "m0"),
+    "stability-probe": _only("alpha", "k", "kappa"),
     "rates": RATES_KEYS,
 }
 

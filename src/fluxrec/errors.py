@@ -47,10 +47,6 @@ class ParameterDomainError(FluxRecError):
     """Index-function parameters violate their domain condition."""
 
 
-class OutOfRangeError(FluxRecError):
-    """Requested value lies outside the invertible range."""
-
-
 class EmptyGridError(FluxRecError):
     """An evaluation grid was empty."""
 

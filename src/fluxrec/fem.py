@@ -19,7 +19,6 @@ in the discrete norms.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +31,7 @@ from .errors import (
     SolverFailureError,
     TagMismatchError,
 )
-from .geometry import GAMMA_A, GAMMA_I, Mesh, boundary_map, triangle_areas
+from .geometry import GAMMA_A, GAMMA_I, Mesh, boundary_map, per_mesh, triangle_areas
 
 _AREA_FLOOR = 1e-14
 
@@ -116,7 +115,7 @@ def _gradients(mesh: Mesh):
     return grads, areas
 
 
-@functools.lru_cache(maxsize=32)
+@per_mesh
 def _norm_matrices(mesh: Mesh):
     """Unit-coefficient mass and stiffness matrices for norm evaluation."""
     grads, areas = _gradients(mesh)
@@ -219,10 +218,10 @@ class FactorizedSystem:
     concurrent callers once built.
     """
 
-    def __init__(self, mesh: Mesh, data: ProblemData, system: sp.spmatrix | None = None):
+    def __init__(self, mesh: Mesh, data: ProblemData):
         self.mesh = mesh
         self.data = data
-        self.matrix = assemble_system(mesh, data) if system is None else system.tocsc()
+        self.matrix = assemble_system(mesh, data)
         self._lu = spla.splu(sp.csc_matrix(self.matrix))
 
     def solve(self, rhs: np.ndarray) -> ScalarField:
@@ -304,33 +303,3 @@ def error_norms(u: ScalarField, exact, exact_grad) -> tuple[float, float]:
     h1sq = float((areas[:, None] * _DUN_W[None, :] * gdiff2).sum())
     return np.sqrt(l2sq), np.sqrt(l2sq + h1sq)
 
-
-@functools.lru_cache(maxsize=32)
-def discrete_trace_constant(mesh: Mesh) -> float:
-    """Largest ratio ||u||_{GammaA} / ||u||_{1,Omega} over the P1 space.
-
-    Computed by power iteration on the generalized problem B u = t H u
-    with B the lumped GammaA boundary mass and H the H1 matrix.
-    """
-    mass, stiffness = _norm_matrices(mesh)
-    h1 = (mass + stiffness).tocsc()
-    lu = spla.splu(h1)
-    bmap = boundary_map(mesh, GAMMA_A)
-    idx, w = bmap.vertex_indices, bmap.weights
-
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal(mesh.n_vertices)
-    t_old = 0.0
-    for _ in range(200):
-        bx = np.zeros(mesh.n_vertices)
-        bx[idx] = w * x[idx]
-        y = lu.solve(bx)
-        t = float(x @ bx) / float(x @ (h1 @ x))
-        nrm = np.sqrt(float(y @ (h1 @ y)))
-        if nrm == 0.0:
-            break
-        x = y / nrm
-        if abs(t - t_old) <= 1e-10 * max(t, 1e-30):
-            break
-        t_old = t
-    return float(np.sqrt(t))

@@ -10,7 +10,9 @@ lie exactly on the generating circles.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import weakref
+from collections import namedtuple
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,6 +21,8 @@ from .errors import InvalidGeometryError, MalformedFileError, MissingTagError
 GAMMA_I = "GammaI"
 GAMMA_A = "GammaA"
 VALID_TAGS = (GAMMA_I, GAMMA_A)
+
+CacheInfo = namedtuple("CacheInfo", "hits misses currsize")
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,6 +36,7 @@ class Mesh:
     boundary_edges : (n_b, 2) int array
     boundary_tags : (n_b,) str array, entries in {GammaI, GammaA}
     h : float, maximum edge length
+    memo : dict, results of the :func:`per_mesh` functions for this mesh
     """
 
     vertices: np.ndarray
@@ -39,6 +44,7 @@ class Mesh:
     boundary_edges: np.ndarray
     boundary_tags: np.ndarray
     h: float
+    memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         for arr in (self.vertices, self.triangles, self.boundary_edges, self.boundary_tags):
@@ -51,6 +57,35 @@ class Mesh:
     @property
     def n_triangles(self) -> int:
         return self.triangles.shape[0]
+
+
+def per_mesh(fn):
+    """Memoize ``fn(mesh, *args)`` in ``mesh.memo``: each result lives as long as its mesh.
+
+    A result must not refer back to its mesh; the reference cycle would
+    keep a dropped mesh alive until the cycle collector runs.  The
+    wrapper's ``cache_info()`` gives (hits, misses, currsize), where
+    currsize counts the live meshes that hold a result.
+    """
+    hits = misses = 0
+    holders = weakref.WeakSet()
+
+    @functools.wraps(fn)
+    def memoized(mesh, *args):
+        nonlocal hits, misses
+        key = (fn, *args)
+        try:
+            value = mesh.memo[key]
+        except KeyError:
+            misses += 1
+            value = mesh.memo[key] = fn(mesh, *args)
+            holders.add(mesh)
+        else:
+            hits += 1
+        return value
+
+    memoized.cache_info = lambda: CacheInfo(hits, misses, len(holders))
+    return memoized
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,7 +292,7 @@ def _walk_loop(mesh: Mesh, edges: np.ndarray) -> list[int]:
     return order
 
 
-@functools.lru_cache(maxsize=32)
+@per_mesh
 def boundary_map(mesh: Mesh, tag: str) -> BoundaryIndexMap:
     """Ordered counterclockwise traversal of one tagged loop.
 

@@ -68,7 +68,6 @@ class AffineForwardOperator:
     b: np.ndarray               # (n_a,)
     w_a: np.ndarray             # lumped weights on GammaA
     w_i: np.ndarray             # lumped weights on GammaI
-    system: FactorizedSystem
 
     @functools.cached_property
     def whitened_svd(self) -> tuple[np.ndarray, np.ndarray]:
@@ -120,7 +119,6 @@ class TikhonovResult:
     rho: float
     residual_norm: float
     solution_norm: float
-    admissible: bool | None
 
 
 def build_forward_operator(mesh: Mesh, data: ProblemData) -> AffineForwardOperator:
@@ -142,7 +140,7 @@ def build_forward_operator(mesh: Mesh, data: ProblemData) -> AffineForwardOperat
             e[j] = 1.0
             loads[:, c] = assemble_rhs(mesh, zero_data, BoundaryVector(GAMMA_I, e))
         K[:, cols.start:cols.stop] = system._lu.solve(loads)[bmap_a.vertex_indices, :]
-    return AffineForwardOperator(mesh, data, K, b, bmap_a.weights, bmap_i.weights, system)
+    return AffineForwardOperator(mesh, data, K, b, bmap_a.weights, bmap_i.weights)
 
 
 def adjoint_apply(op: AffineForwardOperator, w: BoundaryVector) -> BoundaryVector:
@@ -209,7 +207,7 @@ def tikhonov_solve(op: AffineForwardOperator, u_delta: BoundaryVector,
     q_rec = BoundaryVector(GAMMA_I, q)
     residual_norm = op.misfit_norm(op.apply_linear(q) + op.b, ud)
     solution_norm = float(np.sqrt((op.w_i * q * q).sum()))
-    return TikhonovResult(q_rec, float(rho), residual_norm, solution_norm, None)
+    return TikhonovResult(q_rec, float(rho), residual_norm, solution_norm)
 
 
 def closed_form_residual(op: AffineForwardOperator,

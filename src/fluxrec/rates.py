@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BracketFailureError, InsufficientDataError, MalformedFileError
+from .errors import BracketFailureError, InsufficientDataError
 from .fem import BoundaryVector, FactorizedSystem, ProblemData, boundary_l2_norm, trace
 from .geometry import GAMMA_A, GAMMA_I, Mesh, boundary_map, generate_annulus_mesh, refine_uniform
 from .inversion import (
@@ -253,22 +253,3 @@ def _write_lines(path, lines) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
-
-def parse_rates_csv(path) -> list[RateRow]:
-    """Read rates.csv back; inverse of the emit_report row writer."""
-    with open(path, encoding="utf-8") as fh:
-        raw = fh.read().splitlines()
-    if not raw or raw[0] != RATES_CSV_HEADER:
-        raise MalformedFileError(f"bad header in {path}", 1)
-    rows = []
-    for ln, line in enumerate(raw[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 7:
-            raise MalformedFileError(f"expected 7 fields, got {len(parts)}", ln)
-        try:
-            rows.append(RateRow(float(parts[0]), int(parts[1]), float(parts[2]),
-                                float(parts[3]), float(parts[4]),
-                                bool(int(parts[5])), bool(int(parts[6]))))
-        except ValueError:
-            raise MalformedFileError(f"malformed record {line!r}", ln) from None
-    return rows

@@ -8,14 +8,13 @@ lambda_n = sqrt(1 + mu_n) >= 1, which makes the discrete H^(1/2) inner
 product  (q, v)_(1/2) = sum lambda_n c_n d_n  hold exactly, where c, d
 are eigencoefficients in the M_i inner product.
 
-Fractional powers, fractional Sobolev norms and the spectral cutoff
-projectors P_lambda are all exact multiplier operations on the finite
+Fractional Sobolev norms and the tails of the spectral cutoff
+projectors P_lambda are exact multiplier operations on the finite
 spectrum.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,7 @@ from .errors import (
     InvalidGeometryError,
 )
 from .fem import BoundaryVector
-from .geometry import GAMMA_I, BoundaryIndexMap, Mesh, boundary_map
+from .geometry import GAMMA_I, Mesh, boundary_map, per_mesh
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,8 +37,6 @@ class SpectralBasis:
     orthonormal in the lumped M_i inner product.
     """
 
-    mesh: Mesh
-    bmap: BoundaryIndexMap
     eigenvalues: np.ndarray     # (n,) lambda_n >= 1
     eigenvectors: np.ndarray    # (n, n), column n is e_n per boundary vertex
     mass_diag: np.ndarray       # lumped M_i diagonal (= arc weights)
@@ -68,7 +65,7 @@ class FluxCoefficients:
         self.values = np.asarray(self.values, dtype=float)
 
 
-@functools.lru_cache(maxsize=16)
+@per_mesh
 def build_spectral_basis(mesh: Mesh) -> SpectralBasis:
     """Full symmetric generalized eigendecomposition of the loop operator.
 
@@ -115,7 +112,7 @@ def build_spectral_basis(mesh: Mesh) -> SpectralBasis:
     if ortho_err > 1e-10:
         raise EigensolverFailureError(f"orthonormality residual {ortho_err:.3e}")
 
-    return SpectralBasis(mesh, bmap, lambdas, vecs, mass, stiff)
+    return SpectralBasis(lambdas, vecs, mass, stiff)
 
 
 def _check_dim(basis: SpectralBasis, values: np.ndarray) -> None:
@@ -136,27 +133,12 @@ def synthesize(basis: SpectralBasis, c: FluxCoefficients) -> BoundaryVector:
     return BoundaryVector(GAMMA_I, basis.eigenvectors @ c.values)
 
 
-def fractional_apply(basis: SpectralBasis, s: float, q: BoundaryVector) -> BoundaryVector:
-    """Spectral multiplier lambda_n^s; exact on the finite spectrum."""
-    c = analyze(basis, q)
-    return synthesize(basis, FluxCoefficients(basis.eigenvalues ** s * c.values))
-
-
 def sobolev_norm(basis: SpectralBasis, s: float, q: BoundaryVector) -> float:
     """Discrete H^s(GammaI) norm (sum lambda_n^(2s) c_n^2)^(1/2), s in [-1/2, 1]."""
     if not -0.5 <= s <= 1.0:
         raise ValueError(f"s={s} outside supported range [-1/2, 1]")
     c = analyze(basis, q)
     return float(np.sqrt((basis.eigenvalues ** (2.0 * s) * c.values ** 2).sum()))
-
-
-def project(basis: SpectralBasis, lambda_cut: float, q: BoundaryVector) -> BoundaryVector:
-    """Orthogonal projection onto modes with lambda_n <= lambda_cut (ties kept)."""
-    if lambda_cut < 1.0:
-        raise ValueError(f"lambda_cut={lambda_cut} below the spectrum floor 1")
-    c = analyze(basis, q)
-    kept = np.where(basis.eigenvalues <= lambda_cut, c.values, 0.0)
-    return synthesize(basis, FluxCoefficients(kept))
 
 
 def tail_norm(basis: SpectralBasis, lambda_cut: float, q: BoundaryVector) -> float:

@@ -40,7 +40,6 @@ class StabilitySample:
     h1_norm: float
     trace_norm: float
     m_proxy: float
-    label: str = ""
 
     def __post_init__(self):
         if min(self.h1_norm, self.trace_norm, self.m_proxy) < 0.0:
@@ -48,7 +47,7 @@ class StabilitySample:
 
 
 def sample_homogeneous_solution(system: FactorizedSystem, basis: SpectralBasis,
-                                q: BoundaryVector, label: str = "") -> StabilitySample:
+                                q: BoundaryVector) -> StabilitySample:
     """Solve the homogeneous problem for q and collect the norms.
 
     The shared system must carry f = 0 and u_a = 0; the factorization
@@ -60,7 +59,7 @@ def sample_homogeneous_solution(system: FactorizedSystem, basis: SpectralBasis,
     _, h1 = norms(u)
     tr = boundary_l2_norm(system.mesh, trace(u, GAMMA_A))
     m_proxy = sobolev_norm(basis, 0.5, q) + h1
-    return StabilitySample(q, u, h1, tr, m_proxy, label)
+    return StabilitySample(q, u, h1, tr, m_proxy)
 
 
 def generate_probe_ensemble(system: FactorizedSystem, basis: SpectralBasis,
@@ -81,20 +80,18 @@ def generate_probe_ensemble(system: FactorizedSystem, basis: SpectralBasis,
             mode = 1 + (i // 2) % max_pure
             c = np.zeros(n_modes)
             c[mode] = 1.0
-            label = f"mode{mode}"
         else:
             p = rng.uniform(0.5, 2.0)
             c = rng.standard_normal(n_modes) * basis.eigenvalues ** (-p)
-            label = f"mix{i}"
         q = synthesize(basis, FluxCoefficients(c))
-        s = sample_homogeneous_solution(system, basis, q, label)
+        s = sample_homogeneous_solution(system, basis, q)
         if s.m_proxy == 0.0:
             continue
         scale = 1.0 / s.m_proxy
         samples.append(StabilitySample(
             BoundaryVector(GAMMA_I, q.values * scale),
             ScalarField(system.mesh, s.u.values * scale),
-            s.h1_norm * scale, s.trace_norm * scale, 1.0, label))
+            s.h1_norm * scale, s.trace_norm * scale, 1.0))
     return samples
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Literal
 
 import numpy as np
 
@@ -30,7 +29,6 @@ from .errors import (
     EmptyGridError,
     FitFailureError,
     InadmissibleSampleError,
-    OutOfRangeError,
     ParameterDomainError,
 )
 from .fem import BoundaryVector, boundary_l2_norm
@@ -45,14 +43,8 @@ T_FLOOR = 1e-300
 
 @dataclass(frozen=True)
 class IndexFunctionSpec:
-    """Parameters of a concave index function.
+    """Parameters of the logarithmic Psi0 and of the infimum construction Psi."""
 
-    kind selects the evaluation rule: the logarithmic Psi0, the infimum
-    construction Psi, or a plain power law C * t^kappa (used as a test
-    id of the concavity machinery).
-    """
-
-    kind: Literal["Psi0Log", "PsiInfimum", "PowerLaw"]
     C: float
     C0: float
     kappa: float
@@ -107,19 +99,6 @@ def psi0_eval(spec: IndexFunctionSpec, t: float) -> float:
     return log_branch(junction) + slope * (t - junction)
 
 
-def eval_index_function(spec: IndexFunctionSpec, t: float,
-                        lambda_grid: np.ndarray | None = None) -> float:
-    if spec.kind == "Psi0Log":
-        return psi0_eval(spec, t)
-    if spec.kind == "PowerLaw":
-        if t <= 0.0:
-            raise ParameterDomainError(f"index functions are defined on (0, inf), got t={t}")
-        return spec.C * t ** spec.kappa
-    if lambda_grid is None:
-        raise EmptyGridError("PsiInfimum evaluation needs a lambda grid")
-    return psi_infimum(spec, t, lambda_grid).value
-
-
 def psi_infimum(spec: IndexFunctionSpec, t: float, lambda_grid: np.ndarray) -> PsiValue:
     """Psi(t) = min over the grid of g(lambda) Psi0(t) + coef f(lambda)^2."""
     lambda_grid = np.asarray(lambda_grid, dtype=float)
@@ -136,65 +115,6 @@ def default_lambda_grid(basis: SpectralBasis, extension: float = 1e3,
     """Log grid from lambda_1 to lambda_max * extension (infimum search)."""
     lam_max = float(basis.eigenvalues[-1])
     return np.geomspace(1.0, lam_max * extension, n_points)
-
-
-def theta_inverse(spec: IndexFunctionSpec, y: float,
-                  lambda_range: tuple[float, float]) -> float:
-    """Invert Theta(lambda) = coef f(lambda)^2 / g(lambda) by bisection.
-
-    Theta is strictly decreasing for s > -1/2; OutOfRangeError if y is
-    not attained on the given lambda interval.
-    """
-    lo, hi = lambda_range
-    if not 0.0 < lo < hi:
-        raise OutOfRangeError(f"bad lambda range {lambda_range}")
-
-    def theta(lam: float) -> float:
-        return spec.infimum_coef * float(spec.f(lam)) ** 2 / float(spec.g(lam))
-
-    t_lo, t_hi = theta(lo), theta(hi)
-    if not t_hi < t_lo:
-        raise OutOfRangeError("Theta is not decreasing on the given range")
-    if not t_hi <= y <= t_lo:
-        raise OutOfRangeError(f"y={y:.3e} outside Theta range [{t_hi:.3e}, {t_lo:.3e}]")
-
-    prev_mid_val = None
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        val = theta(mid)
-        if prev_mid_val is not None and not (theta(lo) >= val >= theta(hi)):
-            raise OutOfRangeError("Theta not monotone during bisection")
-        prev_mid_val = val
-        if val > y:
-            lo = mid
-        else:
-            hi = mid
-        if hi / lo < 1.0 + 1e-12:
-            break
-    mid = math.sqrt(lo * hi)
-    if abs(theta(mid) - y) > 1e-8 * max(y, 1e-300):
-        raise OutOfRangeError(f"bisection stalled at Theta={theta(mid):.6e} for y={y:.6e}")
-    return mid
-
-
-def check_index_function(fn: Callable[[float], float], grid: np.ndarray) -> dict:
-    """Grid test of the index-function axioms plus concavity.
-
-    Returns the worst slacks; positivity/monotonicity/concavity hold
-    when all three are >= 0 up to round-off.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if grid.size < 3:
-        raise EmptyGridError("need at least 3 grid points")
-    vals = np.array([fn(t) for t in grid])
-    mono = np.diff(vals).min()
-    mids = np.array([fn(0.5 * (a + b)) for a, b in zip(grid[:-2], grid[2:])])
-    concavity = (mids - 0.5 * (vals[:-2] + vals[2:])).min()
-    return {
-        "min_value": float(vals.min()),
-        "monotone_slack": float(mono),
-        "concavity_slack": float(concavity),
-    }
 
 
 @dataclass
@@ -330,7 +250,7 @@ def fit_vsc_constants(op: AffineForwardOperator, basis: SpectralBasis,
     cprime = max_misfit
 
     f_coeff = sobolev_norm(basis, s, q_dag)
-    base = IndexFunctionSpec("PsiInfimum", C=1.0, C0=1.0, kappa=kappa, s=s,
+    base = IndexFunctionSpec(C=1.0, C0=1.0, kappa=kappa, s=s,
                              M=1.0, cprime=cprime, g0=1.0, f_coeff=f_coeff)
     lam = np.asarray(lambda_grid, dtype=float)
     f2_term = base.infimum_coef * base.f(lam) ** 2       # independent of C, C0, g0

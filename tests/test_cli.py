@@ -26,7 +26,7 @@ def workdir(tmp_path_factory):
 def test_parse_config_defaults(tmp_path):
     empty = tmp_path / "empty.cfg"
     empty.write_text("")
-    cfg = parse_config(str(empty), SCHEMAS["forward"])
+    cfg = parse_config(str(empty), SCHEMAS["rates"])
     assert cfg["r_inner"] == 0.5
     assert cfg["r_outer"] == 1.0
     assert cfg["alpha"] == 1.0
@@ -43,12 +43,12 @@ def test_parse_config_defaults(tmp_path):
 def test_parse_config_domain_guards(tmp_path):
     bad_kappa = tmp_path / "k.cfg"
     bad_kappa.write_text("kappa = 1.5\n")
-    with pytest.raises(SchemaError):
-        parse_config(str(bad_kappa), SCHEMAS["forward"])
+    with pytest.raises(SchemaError, match="must lie in"):
+        parse_config(str(bad_kappa), SCHEMAS["vsc-check"])
     bad_s = tmp_path / "s.cfg"
     bad_s.write_text("s = 0.7\n")
-    with pytest.raises(SchemaError):
-        parse_config(str(bad_s), SCHEMAS["forward"])
+    with pytest.raises(SchemaError, match="must lie in"):
+        parse_config(str(bad_s), SCHEMAS["vsc-check"])
 
 
 def test_parse_config_unknown_key(tmp_path):
@@ -64,6 +64,46 @@ def test_parse_config_comments_and_types(tmp_path):
     values = parse_config(str(cfg), SCHEMAS["rates"])
     assert values["kappa"] == 0.8
     assert values["delta_grid"] == (1e-2, 1e-3, 1e-4, 1e-5)
+
+
+_READS = {
+    "forward": {"alpha", "k", "f", "u_a"},
+    "invert": {"alpha", "k", "f", "u_a", "tau_d"},
+    "vsc-check": {"alpha", "k", "f", "u_a", "s", "kappa", "eps", "m0"},
+    "stability-probe": {"alpha", "k", "kappa"},
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(_READS))
+def test_subcommand_rejects_keys_it_does_not_read(workdir, tmp_path, capsys, subcommand):
+    assert set(SCHEMAS[subcommand]) == _READS[subcommand]
+    mesh, out = str(workdir / "mesh.txt"), str(tmp_path / "out")
+    argv = {
+        "forward": ["forward", "--mesh", mesh, "--flux", str(workdir / "flux.csv"),
+                    "--out-trace", out],
+        "invert": ["invert", "--mesh", mesh, "--data-trace", str(workdir / "trace.csv"),
+                   "--delta", "1e-4", "--out", out],
+        "vsc-check": ["vsc-check", "--mesh", mesh, "--out", out],
+        "stability-probe": ["stability-probe", "--mesh", mesh, "--out", out],
+    }[subcommand]
+    cfg = tmp_path / "extra.cfg"
+    for key in sorted(set(SCHEMAS["rates"]) - _READS[subcommand]):
+        cfg.write_text(f"{key} = 3\n")
+        assert run([*argv, "--config", str(cfg)]) == 2, key
+        assert f"config key '{key}': unknown key" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("schedule", ["-1, 1e-5, 1e-7, 1e-9", "0, 1e-5, 1e-7, 1e-9",
+                                      "1e-3, nan, 1e-7, 1e-9"])
+def test_non_positive_rho_schedule_exits_2(tmp_path, capsys, schedule):
+    cfg = tmp_path / "fixed.cfg"
+    cfg.write_text("delta_grid = 1e-2, 1e-3, 1e-4, 1e-5\nrho_rule = fixed\n"
+                   f"fixed_rho_schedule = {schedule}\n")
+    assert run(["rates", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "config key 'fixed_rho_schedule': entries must be positive and finite" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_parse_config_malformed(tmp_path):

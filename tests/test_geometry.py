@@ -1,7 +1,10 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from fluxrec import geometry
+from fluxrec import fem, geometry, inversion, spectral
 from fluxrec.errors import InvalidGeometryError, MalformedFileError, MissingTagError
 from fluxrec.geometry import (
     GAMMA_A,
@@ -135,3 +138,47 @@ def test_load_garbage(tmp_path):
     with pytest.raises(MalformedFileError) as err:
         load_mesh(path)
     assert err.value.line_number == 3
+
+
+def _derived_data_of_a_dropped_mesh() -> weakref.ref:
+    mesh = generate_annulus_mesh(0.5, 1.0, 0.2)
+    boundary_map(mesh, GAMMA_I)
+    boundary_map(mesh, GAMMA_A)
+    fem._norm_matrices(mesh)
+    spectral.build_spectral_basis(mesh)
+    inversion.build_forward_operator(mesh, fem.ProblemData.from_constants(mesh))
+    return weakref.ref(mesh)
+
+
+def test_derived_data_dies_with_its_mesh():
+    # reference counting alone must free the mesh: no memoized value may
+    # keep it alive or point back at it
+    gc.disable()
+    try:
+        assert _derived_data_of_a_dropped_mesh()() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("fn, args", [
+    (boundary_map, (GAMMA_I,)),
+    (fem._norm_matrices, ()),
+    (spectral.build_spectral_basis, ()),
+])
+def test_memo_returns_the_same_object_and_counts(fn, args):
+    gc.disable()
+    try:
+        mesh = generate_annulus_mesh(0.5, 1.0, 0.2)
+        before = fn.cache_info()
+        first = fn(mesh, *args)
+        missed = fn.cache_info()
+        assert fn(mesh, *args) is first
+        hit = fn.cache_info()
+        del mesh, first
+        dropped = fn.cache_info()
+    finally:
+        gc.enable()
+    assert (missed.hits, missed.misses, missed.currsize) \
+        == (before.hits, before.misses + 1, before.currsize + 1)
+    assert (hit.hits, hit.misses, hit.currsize) == (missed.hits + 1, missed.misses, missed.currsize)
+    assert dropped.currsize == before.currsize

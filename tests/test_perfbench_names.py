@@ -1,7 +1,8 @@
 """The names the benchmark in ``perfbench/`` reaches into must keep existing.
 
 ``perfbench/run.py`` calls ``boundary_map.cache_info()`` and its K guard
-outside the per-op error handling, and the tracer looks every traced
+outside the per-op error handling, and names every cache it reports by
+``__module__`` and ``__name__``, and the tracer looks every traced
 name up before the run starts, so a renamed function would crash the
 whole benchmark run instead of counting one failed op.
 """
@@ -40,6 +41,10 @@ def test_traced_methods_are_defined_on_their_class(tracer):
 
 
 def test_names_the_run_calls_directly():
-    assert callable(_module("geometry").boundary_map.cache_info)
+    boundary_map = _module("geometry").boundary_map
+    info = boundary_map.cache_info()
+    assert all(isinstance(n, int) for n in (info.hits, info.misses, info.currsize))
+    assert boundary_map.__module__ == "fluxrec.geometry"
+    assert boundary_map.__name__ == "boundary_map"
     assert callable(_module("fem").FactorizedSystem.solve_flux)
     assert callable(_module("fem").trace)

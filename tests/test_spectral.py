@@ -8,8 +8,6 @@ from fluxrec.geometry import GAMMA_I, generate_annulus_mesh, refine_uniform
 from fluxrec.spectral import (
     analyze,
     build_spectral_basis,
-    fractional_apply,
-    project,
     sobolev_norm,
     synthesize,
     synthesize_flux_with_smoothness,
@@ -108,29 +106,6 @@ def test_dimension_mismatch(basis):
         analyze(basis, BoundaryVector(GAMMA_I, np.zeros(basis.n_modes + 1)))
 
 
-def test_fractional_identity_and_eigenvector_scaling(basis, rng):
-    q = BoundaryVector(GAMMA_I, rng.standard_normal(basis.n_modes))
-    same = fractional_apply(basis, 0.0, q)
-    assert np.abs(same.values - q.values).max() <= 1e-12 * np.abs(q.values).max()
-    n = 7
-    scaled = fractional_apply(basis, 0.3, basis.mode(n))
-    np.testing.assert_allclose(scaled.values, basis.eigenvalues[n] ** 0.3
-                               * basis.eigenvectors[:, n], atol=1e-10)
-
-
-def test_fractional_inverse(basis, rng):
-    q = BoundaryVector(GAMMA_I, rng.standard_normal(basis.n_modes))
-    back = fractional_apply(basis, -0.4, fractional_apply(basis, 0.4, q))
-    assert np.abs(back.values - q.values).max() <= 1e-10 * np.abs(q.values).max()
-
-
-def test_fractional_semigroup(basis, rng):
-    q = BoundaryVector(GAMMA_I, rng.standard_normal(basis.n_modes))
-    via_two = fractional_apply(basis, 0.25, fractional_apply(basis, 0.35, q))
-    direct = fractional_apply(basis, 0.6, q)
-    assert np.abs(via_two.values - direct.values).max() <= 1e-9 * np.abs(direct.values).max()
-
-
 def test_sobolev_norm_cases(basis):
     assert abs(sobolev_norm(basis, 0.0, basis.mode(0)) - 1.0) <= 1e-10
     n = 4
@@ -149,33 +124,20 @@ def test_sobolev_norm_l2_match(basis, coarse_mesh, rng):
     assert abs(sobolev_norm(basis, 0.0, q) - boundary_l2_norm(coarse_mesh, q)) <= 1e-10
 
 
-def test_projector_identity_and_constant(basis, rng):
+def test_projector_identity_and_constant(basis, coarse_mesh, rng):
     q = BoundaryVector(GAMMA_I, rng.standard_normal(basis.n_modes))
-    full = project(basis, float(basis.eigenvalues[-1]), q)
-    assert np.abs(full.values - q.values).max() <= 1e-10 * np.abs(q.values).max()
-    only_const = project(basis, 1.0, q)
-    c = analyze(basis, only_const).values
-    assert np.abs(c[1:]).max() <= 1e-12
-
-
-def test_projector_idempotent_selfadjoint(basis, rng):
-    lam = float(basis.eigenvalues[basis.n_modes // 3])
-    q = BoundaryVector(GAMMA_I, rng.standard_normal(basis.n_modes))
-    v = BoundaryVector(GAMMA_I, rng.standard_normal(basis.n_modes))
-    pq = project(basis, lam, q)
-    ppq = project(basis, lam, pq)
-    assert np.abs(ppq.values - pq.values).max() <= 1e-10
-    w = basis.mass_diag
-    lhs = float((w * pq.values * v.values).sum())
-    rhs = float((w * q.values * project(basis, lam, v).values).sum())
-    assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
+    assert tail_norm(basis, float(basis.eigenvalues[-1]), q) == 0.0
+    # at the spectrum floor only the constant mode stays in the head
+    c0 = analyze(basis, q).values[0]
+    total = boundary_l2_norm(coarse_mesh, q) ** 2
+    assert abs(tail_norm(basis, 1.0, q) ** 2 - (total - c0 ** 2)) <= 1e-10 * total
 
 
 def test_projector_tie_included(basis):
     n = 5
     lam = float(basis.eigenvalues[n])
-    kept = project(basis, lam, basis.mode(n))
-    assert np.abs(kept.values - basis.eigenvectors[:, n]).max() <= 1e-10
+    assert tail_norm(basis, lam, basis.mode(n)) <= 1e-10
+    assert abs(tail_norm(basis, lam * (1.0 - 1e-9), basis.mode(n)) - 1.0) <= 1e-10
 
 
 def test_projector_decay_bound(basis, rng):
@@ -191,10 +153,10 @@ def test_projector_decay_bound(basis, rng):
 def test_pythagoras(basis, coarse_mesh, rng):
     q = BoundaryVector(GAMMA_I, rng.standard_normal(basis.n_modes))
     lam = float(basis.eigenvalues[basis.n_modes // 2])
-    pq = project(basis, lam, q)
+    c = analyze(basis, q).values
+    head = float((c[basis.eigenvalues <= lam] ** 2).sum())
     tail = tail_norm(basis, lam, q)
     total = boundary_l2_norm(coarse_mesh, q) ** 2
-    head = boundary_l2_norm(coarse_mesh, pq) ** 2
     assert abs(total - head - tail ** 2) <= 1e-10 * total
 
 

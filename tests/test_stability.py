@@ -3,7 +3,7 @@ import pytest
 
 from fluxrec import fem, stability
 from fluxrec.errors import DegenerateEnsembleError
-from fluxrec.fem import BoundaryVector, FactorizedSystem, ProblemData, discrete_trace_constant
+from fluxrec.fem import BoundaryVector, FactorizedSystem, ProblemData
 from fluxrec.geometry import GAMMA_I, refine_uniform
 from fluxrec.spectral import build_spectral_basis
 from fluxrec.stability import (
@@ -57,10 +57,9 @@ def test_high_modes_decay_across_annulus(probe_system, basis):
     assert s5.trace_norm / s5.h1_norm < 0.1 * (s1.trace_norm / s1.h1_norm)
 
 
-def test_trace_inequality_with_calibrated_constant(ensemble, coarse_mesh):
-    c_tr = discrete_trace_constant(coarse_mesh)
+def test_trace_inequality_with_calibrated_constant(ensemble, trace_constant):
     for s in ensemble:
-        assert s.trace_norm <= c_tr * s.h1_norm * (1.0 + 1e-8)
+        assert s.trace_norm <= trace_constant * s.h1_norm * (1.0 + 1e-8)
 
 
 def test_ensemble_normalized_and_spans_decades(ensemble):
@@ -83,9 +82,9 @@ def test_fit_scale_invariance_on_amplitude_ray(probe_system, basis):
     # pure-mode fluxes at many amplitudes: all bound ratios are
     # amplitude-independent because every norm is degree-1 homogeneous
     samples = []
-    for i, amp in enumerate(np.geomspace(1e-3, 1e3, 60)):
+    for amp in np.geomspace(1e-3, 1e3, 60):
         q = BoundaryVector(GAMMA_I, amp * basis.eigenvectors[:, 1])
-        samples.append(sample_homogeneous_solution(probe_system, basis, q, label=f"amp{i}"))
+        samples.append(sample_homogeneous_solution(probe_system, basis, q))
     c_fit, c0_fit, max_violation = fit_stability_modulus(samples, kappa=0.9)
     assert max_violation <= 0.0
     violations, worst = evaluate_stability_bound(samples, c_fit, c0_fit, 0.9)

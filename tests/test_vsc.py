@@ -7,7 +7,6 @@ import pytest
 from fluxrec.errors import (
     EmptyGridError,
     InadmissibleSampleError,
-    OutOfRangeError,
     ParameterDomainError,
 )
 from fluxrec.fem import BoundaryVector
@@ -15,19 +14,16 @@ from fluxrec.geometry import GAMMA_I
 from fluxrec.spectral import sobolev_norm, synthesize_flux_with_smoothness
 from fluxrec.vsc import (
     IndexFunctionSpec,
-    check_index_function,
     check_projector_conditions,
     check_vsc_inequality,
     default_lambda_grid,
-    eval_index_function,
     fit_vsc_constants,
     psi0_eval,
     psi_infimum,
     sample_admissible_fluxes,
-    theta_inverse,
 )
 
-PSI0_SPEC = IndexFunctionSpec("Psi0Log", C=1.0, C0=100.0, kappa=0.9, cprime=1.0)
+PSI0_SPEC = IndexFunctionSpec(C=1.0, C0=100.0, kappa=0.9, cprime=1.0)
 
 
 @pytest.fixture(scope="module")
@@ -81,19 +77,19 @@ def test_psi0_domain_guard():
 
 
 def test_index_function_axioms_all_kinds():
+    # positivity, monotonicity and midpoint concavity of Psi0 and Psi on a grid
     grid = np.geomspace(1e-10, 50.0, 250)
-    power = IndexFunctionSpec("PowerLaw", C=2.0, C0=1.0, kappa=0.5)
     lam_grid = np.geomspace(1.0, 1e8, 500)
-    inf_spec = IndexFunctionSpec("PsiInfimum", C=1.0, C0=100.0, kappa=0.9, s=0.25)
+    inf_spec = IndexFunctionSpec(C=1.0, C0=100.0, kappa=0.9, s=0.25)
     for fn in (
         lambda t: psi0_eval(PSI0_SPEC, t),
-        lambda t: eval_index_function(power, t),
         lambda t: psi_infimum(inf_spec, t, lam_grid).value,
     ):
-        report = check_index_function(fn, grid)
-        assert report["min_value"] > 0.0
-        assert report["monotone_slack"] >= -1e-12
-        assert report["concavity_slack"] >= -1e-10
+        vals = np.array([fn(t) for t in grid])
+        mids = np.array([fn(0.5 * (a + b)) for a, b in zip(grid[:-2], grid[2:])])
+        assert vals.min() > 0.0
+        assert np.diff(vals).min() >= -1e-12
+        assert (mids - 0.5 * (vals[:-2] + vals[2:])).min() >= -1e-10
 
 
 def test_psi_infimum_empty_grid():
@@ -102,7 +98,7 @@ def test_psi_infimum_empty_grid():
 
 
 def test_psi_infimum_s_half_hits_largest_lambda():
-    spec = IndexFunctionSpec("PsiInfimum", C=1.0, C0=100.0, kappa=0.9, s=0.5)
+    spec = IndexFunctionSpec(C=1.0, C0=100.0, kappa=0.9, s=0.5)
     grid = np.geomspace(1.0, 1e6, 200)
     out = psi_infimum(spec, 1e-3, grid)
     assert out.lambda_star == grid[-1]
@@ -112,7 +108,7 @@ def test_psi_infimum_s_half_hits_largest_lambda():
 
 
 def test_psi_infimum_monotone_and_grid_stable():
-    spec = IndexFunctionSpec("PsiInfimum", C=1.0, C0=100.0, kappa=0.9, s=0.25)
+    spec = IndexFunctionSpec(C=1.0, C0=100.0, kappa=0.9, s=0.25)
     grid = np.geomspace(1.0, 1e8, 400)
     dense = np.geomspace(1.0, 1e8, 800)
     ts = np.geomspace(1e-8, 0.5, 25)
@@ -125,7 +121,7 @@ def test_psi_infimum_monotone_and_grid_stable():
 
 
 def test_psi_infimum_pointwise_bound():
-    spec = IndexFunctionSpec("PsiInfimum", C=1.0, C0=100.0, kappa=0.9, s=0.25)
+    spec = IndexFunctionSpec(C=1.0, C0=100.0, kappa=0.9, s=0.25)
     grid = np.geomspace(1.0, 1e8, 300)
     for t in (1e-5, 1e-2):
         value = psi_infimum(spec, t, grid).value
@@ -138,7 +134,7 @@ def test_psi_infimum_pointwise_bound():
 @pytest.mark.parametrize("s", [0.1, 0.25, 0.5])
 @pytest.mark.parametrize("kappa", [0.5, 0.9])
 def test_decay_law_exponent(s, kappa):
-    spec = IndexFunctionSpec("PsiInfimum", C=1.0, C0=20.0, kappa=kappa, s=s, cprime=1.0)
+    spec = IndexFunctionSpec(C=1.0, C0=20.0, kappa=kappa, s=s, cprime=1.0)
     grid = np.geomspace(1.0, 1e10, 3000)
     deltas = np.geomspace(1e-30, 1e-240, 12)
     vals = np.array([psi_infimum(spec, d, grid).value for d in deltas])
@@ -146,25 +142,6 @@ def test_decay_law_exponent(s, kappa):
     slope = np.linalg.lstsq(np.vstack([x, np.ones_like(x)]).T, np.log(vals), rcond=None)[0][0]
     p_theory = 4.0 * s * kappa / (1.0 + 2.0 * s)
     assert abs(-slope - p_theory) <= 0.1 * p_theory
-
-
-def test_theta_inverse_roundtrip_and_slope():
-    spec = IndexFunctionSpec("PsiInfimum", C=1.0, C0=100.0, kappa=0.9, s=0.25)
-    lam_range = (1.0, 1e12)
-    ys = np.geomspace(1e-6, 1e-2, 20)
-    lams = np.array([theta_inverse(spec, y, lam_range) for y in ys])
-    theta = lambda lam: spec.infimum_coef * float(spec.f(lam)) ** 2 / float(spec.g(lam))
-    assert max(abs(theta(l) - y) / y for l, y in zip(lams, ys)) <= 1e-8
-    assert (np.diff(lams) < 0.0).all()
-    slope = np.linalg.lstsq(np.vstack([np.log(ys), np.ones_like(ys)]).T,
-                            np.log(lams), rcond=None)[0][0]
-    assert abs(slope - (-4.0 / 3.0)) <= 0.01 * (4.0 / 3.0)
-
-
-def test_theta_inverse_out_of_range():
-    spec = IndexFunctionSpec("PsiInfimum", C=1.0, C0=100.0, kappa=0.9, s=0.25)
-    with pytest.raises(OutOfRangeError):
-        theta_inverse(spec, 1e6, (1.0, 1e8))
 
 
 def test_projector_conditions_single_mode(basis):
