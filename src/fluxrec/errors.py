@@ -44,7 +44,7 @@ class BracketFailureError(FluxRecError):
 
 
 class ParameterDomainError(FluxRecError):
-    """Index-function parameters violate their domain condition."""
+    """A parameter or a data value lies outside its domain (e.g. non-finite data)."""
 
 
 class EmptyGridError(FluxRecError):

@@ -5,18 +5,20 @@ A(q) = K q + b, with b the response to zero flux (carrying f and u_a).
 K is dense, assembled from unit nodal fluxes solved _K_BLOCK columns
 at a time against one sparse LU factorization.
 
-All boundary inner products are the lumped arc-weight L2 products, so
-the normal equations of the objective
+All boundary inner products are the lumped arc-weight L2 products.  The
+minimizer of the objective
 
     (1/rho) ||A(q) - u_delta||_a^2 + (1/2) ||q||_i^2
 
-read  (K^T M_a K + (rho/2) M_i) q = K^T M_a (u_delta - b).
+is taken on the thin SVD of the whitened operator
+M_a^(1/2) K M_i^(-1/2) = U S V^T, computed once per operator: with
+d = M_a^(1/2) (u_delta - b) and lambda = rho/2 it is the filter solution
 
-The discrepancy search evaluates the residual of those equations in
-closed form on the thin SVD of the whitened operator
-M_a^(1/2) K M_i^(-1/2) = U S V^T, and falls back to a Cholesky solve
-only where the closed-form value lies too close to a threshold for its
-side to be certain.
+    q = M_i^(-1/2) V diag(s / (s^2 + lambda)) U^T d,
+
+and its residual has a closed form in rho, which the discrepancy search
+bisects without a solve.  Neither path forms K^T M_a K, whose condition
+number is the square of the whitened operator's.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import scipy.linalg
 from .errors import (
     BracketFailureError,
     DimensionMismatchError,
+    ParameterDomainError,
     SolverFailureError,
     TagMismatchError,
 )
@@ -53,9 +56,6 @@ logger = logging.getLogger(__name__)
 # load block at n_v x _K_BLOCK instead of n_v x n_i
 _K_BLOCK = 64
 RHO_BRACKET = (1e-14, 1e6)
-# relative guard band of the closed-form discrepancy residual: see guard_margin
-_GUARD_FLOOR = 1e-3
-_GUARD_ULPS = 64.0
 
 
 @dataclass(eq=False)
@@ -70,13 +70,16 @@ class AffineForwardOperator:
     w_i: np.ndarray             # lumped weights on GammaI
 
     @functools.cached_property
-    def whitened_svd(self) -> tuple[np.ndarray, np.ndarray]:
-        """Thin SVD factors (U, s) of M_a^(1/2) K M_i^(-1/2), read-only; V is never needed."""
+    def whitened_svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Thin SVD factors (U, s, Vt) of M_a^(1/2) K M_i^(-1/2), read-only."""
         white = np.sqrt(self.w_a)[:, None] * self.K / np.sqrt(self.w_i)[None, :]
-        U, s, _ = scipy.linalg.svd(white, full_matrices=False)
-        U.flags.writeable = False
-        s.flags.writeable = False
-        return U, s
+        try:
+            factors = scipy.linalg.svd(white, full_matrices=False)
+        except scipy.linalg.LinAlgError as exc:
+            raise SolverFailureError(f"SVD of the whitened operator failed: {exc}") from exc
+        for arr in factors:
+            arr.flags.writeable = False
+        return factors
 
     @property
     def n_i(self) -> int:
@@ -113,7 +116,7 @@ class AffineForwardOperator:
 
 @dataclass(eq=False)
 class TikhonovResult:
-    """Solution of the regularized normal equations for one rho."""
+    """Tikhonov minimizer for one rho, with its residual ||K q + b - u_delta||_a and ||q||_i."""
 
     q_rec: BoundaryVector
     rho: float
@@ -150,11 +153,6 @@ def adjoint_apply(op: AffineForwardOperator, w: BoundaryVector) -> BoundaryVecto
     return BoundaryVector(GAMMA_I, op.apply_adjoint(w.values))
 
 
-def whitened_singular_values(op: AffineForwardOperator) -> np.ndarray:
-    """Singular values of M_a^(1/2) K M_i^(-1/2); decay quantifies ill-posedness."""
-    return op.whitened_svd[1]
-
-
 def add_noise(mesh: Mesh, u_exact: BoundaryVector, delta: float, seed: int) -> BoundaryVector:
     """Gaussian perturbation scaled to exact L2(GammaA) norm delta."""
     if u_exact.tag != GAMMA_A:
@@ -181,31 +179,31 @@ def tikhonov_objective(op: AffineForwardOperator, q_values: np.ndarray,
     return misfit / rho + 0.5 * penalty
 
 
-def tikhonov_solve(op: AffineForwardOperator, u_delta: BoundaryVector,
-                   rho: float) -> TikhonovResult:
-    """Minimizer of the Tikhonov objective via the normal equations."""
-    if not 0.0 < rho < math.inf:
-        raise ValueError(f"rho must be positive and finite, got {rho}")
+def _project(op: AffineForwardOperator, u_delta: BoundaryVector) -> tuple[np.ndarray, float]:
+    """Project d = M_a^(1/2) (u_delta - b) onto the whitened SVD: (c = U^T d, ||d - U c||^2)."""
     if u_delta.tag != GAMMA_A:
         raise TagMismatchError(f"data must be tagged {GAMMA_A}, got {u_delta.tag}")
-    ud = u_delta.values
-    rhs_vec = op.K.T @ (op.w_a * (ud - op.b))
+    if u_delta.values.shape != (op.n_a,):
+        raise DimensionMismatchError(f"data trace length {u_delta.values.shape} != {op.n_a}")
+    if not np.isfinite(u_delta.values).all():
+        raise ParameterDomainError("data trace u_delta has non-finite values")
+    U = op.whitened_svd[0]
+    d = np.sqrt(op.w_a) * (u_delta.values - op.b)
+    c = U.T @ d
+    return c, float(np.sum((d - U @ c) ** 2))
 
-    G = op.K.T @ (op.w_a[:, None] * op.K) + np.diag(0.5 * rho * op.w_i)
-    try:
-        cho = scipy.linalg.cho_factor(G)
-        q = scipy.linalg.cho_solve(cho, rhs_vec)
-    except scipy.linalg.LinAlgError as exc:
-        raise SolverFailureError(f"normal equations not SPD: {exc}") from exc
-    # one refinement step guards the 1e-10 contract near rho ~ 0
-    q += scipy.linalg.cho_solve(cho, rhs_vec - G @ q)
-    resid = float(np.linalg.norm(G @ q - rhs_vec))
-    scale = float(np.linalg.norm(rhs_vec))
-    if scale > 0.0 and not (resid / scale <= 1e-10):
-        raise SolverFailureError(f"normal-equation residual {resid / scale:.3e} above 1e-10")
+
+def tikhonov_solve(op: AffineForwardOperator, u_delta: BoundaryVector,
+                   rho: float) -> TikhonovResult:
+    """Minimizer of the Tikhonov objective as the SVD filter solution."""
+    if not 0.0 < rho < math.inf:
+        raise ValueError(f"rho must be positive and finite, got {rho}")
+    c, _ = _project(op, u_delta)
+    _, s, Vt = op.whitened_svd
+    q = (Vt.T @ (s / (s * s + 0.5 * rho) * c)) / np.sqrt(op.w_i)
 
     q_rec = BoundaryVector(GAMMA_I, q)
-    residual_norm = op.misfit_norm(op.apply_linear(q) + op.b, ud)
+    residual_norm = op.misfit_norm(op.apply_linear(q) + op.b, u_delta.values)
     solution_norm = float(np.sqrt((op.w_i * q * q).sum()))
     return TikhonovResult(q_rec, float(rho), residual_norm, solution_norm)
 
@@ -214,36 +212,19 @@ def closed_form_residual(op: AffineForwardOperator,
                          u_delta: BoundaryVector) -> Callable[[float], float]:
     """rho -> Tikhonov residual ||K q_rho + b - u_delta||_a, without a solve.
 
-    With d = M_a^(1/2) (u_delta - b) projected once onto the whitened
-    SVD, c = U^T d and perp^2 = ||d - U c||^2, the residual at
-    lambda = rho/2 is  sqrt(sum_j (lambda / (s_j^2 + lambda))^2 c_j^2 + perp^2)
+    With the data projected once onto the whitened SVD, c = U^T d and
+    perp^2 = ||d - U c||^2, the residual at lambda = rho/2 is
+    sqrt(sum_j (lambda / (s_j^2 + lambda))^2 c_j^2 + perp^2)
     (the complements of the Tikhonov filter factors s^2 / (s^2 + lambda)).
     """
-    if u_delta.tag != GAMMA_A:
-        raise TagMismatchError(f"data must be tagged {GAMMA_A}, got {u_delta.tag}")
-    U, s = op.whitened_svd
-    d = np.sqrt(op.w_a) * (u_delta.values - op.b)
-    c = U.T @ d
-    perp_sq = float(np.sum((d - U @ c) ** 2))
-    s_sq = s * s
+    c, perp_sq = _project(op, u_delta)
+    s_sq = op.whitened_svd[1] ** 2
 
     def residual(rho: float) -> float:
         lam = 0.5 * rho
         return float(np.sqrt(np.sum((lam / (s_sq + lam) * c) ** 2) + perp_sq))
 
     return residual
-
-
-def guard_margin(op: AffineForwardOperator, rho: float) -> float:
-    """Relative half-width of the band around a threshold where the search defers to Cholesky.
-
-    The Cholesky residual carries a relative error that grows like
-    eps * cond of the normal matrix, (s_max^2 + rho/2) / (s_min^2 + rho/2).
-    """
-    s = op.whitened_svd[1]
-    lam = 0.5 * rho
-    cond = float((s[0] ** 2 + lam) / (s[-1] ** 2 + lam))
-    return max(_GUARD_FLOOR, _GUARD_ULPS * np.finfo(float).eps * cond)
 
 
 def choose_rho_discrepancy(op: AffineForwardOperator, u_delta: BoundaryVector,
@@ -253,13 +234,8 @@ def choose_rho_discrepancy(op: AffineForwardOperator, u_delta: BoundaryVector,
     Converges on the largest rho whose residual stays at or below
     tau_d * delta, so the returned residual sits in [delta, tau_d*delta]
     near its upper edge (the classical "residual matches the noise
-    level" rule).  Each residual is taken in closed form unless it lies
-    within the guard band of delta or tau_d * delta, where the Cholesky
-    residual of ``tikhonov_solve`` decides the side instead.  The band is
-    wider than the rounding error of the Cholesky residual, so every
-    comparison falls as it would on Cholesky residuals alone.  The
-    residual is non-decreasing in rho, asserted on the Cholesky and the
-    closed-form evaluations separately; failure to bracket raises
+    level" rule).  Every residual is taken in closed form, which is
+    non-decreasing in rho by construction; failure to bracket raises
     BracketFailureError with a diagnosis of which side failed.
     """
     if not delta > 0.0:
@@ -268,27 +244,7 @@ def choose_rho_discrepancy(op: AffineForwardOperator, u_delta: BoundaryVector,
         raise ValueError(f"tau_d must be > 1, got {tau_d}")
 
     lo, hi = RHO_BRACKET
-    thresholds = (delta, tau_d * delta)
-    closed_form = closed_form_residual(op, u_delta)
-    cholesky_evals: list[tuple[float, float]] = []
-    closed_form_evals: list[tuple[float, float]] = []
-
-    def residual(rho: float) -> float:
-        r = closed_form(rho)
-        margin = guard_margin(op, rho)
-        # a residual that is not finite also takes the Cholesky path
-        if math.isfinite(r) and all(abs(r - t) > margin * t for t in thresholds):
-            closed_form_evals.append((rho, r))
-            return r
-        r = tikhonov_solve(op, u_delta, rho).residual_norm
-        cholesky_evals.append((rho, r))
-        return r
-
-    def checked(rho: float) -> float:
-        _assert_monotone(cholesky_evals)
-        _assert_monotone(closed_form_evals)
-        return rho
-
+    residual = closed_form_residual(op, u_delta)
     r_lo = residual(lo)
     if r_lo > tau_d * delta:
         raise BracketFailureError(
@@ -302,7 +258,7 @@ def choose_rho_discrepancy(op: AffineForwardOperator, u_delta: BoundaryVector,
             "delta lies above the data scale (q = 0 already over-fits)"
         )
     if r_hi <= tau_d * delta:
-        return checked(hi)
+        return hi
 
     best_in_band = lo if r_lo >= delta else None
     log_lo, log_hi = np.log10(lo), np.log10(hi)
@@ -316,17 +272,8 @@ def choose_rho_discrepancy(op: AffineForwardOperator, u_delta: BoundaryVector,
             if r_mid >= delta:
                 best_in_band = mid
         if log_hi - log_lo < 1e-3 and best_in_band is not None:
-            return checked(best_in_band)
+            return best_in_band
     raise BracketFailureError("bisection exhausted its iteration budget")
-
-
-def _assert_monotone(evaluations: list[tuple[float, float]]) -> None:
-    evaluations = sorted(evaluations)
-    for (r1, v1), (r2, v2) in zip(evaluations, evaluations[1:]):
-        if v2 < v1 - 1e-10 * max(v1, 1.0):
-            raise SolverFailureError(
-                f"residual not monotone in rho: {v1:.6e}@{r1:.3e} vs {v2:.6e}@{r2:.3e}"
-            )
 
 
 def admissibility_check(q_rec: BoundaryVector, q_dag: BoundaryVector,

@@ -13,6 +13,7 @@ rate bound).
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,6 +71,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown rho rule {self.rho_rule!r}")
         if self.rho_rule == "fixed" and len(self.fixed_rho_schedule) != grid.size:
             raise ValueError("fixed_rho_schedule must match delta_grid length")
+        if not all(0.0 < rho < math.inf for rho in self.fixed_rho_schedule):
+            raise ValueError("fixed_rho_schedule entries must be positive and finite")
 
     @property
     def p_star(self) -> float:

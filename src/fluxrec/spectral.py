@@ -40,10 +40,9 @@ class SpectralBasis:
     eigenvalues: np.ndarray     # (n,) lambda_n >= 1
     eigenvectors: np.ndarray    # (n, n), column n is e_n per boundary vertex
     mass_diag: np.ndarray       # lumped M_i diagonal (= arc weights)
-    stiffness: np.ndarray       # dense 1D curve stiffness S_i
 
     def __post_init__(self):
-        for arr in (self.eigenvalues, self.eigenvectors, self.mass_diag, self.stiffness):
+        for arr in (self.eigenvalues, self.eigenvectors, self.mass_diag):
             arr.flags.writeable = False
 
     @property
@@ -112,7 +111,7 @@ def build_spectral_basis(mesh: Mesh) -> SpectralBasis:
     if ortho_err > 1e-10:
         raise EigensolverFailureError(f"orthonormality residual {ortho_err:.3e}")
 
-    return SpectralBasis(lambdas, vecs, mass, stiff)
+    return SpectralBasis(lambdas, vecs, mass)
 
 
 def _check_dim(basis: SpectralBasis, values: np.ndarray) -> None:

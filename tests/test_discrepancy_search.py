@@ -1,4 +1,4 @@
-"""The closed-form discrepancy search against the Cholesky residuals it stands in for."""
+"""The SVD Tikhonov path against a backward-stable QR solve of the stacked system."""
 
 import numpy as np
 import pytest
@@ -34,10 +34,26 @@ def u_exact(coarse_mesh, fine_mesh, basis):
         fine_mesh, coarse_mesh, GAMMA_A, u_fine.values))
 
 
-def cholesky_bisection(op, u_delta, delta, tau_d=1.5):
-    """Oracle: the same bracket and bisection, every residual from tikhonov_solve."""
+def whitened(op):
+    return np.sqrt(op.w_a)[:, None] * op.K / np.sqrt(op.w_i)[None, :]
+
+
+def qr_solve(op, u_delta, rho):
+    """Reference (q, residual) from QR of the stacked system [Kw; sqrt(rho/2) I].
+
+    It is backward stable, where the normal equations square cond(Kw).
+    """
+    white = whitened(op)
+    d = np.sqrt(op.w_a) * (u_delta.values - op.b)
+    q, r = np.linalg.qr(np.vstack([white, np.sqrt(0.5 * rho) * np.eye(op.n_i)]))
+    p = np.linalg.solve(r, q[:op.n_a].T @ d)
+    return p / np.sqrt(op.w_i), float(np.linalg.norm(white @ p - d))
+
+
+def qr_bisection(op, u_delta, delta, tau_d=1.5):
+    """Oracle: the same bracket and bisection, every residual from the QR solve."""
     def residual(rho):
-        return tikhonov_solve(op, u_delta, rho).residual_norm
+        return qr_solve(op, u_delta, rho)[1]
 
     lo, hi = RHO_BRACKET
     r_lo = residual(lo)
@@ -65,37 +81,38 @@ def cholesky_bisection(op, u_delta, delta, tau_d=1.5):
 
 
 def test_closed_form_residual_matches_a_stable_solve(forward_op, coarse_mesh, u_exact):
-    # reference: QR of the stacked least-squares system [Kw; sqrt(rho/2) I],
-    # which is backward stable where the normal equations square cond(Kw)
-    white = np.sqrt(forward_op.w_a)[:, None] * forward_op.K / np.sqrt(forward_op.w_i)[None, :]
     for i, delta in enumerate(DELTAS):
         u_delta = add_noise(coarse_mesh, u_exact, delta, 1000 * i)
-        d = np.sqrt(forward_op.w_a) * (u_delta.values - forward_op.b)
         closed_form = closed_form_residual(forward_op, u_delta)
         for rho in np.geomspace(*RHO_BRACKET, 41):
-            q, r = np.linalg.qr(np.vstack([white, np.sqrt(0.5 * rho) * np.eye(forward_op.n_i)]))
-            p = np.linalg.solve(r, q[:forward_op.n_a].T @ d)
-            expected = np.linalg.norm(white @ p - d)
+            expected = qr_solve(forward_op, u_delta, rho)[1]
             assert abs(closed_form(rho) - expected) <= 1e-9 * expected
 
 
-def test_cholesky_residual_stays_inside_the_guard_band(forward_op, coarse_mesh, u_exact):
+def test_solution_matches_a_stable_solve(forward_op, coarse_mesh, u_exact):
+    w = forward_op.w_i
+    for i, delta in enumerate(DELTAS):
+        u_delta = add_noise(coarse_mesh, u_exact, delta, 1000 * i + 2)
+        for rho in np.geomspace(*RHO_BRACKET, 41):
+            expected = qr_solve(forward_op, u_delta, rho)[0]
+            q = tikhonov_solve(forward_op, u_delta, rho).q_rec.values
+            gap = np.sqrt((w * (q - expected) ** 2).sum())
+            assert gap <= 1e-8 * np.sqrt((w * expected ** 2).sum())
+
+
+def test_closed_form_matches_the_reported_residual(forward_op, coarse_mesh, u_exact):
     for i, delta in enumerate(DELTAS):
         u_delta = add_noise(coarse_mesh, u_exact, delta, 1000 * i + 1)
         closed_form = closed_form_residual(forward_op, u_delta)
         for rho in np.geomspace(*RHO_BRACKET, 41):
-            cholesky = tikhonov_solve(forward_op, u_delta, rho).residual_norm
-            gap = abs(closed_form(rho) - cholesky)
-            # a tenth of the band: the search's side decisions have room to spare
-            assert gap <= 0.1 * inversion.guard_margin(forward_op, rho) * cholesky
-            # below delta = 1e-4 the Cholesky residual itself is off by up to
-            # 1e-8 relative at rho = 1e-8, against the stable solve above
+            reported = tikhonov_solve(forward_op, u_delta, rho).residual_norm
+            gap = abs(closed_form(rho) - reported)
+            assert gap <= 1e-8 * reported
             if rho >= 1e-8 and delta >= 1e-4:
-                assert gap <= 1e-9 * cholesky
+                assert gap <= 1e-9 * reported
 
 
-def test_search_returns_the_cholesky_bisection_rho(forward_op, coarse_mesh, u_exact,
-                                                   monkeypatch):
+def test_search_returns_the_qr_bisection_rho(forward_op, coarse_mesh, u_exact, monkeypatch):
     solves = []
 
     def counted_solve(*args):
@@ -107,26 +124,21 @@ def test_search_returns_the_cholesky_bisection_rho(forward_op, coarse_mesh, u_ex
     for i, delta in enumerate(DELTAS):
         for j in range(SEEDS_PER_DELTA):
             u_delta = add_noise(coarse_mesh, u_exact, delta, 1000 * i + j)
-            try:
-                expected = cholesky_bisection(forward_op, u_delta, delta)
-            except BracketFailureError:
-                with pytest.raises(BracketFailureError):
-                    choose_rho_discrepancy(forward_op, u_delta, delta)
-                continue
-            assert choose_rho_discrepancy(forward_op, u_delta, delta) == expected
+            assert choose_rho_discrepancy(forward_op, u_delta, delta) \
+                == qr_bisection(forward_op, u_delta, delta)
             searches += 1
-    assert searches >= 0.9 * len(DELTAS) * SEEDS_PER_DELTA
-    # the guard band sends only a few evaluations per search to Cholesky
-    assert len(solves) < 5 * searches
+    assert searches == len(DELTAS) * SEEDS_PER_DELTA
+    assert solves == []
 
 
 def test_whitened_svd_is_cached_and_read_only(forward_op):
-    U, s = forward_op.whitened_svd
+    U, s, Vt = forward_op.whitened_svd
     assert forward_op.whitened_svd[0] is U
-    assert inversion.whitened_singular_values(forward_op) is s
-    assert not U.flags.writeable and not s.flags.writeable
-    white = np.sqrt(forward_op.w_a)[:, None] * forward_op.K / np.sqrt(forward_op.w_i)[None, :]
+    assert not U.flags.writeable and not s.flags.writeable and not Vt.flags.writeable
     np.testing.assert_allclose(U.T @ U, np.eye(len(s)), atol=1e-12)
+    np.testing.assert_allclose(Vt @ Vt.T, np.eye(len(s)), atol=1e-12)
+    white = whitened(forward_op)
+    np.testing.assert_allclose((U * s) @ Vt, white, rtol=0.0, atol=1e-12 * s[0])
     # U^T W = S V^T, so the rows of U^T W have the singular values as norms
     np.testing.assert_allclose(np.linalg.norm(U.T @ white, axis=1), s, rtol=0.0,
                                atol=1e-12 * s[0])

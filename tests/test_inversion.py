@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from fluxrec import inversion
-from fluxrec.errors import BracketFailureError, SolverFailureError, TagMismatchError
+from fluxrec.errors import (
+    BracketFailureError,
+    DimensionMismatchError,
+    ParameterDomainError,
+    SolverFailureError,
+    TagMismatchError,
+)
 from fluxrec.fem import BoundaryVector, FactorizedSystem, ProblemData, boundary_l2_norm, trace
 from fluxrec.geometry import GAMMA_A, GAMMA_I, generate_annulus_mesh
 from fluxrec.inversion import (
@@ -13,7 +19,6 @@ from fluxrec.inversion import (
     choose_rho_discrepancy,
     tikhonov_objective,
     tikhonov_solve,
-    whitened_singular_values,
 )
 from fluxrec.spectral import band_limited_flux, sobolev_norm
 
@@ -43,10 +48,10 @@ def test_singular_value_decay(forward_op, op_h005):
     # derived oracle values: the h=0.1 operator floors near 2.5e-7 but is
     # already below 1e-4 of sigma_max within 30 modes; the h=0.05 operator
     # crosses 1e-8 at index 53 (see ledger: spec's "~30" estimate is off)
-    sv = whitened_singular_values(forward_op)
+    sv = forward_op.whitened_svd[1]
     rel = sv / sv[0]
     assert rel[30] <= 1e-4
-    rel_fine = whitened_singular_values(op_h005)
+    rel_fine = op_h005.whitened_svd[1]
     rel_fine = rel_fine / rel_fine[0]
     below = np.nonzero(rel_fine < 1e-8)[0]
     assert len(below) > 0
@@ -156,6 +161,11 @@ def test_tikhonov_rejects_bad_inputs(forward_op):
         tikhonov_solve(forward_op, u, 0.0)
     with pytest.raises(TagMismatchError):
         tikhonov_solve(forward_op, BoundaryVector(GAMMA_I, np.zeros(forward_op.n_i)), 1.0)
+    short = BoundaryVector(GAMMA_A, np.zeros(forward_op.n_a - 1))
+    with pytest.raises(DimensionMismatchError):
+        tikhonov_solve(forward_op, short, 1.0)
+    with pytest.raises(DimensionMismatchError):
+        choose_rho_discrepancy(forward_op, short, 1e-3)
 
 
 def test_search_path_guards_reject_nan(forward_op, coarse_mesh):
@@ -172,6 +182,17 @@ def test_search_path_guards_reject_nan(forward_op, coarse_mesh):
     system = FactorizedSystem(forward_op.mesh, forward_op.data)
     with pytest.raises(SolverFailureError):
         system.solve(np.full(coarse_mesh.n_vertices, nan))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_data_is_rejected(forward_op, bad):
+    values = forward_op.b + 1e-3
+    values[3] = bad
+    u = BoundaryVector(GAMMA_A, values)
+    with pytest.raises(ParameterDomainError, match="data trace"):
+        tikhonov_solve(forward_op, u, 1e-4)
+    with pytest.raises(ParameterDomainError, match="data trace"):
+        choose_rho_discrepancy(forward_op, u, 1e-4)
 
 
 def test_discrepancy_band_and_small_rho(forward_op, basis):

@@ -35,6 +35,13 @@ def test_config_validation():
         ExperimentConfig(rho_rule="fixed", fixed_rho_schedule=(1.0,))
 
 
+@pytest.mark.parametrize("bad", [-1.0, 0.0, float("nan"), float("inf")])
+def test_config_rejects_non_positive_fixed_rho(bad):
+    with pytest.raises(ValueError, match="positive and finite"):
+        ExperimentConfig(delta_grid=(1e-2, 1e-3), rho_rule="fixed",
+                         fixed_rho_schedule=(bad, 1e-5))
+
+
 def test_p_star():
     cfg = ExperimentConfig()
     assert abs(cfg.p_star - 0.45) <= 1e-15

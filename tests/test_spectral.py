@@ -38,11 +38,18 @@ def test_orthonormality(basis):
     assert np.abs(gram - np.eye(basis.n_modes)).max() <= 1e-10
 
 
-def test_operator_consistency(basis):
+def loop_stiffness_apply(mesh, e):
+    """Oracle S_i e of the cyclic P1 stiffness on GammaI, from the loop's edge lengths."""
+    pts = mesh.vertices[spectral.boundary_map(mesh, GAMMA_I).vertex_indices]
+    w = 1.0 / np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)  # edge j -> j+1
+    return w * (e - np.roll(e, -1)) + np.roll(w, 1) * (e - np.roll(e, 1))
+
+
+def test_operator_consistency(basis, coarse_mesh):
     # S e + M e = lambda^2 M e per eigenpair
     for n in (0, 1, 5, basis.n_modes - 1):
         e = basis.eigenvectors[:, n]
-        lhs = basis.stiffness @ e + basis.mass_diag * e
+        lhs = loop_stiffness_apply(coarse_mesh, e) + basis.mass_diag * e
         rhs = basis.eigenvalues[n] ** 2 * basis.mass_diag * e
         assert np.abs(lhs - rhs).max() <= 1e-8 * max(np.abs(rhs).max(), 1.0)
 
