@@ -200,16 +200,15 @@ def cmd_vsc_check(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     report_path = os.path.join(args.out, "vsc_report.csv")
-    lines = ["sample_id,lhs,rhs,margin,admissible"]
+    lines = ["sample_id,lhs,rhs,margin"]
     for row in report.rows:
         lines.append(",".join([str(row.sample_id), _fmt(row.lhs), _fmt(row.rhs),
-                               _fmt(row.margin), str(int(row.admissible))]))
+                               _fmt(row.margin)]))
     _write_lines(report_path, lines)
     summary_path = os.path.join(args.out, "summary.txt")
     _write_lines(summary_path, [
         f"C = {_fmt(spec.C)}",
         f"C0 = {_fmt(spec.C0)}",
-        f"g0 = {_fmt(spec.g0)}",
         f"cprime = {_fmt(spec.cprime)}",
         f"f_coeff = {_fmt(spec.f_coeff)}",
         f"kappa = {_fmt(kappa)}",
@@ -278,23 +277,9 @@ def cmd_stability_probe(args) -> int:
 def cmd_rates(args) -> int:
     t0 = time.time()
     cfg = parse_config(args.config, SCHEMAS["rates"])
-    experiment = ExperimentConfig(
-        r_inner=cfg["r_inner"], r_outer=cfg["r_outer"], h=cfg["h"],
-        refine_level=cfg["refine_level"],
-        alpha=float(cfg["alpha"]), k=float(cfg["k"]),
-        f=float(cfg["f"]), u_a=float(cfg["u_a"]),
-        s=cfg["s"], kappa=cfg["kappa"], eps=cfg["eps"],
-        delta_grid=cfg["delta_grid"], seeds_per_delta=cfg["seeds_per_delta"],
-        base_seed=cfg["base_seed"], flux_seed=cfg["flux_seed"],
-        rho_rule=cfg["rho_rule"], fixed_rho_schedule=cfg["fixed_rho_schedule"],
-        tau_d=cfg["tau_d"], m0=cfg["m0"],
-    )
-    report = run_rate_study(experiment)
+    report = run_rate_study(ExperimentConfig(**cfg))
     outputs = emit_report(report, args.out_dir)
-    seeds = [cfg["base_seed"] + 1000 * i + j
-             for i in range(len(cfg["delta_grid"]))
-             for j in range(cfg["seeds_per_delta"])]
-    manifest = RunManifest("rates", cfg, seeds=seeds)
+    manifest = RunManifest("rates", cfg, seeds=[row.seed for row in report.rows])
     if args.config:
         manifest.add_input(args.config)
     _finish_manifest(manifest, outputs, os.path.join(args.out_dir, "manifest.json"), t0)

@@ -93,8 +93,13 @@ PROBLEM_KEYS: dict[str, Key] = {
     "m0": Key(_float, 10.0, _positive),
 }
 
+# the rate study builds its fields from constants, so no field file is accepted
 RATES_KEYS: dict[str, Key] = {
     **PROBLEM_KEYS,
+    "alpha": Key(_float, 1.0, _positive),
+    "k": Key(_float, 1.0, _positive),
+    "f": Key(_float, 0.0),
+    "u_a": Key(_float, 0.0),
     "refine_level": Key(_int, 1, lambda v: None if v >= 1 else "must be >= 1"),
     "delta_grid": Key(_float_list, DEFAULT_DELTA_GRID, _decreasing),
     "seeds_per_delta": Key(_int, 5, _positive),

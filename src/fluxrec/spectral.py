@@ -78,14 +78,12 @@ def build_spectral_basis(mesh: Mesh) -> SpectralBasis:
 
     pts = mesh.vertices[bmap.vertex_indices]
     edge_len = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
-    stiff = np.zeros((n, n))
-    for j in range(n):
-        jp = (j + 1) % n
-        w = 1.0 / edge_len[j]
-        stiff[j, j] += w
-        stiff[jp, jp] += w
-        stiff[j, jp] -= w
-        stiff[jp, j] -= w
+    # edge j joins loop vertices j and j+1 (cyclic) with weight 1/length
+    w = 1.0 / edge_len
+    stiff = np.diag(w + np.roll(w, 1))
+    j = np.arange(n)
+    stiff[j, (j + 1) % n] = -w
+    stiff[(j + 1) % n, j] = -w
 
     mass = bmap.weights
     inv_sqrt = 1.0 / np.sqrt(mass)

@@ -13,8 +13,10 @@ infimum over a spectral cutoff lambda of
     coef = 1 / (2 (1 - beta)),
 
 with Psi0 a logarithmic index function.  The multiplicative constants
-are non-constructive in the underlying theory; here they are fitted on
-a calibration ensemble and validated on a holdout.
+are non-constructive in the underlying theory.  C and g0 enter Psi only
+as the product C*g0, so the fit keeps g0 = 1 and determines C in closed
+form from a calibration ensemble plus one deterministic anchor at the
+far end of the admissible shrinkage ray; a holdout then validates it.
 """
 
 from __future__ import annotations
@@ -163,7 +165,6 @@ class VscSampleRow:
     lhs: float
     rhs: float
     margin: float
-    admissible: bool
 
 
 @dataclass
@@ -214,94 +215,73 @@ def check_vsc_inequality(op: AffineForwardOperator, basis: SpectralBasis,
         lhs, rhs_norms, misfit = _sample_terms(op, q_dag, q)
         psi = psi_infimum(spec, max(misfit, T_FLOOR), lambda_grid).value
         rhs = rhs_norms + psi
-        rows.append(VscSampleRow(i, lhs, rhs, rhs - lhs, True))
+        rows.append(VscSampleRow(i, lhs, rhs, rhs - lhs))
         scale = max(scale, abs(lhs), abs(rhs))
     return VscReport(rows, scale)
+
+
+def _shrink_t_max(basis: SpectralBasis, q_dag: BoundaryVector, m0: float) -> float:
+    """Largest t with (1 - t) qd within 0.99 m0 of qd in H^(1/2), capped at t = 1 (q = 0)."""
+    return min(1.0, 0.99 * m0 / max(sobolev_norm(basis, 0.5, q_dag), 1e-30))
 
 
 def fit_vsc_constants(op: AffineForwardOperator, basis: SpectralBasis,
                       q_dag: BoundaryVector, calibration: list[BoundaryVector],
                       s: float, kappa: float, m0: float = 10.0,
                       lambda_grid: np.ndarray | None = None) -> IndexFunctionSpec:
-    """Fit (C0, C, g0) making all calibration margins non-negative.
+    """Fit the constants of Psi in closed form, validated on the fitted samples.
 
-    The theory guarantees existence but not values, so the smallest
-    grid values are chosen lexicographically (C0, then C, then g0).
-    M is normalized to 1: only the products C*M, C0*M and cprime*M are
-    identifiable, and the fitted constants absorb M.  Validity for a
-    fixed C0 reduces to C*g0 >= R(C0) in closed form, which the grid
-    scan exploits.
+    The theory guarantees existence but not values.  M is normalized to
+    1 (only C*M, C0*M and cprime*M are identifiable), and C and g0 enter
+    Psi only as the product C*g0, so g0 stays 1 and C carries the
+    product.  cprime is the largest fitted misfit and C0 sits on its
+    floor 1.01 e^(kappa+1) cprime.  A sample with deficit
+    D = lhs - (norm part of rhs) > 0 then holds iff
+    C >= max over lambda of (D - coef f(lambda)^2) / (g(lambda) Psi0_1(t)),
+    with Psi0_1 the index function at C = 1; C is the largest of these
+    bounds times (1 + 1e-9), and one check of the inequality guards it.
+
+    The fitted terms are the calibration samples plus one anchor, the
+    far end (1 - t_max) qd of the shrinkage ray that
+    sample_admissible_fluxes draws from.  Along that ray
+    D = ||qd||^2 (t - t^2/4) and the bound grows with t while
+    t ||K qd|| <= cprime, which the anchor enforces, so the whole ray
+    is covered.
     """
     if lambda_grid is None:
         lambda_grid = default_lambda_grid(basis)
     if not calibration:
         raise FitFailureError("empty calibration ensemble")
-
-    terms = []
-    for i, q in enumerate(calibration):
-        if not admissibility_check(q, q_dag, basis, m0):
-            raise InadmissibleSampleError(f"calibration sample {i} outside the admissible ball")
-        lhs, rhs_norms, misfit = _sample_terms(op, q_dag, q)
-        terms.append((lhs - rhs_norms, max(misfit, T_FLOOR)))
-
-    max_misfit = max(t for _, t in terms)
-    if max_misfit <= T_FLOOR:
+    terms = [_sample_terms(op, q_dag, q) for q in calibration]
+    if max(misfit for *_, misfit in terms) <= T_FLOOR:
         raise FitFailureError("all calibration misfits are zero; forward operator degenerate")
-    cprime = max_misfit
 
-    f_coeff = sobolev_norm(basis, s, q_dag)
-    base = IndexFunctionSpec(C=1.0, C0=1.0, kappa=kappa, s=s,
-                             M=1.0, cprime=cprime, g0=1.0, f_coeff=f_coeff)
+    anchor = BoundaryVector(GAMMA_I, (1.0 - _shrink_t_max(basis, q_dag, m0)) * q_dag.values)
+    samples = [*calibration, anchor]
+    terms.append(_sample_terms(op, q_dag, anchor))
+    cprime = max(misfit for *_, misfit in terms)
+    unit = IndexFunctionSpec(C=1.0, C0=cprime * math.exp(kappa + 1.0) * 1.01, kappa=kappa,
+                             s=s, cprime=cprime, f_coeff=sobolev_norm(basis, s, q_dag))
     lam = np.asarray(lambda_grid, dtype=float)
-    f2_term = base.infimum_coef * base.f(lam) ** 2       # independent of C, C0, g0
-    g_unit = lam ** (0.5 - s)
+    f2_term = unit.infimum_coef * unit.f(lam) ** 2
+    g_unit = unit.g(lam)
+    required = 0.0
+    for lhs, rhs_norms, misfit in terms:
+        deficit = lhs - rhs_norms
+        if deficit > 0.0:
+            need = (deficit - f2_term) / (g_unit * psi0_eval(unit, max(misfit, T_FLOOR)))
+            required = max(required, float(need.max()))
+    if not required > 0.0:
+        raise FitFailureError("no fitted sample has a positive deficit; nothing fixes C")
 
-    c0_grid = cprime * math.exp(kappa + 1.0) * np.geomspace(1.01, 1e6, 40)
-    c_grid = np.geomspace(1e-8, 1e12, 401)
-    g0_grid = np.geomspace(1e-4, 1e4, 81)
-
-    for c0 in c0_grid:
-        unit = replace(base, C0=float(c0))
-        # required product C*g0 so min over lambda of
-        #   g0*C*g_unit*psi0_unit(t) + f2_term  covers every deficit
-        required = 0.0
-        feasible = True
-        for deficit, t in terms:
-            if deficit <= 0.0:
-                continue
-            psi0_unit = psi0_eval(replace(unit, C=1.0), t)
-            need = (deficit - f2_term) / (g_unit * psi0_unit)
-            req = float(need.max())
-            if req > required:
-                required = req
-            if required > c_grid[-1] * g0_grid[-1]:
-                feasible = False
-                break
-        if not feasible:
-            continue
-        c_idx = int(np.searchsorted(c_grid * g0_grid[-1], required, side="left"))
-        if c_idx >= len(c_grid):
-            continue
-        c_fit = float(c_grid[c_idx])
-        g_idx = int(np.searchsorted(c_fit * g0_grid, required, side="left"))
-        g_idx = min(g_idx, len(g0_grid) - 1)
-        if c_fit * g0_grid[g_idx] < required:
-            continue
-        fitted = replace(unit, C=c_fit, g0=float(g0_grid[g_idx]))
-        report = check_vsc_inequality(op, basis, q_dag, fitted, calibration,
-                                      m0=m0, lambda_grid=lambda_grid)
-        if report.min_margin >= 0.0:
-            logger.info("fitted VSC constants C0=%.4g C=%.4g g0=%.4g cprime=%.4g",
-                        fitted.C0, fitted.C, fitted.g0, fitted.cprime)
-            return fitted
-        # round-off at the feasibility edge: one step up in g0 and retry
-        if g_idx + 1 < len(g0_grid):
-            fitted = replace(fitted, g0=float(g0_grid[g_idx + 1]))
-            report = check_vsc_inequality(op, basis, q_dag, fitted, calibration,
-                                          m0=m0, lambda_grid=lambda_grid)
-            if report.min_margin >= 0.0:
-                return fitted
-    raise FitFailureError("no grid point validates the calibration ensemble")
+    fitted = replace(unit, C=required * (1.0 + 1e-9))
+    report = check_vsc_inequality(op, basis, q_dag, fitted, samples,
+                                  m0=m0, lambda_grid=lambda_grid)
+    if report.min_margin < 0.0:
+        raise FitFailureError(f"fitted constants leave a negative margin {report.min_margin:.3e}")
+    logger.info("fitted VSC constants C0=%.4g C=%.4g cprime=%.4g",
+                fitted.C0, fitted.C, fitted.cprime)
+    return fitted
 
 
 def sample_admissible_fluxes(basis: SpectralBasis, q_dag: BoundaryVector, m0: float,
@@ -316,14 +296,14 @@ def sample_admissible_fluxes(basis: SpectralBasis, q_dag: BoundaryVector, m0: fl
     rng = np.random.default_rng(seed)
     lam = basis.eigenvalues
     c_dag = analyze(basis, q_dag).values
-    dag_half = float(np.sqrt((lam * c_dag ** 2).sum()))
+    t_max = _shrink_t_max(basis, q_dag, m0)
     out = []
     for i in range(n_samples):
         family = i % 3
         if family == 0:
             d = rng.standard_normal(basis.n_modes) * lam ** (-rng.uniform(0.0, 1.5))
         elif family == 1:
-            t = rng.uniform(0.0, min(1.0, 0.99 * m0 / max(dag_half, 1e-30)))
+            t = rng.uniform(0.0, t_max)
             d = -t * c_dag
         else:
             rough = rng.standard_normal(basis.n_modes) * lam ** (-rng.uniform(0.5, 2.0))

@@ -106,6 +106,16 @@ def test_non_positive_rho_schedule_exits_2(tmp_path, capsys, schedule):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key", ["alpha", "k", "f", "u_a"])
+def test_rates_rejects_field_file_exits_2(tmp_path, capsys, key):
+    # the rate study builds its fields from constants; a path is a schema error
+    cfg = tmp_path / "field.cfg"
+    cfg.write_text(f"{key} = some/file\n")
+    assert run(["rates", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    assert f"config key '{key}': cannot parse 'some/file' as float" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_parse_config_malformed(tmp_path):
     cfg = tmp_path / "m.cfg"
     cfg.write_text("kappa 0.8\n")
@@ -312,7 +322,7 @@ def test_vsc_and_stability_subcommands(workdir):
                 "--n-samples", "40", "--seed", "1",
                 "--out", str(workdir / "vsc")]) == 0
     report = (workdir / "vsc" / "vsc_report.csv").read_text().splitlines()
-    assert report[0] == "sample_id,lhs,rhs,margin,admissible"
+    assert report[0] == "sample_id,lhs,rhs,margin"
     assert len(report) == 41
 
     assert run(["stability-probe", "--mesh", str(workdir / "mesh.txt"),

@@ -6,6 +6,7 @@ import pytest
 
 from fluxrec.errors import (
     EmptyGridError,
+    FitFailureError,
     InadmissibleSampleError,
     ParameterDomainError,
 )
@@ -36,6 +37,21 @@ def fitted(forward_op, basis, q_dag):
     calibration = sample_admissible_fluxes(basis, q_dag, 10.0, 100, seed=100)
     spec = fit_vsc_constants(forward_op, basis, q_dag, calibration, s=0.5, kappa=0.9)
     return spec, calibration
+
+
+def vsc_check_fit(forward_op, basis, seed):
+    """q_dag, constants and holdout as `vsc-check --n-samples 200 --seed <seed>` builds them."""
+    q_dag = synthesize_flux_with_smoothness(basis, 0.5, 0.01, seed)
+    calibration = sample_admissible_fluxes(basis, q_dag, 10.0, 100, seed + 1)
+    spec = fit_vsc_constants(forward_op, basis, q_dag, calibration, s=0.5, kappa=0.9)
+    return q_dag, spec, sample_admissible_fluxes(basis, q_dag, 10.0, 200, seed + 2)
+
+
+def shrinkage_ray(basis, q_dag, n_points):
+    """(1 - t) qd for t from 0 to the sampler's far end min(1, 0.99 m0 / ||qd||_(1/2)), m0 = 10."""
+    t_max = min(1.0, 0.99 * 10.0 / sobolev_norm(basis, 0.5, q_dag))
+    return [BoundaryVector(GAMMA_I, (1.0 - t) * q_dag.values)
+            for t in np.linspace(0.0, t_max, n_points)]
 
 
 def test_psi0_frozen_value():
@@ -187,6 +203,33 @@ def test_fit_holdout(fitted, forward_op, basis, q_dag):
     assert report.fraction_nonnegative >= 0.95
 
 
+@pytest.mark.parametrize("seed", [20031, 20114, 40149])
+def test_fit_holdout_at_shrinkage_limited_seeds(forward_op, basis, seed):
+    # seeds whose holdout failed criterion 7 while the fit missed the far end of the ray
+    q_dag, spec, holdout = vsc_check_fit(forward_op, basis, seed)
+    report = check_vsc_inequality(forward_op, basis, q_dag, spec, holdout)
+    slacked = check_vsc_inequality(forward_op, basis, q_dag, replace(spec, C=1.05 * spec.C),
+                                   holdout)
+    assert report.fraction_nonnegative >= 0.95
+    assert slacked.fraction_nonnegative == 1.0
+
+
+@pytest.mark.parametrize("seed", [42, 20031])
+def test_fit_covers_whole_shrinkage_ray(forward_op, basis, seed):
+    q_dag, spec, _ = vsc_check_fit(forward_op, basis, seed)
+    report = check_vsc_inequality(forward_op, basis, q_dag, spec,
+                                  shrinkage_ray(basis, q_dag, 101))
+    assert report.min_margin >= 0.0
+
+
+def test_fit_is_tight(fitted, forward_op, basis, q_dag):
+    # C is the smallest constant that covers calibration plus the ray's far end
+    spec, calibration = fitted
+    anchor = shrinkage_ray(basis, q_dag, 2)[-1]
+    report = check_vsc_inequality(forward_op, basis, q_dag, spec, [*calibration, anchor])
+    assert 0.0 <= report.min_margin <= 1e-6 * report.scale
+
+
 def test_vsc_degenerate_sample(forward_op, basis, q_dag, fitted):
     spec, _ = fitted
     report = check_vsc_inequality(forward_op, basis, q_dag, spec, [q_dag])
@@ -225,6 +268,14 @@ def test_fit_failure_on_degenerate_calibration(forward_op, basis, q_dag):
     with pytest.raises(FitFailureError):
         # all-identical samples carry zero misfit: nothing to fit against
         fit_vsc_constants(forward_op, basis, q_dag, [q_dag, q_dag], s=0.5, kappa=0.9)
+
+
+def test_fit_failure_without_positive_deficit(forward_op, basis):
+    # with qd = 0 no sample has a deficit, so nothing bounds C from below
+    zero = BoundaryVector(GAMMA_I, np.zeros(basis.n_modes))
+    calibration = sample_admissible_fluxes(basis, zero, 10.0, 30, seed=3)
+    with pytest.raises(FitFailureError, match="positive deficit"):
+        fit_vsc_constants(forward_op, basis, zero, calibration, s=0.5, kappa=0.9)
 
 
 def test_samples_are_admissible_and_deterministic(basis, q_dag):
