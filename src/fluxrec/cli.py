@@ -16,7 +16,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .config import SCHEMAS, parse_config, resolve_field
+from .config import PROBLEM_KEYS, SCHEMAS, parse_config, resolve_field
 from .errors import FluxRecError, MalformedFileError
 from .fem import BoundaryVector, FactorizedSystem, ProblemData, trace
 from .geometry import (
@@ -83,6 +83,20 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _config_value(name: str):
+    """Argument type for a float flag that overrides config key `name`, in its domain."""
+    check = PROBLEM_KEYS[name].check
+
+    def parse(text: str) -> float:
+        value = float(text)
+        if check(value):
+            raise argparse.ArgumentTypeError(f"{check(value)}, got {value}")
+        return value
+
+    parse.__name__ = "float"  # argparse reports a ValueError as "invalid float value"
+    return parse
+
+
 def _problem_data(mesh, cfg) -> ProblemData:
     n_v = mesh.n_vertices
     n_a = len(boundary_map(mesh, GAMMA_A))
@@ -94,7 +108,11 @@ def _problem_data(mesh, cfg) -> ProblemData:
     )
 
 
-def _finish_manifest(manifest: RunManifest, outputs, manifest_path, t0) -> None:
+def _finish_manifest(manifest: RunManifest, inputs, outputs, manifest_path, t0) -> None:
+    """Record the inputs (None for an absent optional file) and outputs, and write."""
+    for p in inputs:
+        if p is not None:
+            manifest.add_input(p)
     for p in outputs:
         manifest.add_output(p)
     manifest.version = __version__
@@ -111,7 +129,7 @@ def cmd_mesh_gen(args) -> int:
     manifest = RunManifest("mesh-gen", {
         "r_inner": args.r_inner, "r_outer": args.r_outer,
         "h": args.h, "refine": args.refine}, seeds=[])
-    _finish_manifest(manifest, [args.out], args.out + ".manifest.json", t0)
+    _finish_manifest(manifest, [], [args.out], args.out + ".manifest.json", t0)
     return 0
 
 
@@ -124,11 +142,8 @@ def cmd_forward(args) -> int:
     u = FactorizedSystem(mesh, data).solve_flux(flux)
     write_boundary_csv(args.out_trace, mesh, trace(u, GAMMA_A))
     manifest = RunManifest("forward", cfg, seeds=[])
-    manifest.add_input(args.mesh)
-    manifest.add_input(args.flux)
-    if args.config:
-        manifest.add_input(args.config)
-    _finish_manifest(manifest, [args.out_trace], args.out_trace + ".manifest.json", t0)
+    _finish_manifest(manifest, [args.mesh, args.flux, args.config], [args.out_trace],
+                     args.out_trace + ".manifest.json", t0)
     return 0
 
 
@@ -140,8 +155,7 @@ def cmd_spectrum(args) -> int:
     lines.extend(f"{n + 1},{_fmt(lam)}" for n, lam in enumerate(basis.eigenvalues))
     _write_lines(args.out, lines)
     manifest = RunManifest("spectrum", {}, seeds=[])
-    manifest.add_input(args.mesh)
-    _finish_manifest(manifest, [args.out], args.out + ".manifest.json", t0)
+    _finish_manifest(manifest, [args.mesh], [args.out], args.out + ".manifest.json", t0)
     return 0
 
 
@@ -172,11 +186,7 @@ def cmd_invert(args) -> int:
     write_boundary_csv(flux_path, mesh, result.q_rec)
     manifest = RunManifest("invert", {**cfg, "delta": args.delta, "rho_flag": args.rho},
                            seeds=[args.seed])
-    manifest.add_input(args.mesh)
-    manifest.add_input(args.data_trace)
-    if args.config:
-        manifest.add_input(args.config)
-    _finish_manifest(manifest, [result_path, flux_path],
+    _finish_manifest(manifest, [args.mesh, args.data_trace, args.config], [result_path, flux_path],
                      os.path.join(args.out, "manifest.json"), t0)
     return 0
 
@@ -219,10 +229,7 @@ def cmd_vsc_check(args) -> int:
     ])
     manifest = RunManifest("vsc-check", {**cfg, "s": s, "kappa": kappa,
                                          "n_samples": args.n_samples}, seeds=[args.seed])
-    manifest.add_input(args.mesh)
-    if args.config:
-        manifest.add_input(args.config)
-    _finish_manifest(manifest, [report_path, summary_path],
+    _finish_manifest(manifest, [args.mesh, args.config], [report_path, summary_path],
                      os.path.join(args.out, "manifest.json"), t0)
     return 0
 
@@ -266,10 +273,7 @@ def cmd_stability_probe(args) -> int:
     ])
     manifest = RunManifest("stability-probe", {**cfg, "kappa": kappa,
                                                "n_samples": args.n_samples}, seeds=[args.seed])
-    manifest.add_input(args.mesh)
-    if args.config:
-        manifest.add_input(args.config)
-    _finish_manifest(manifest, [report_path, summary_path],
+    _finish_manifest(manifest, [args.mesh, args.config], [report_path, summary_path],
                      os.path.join(args.out, "manifest.json"), t0)
     return 0
 
@@ -280,9 +284,8 @@ def cmd_rates(args) -> int:
     report = run_rate_study(ExperimentConfig(**cfg))
     outputs = emit_report(report, args.out_dir)
     manifest = RunManifest("rates", cfg, seeds=[row.seed for row in report.rows])
-    if args.config:
-        manifest.add_input(args.config)
-    _finish_manifest(manifest, outputs, os.path.join(args.out_dir, "manifest.json"), t0)
+    _finish_manifest(manifest, [args.config], outputs,
+                     os.path.join(args.out_dir, "manifest.json"), t0)
     return 0
 
 
@@ -328,8 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("vsc-check", help="fit constants and check the source condition")
     p.add_argument("--mesh", required=True)
     p.add_argument("--config", default=None)
-    p.add_argument("--s", type=float, default=None)
-    p.add_argument("--kappa", type=float, default=None)
+    p.add_argument("--s", type=_config_value("s"), default=None)
+    p.add_argument("--kappa", type=_config_value("kappa"), default=None)
     p.add_argument("--n-samples", type=_positive_int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")
@@ -338,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stability-probe", help="fit the conditional-stability modulus")
     p.add_argument("--mesh", required=True)
     p.add_argument("--config", default=None)
-    p.add_argument("--kappa", type=float, default=None)
+    p.add_argument("--kappa", type=_config_value("kappa"), default=None)
     p.add_argument("--n-samples", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")

@@ -56,7 +56,7 @@ class InadmissibleSampleError(FluxRecError):
 
 
 class FitFailureError(FluxRecError):
-    """No grid point validated the calibration ensemble."""
+    """The VSC constants could not be fitted to the calibration ensemble."""
 
 
 class DegenerateEnsembleError(FluxRecError):

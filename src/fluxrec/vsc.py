@@ -8,15 +8,14 @@ on GammaA, is
 over the admissible ball ||q - qd||_(1/2) <= m0.  Psi is built as the
 infimum over a spectral cutoff lambda of
 
-    g(lambda) Psi0(t) + coef * f(lambda)^2,
-    f(lambda) = ||qd||_{H^s} * lambda^(-s),   g(lambda) = g0 * lambda^(1/2 - s),
-    coef = 1 / (2 (1 - beta)),
+    g(lambda) Psi0(t) + f(lambda)^2,
+    f(lambda) = ||qd||_{H^s} * lambda^(-s),   g(lambda) = lambda^(1/2 - s),
 
-with Psi0 a logarithmic index function.  The multiplicative constants
-are non-constructive in the underlying theory.  C and g0 enter Psi only
-as the product C*g0, so the fit keeps g0 = 1 and determines C in closed
-form from a calibration ensemble plus one deterministic anchor at the
-far end of the admissible shrinkage ray; a holdout then validates it.
+with Psi0 a logarithmic index function.  The weight 1/(2 (1 - beta)) on
+f^2 is 1 at beta = 1/2, and a factor on g would enter Psi only through
+its product with C, so neither is a parameter.  The constants are
+non-constructive in the underlying theory: fit_vsc_constants determines
+C in closed form, and a holdout validates it.
 """
 
 from __future__ import annotations
@@ -51,21 +50,14 @@ class IndexFunctionSpec:
     C0: float
     kappa: float
     s: float = 0.5
-    M: float = 1.0
     cprime: float = 1.0
-    g0: float = 1.0
     f_coeff: float = 1.0    # ||qd||_{H^s}, the coefficient of f(lambda)
-    beta: float = 0.5
 
     def f(self, lam) -> np.ndarray | float:
         return self.f_coeff * np.asarray(lam, dtype=float) ** (-self.s)
 
     def g(self, lam) -> np.ndarray | float:
-        return self.g0 * np.asarray(lam, dtype=float) ** (0.5 - self.s)
-
-    @property
-    def infimum_coef(self) -> float:
-        return 1.0 / (2.0 * (1.0 - self.beta))
+        return np.asarray(lam, dtype=float) ** (0.5 - self.s)
 
 
 @dataclass
@@ -77,9 +69,10 @@ class PsiValue:
 def psi0_eval(spec: IndexFunctionSpec, t: float) -> float:
     """Logarithmic index function with linear extension.
 
-    C*M / log(C0*M/t)^kappa on (0, cprime*M], extended linearly with
-    matched slope beyond the junction; requires C0/cprime > e^(kappa+1)
-    so the log branch is concave up to the junction.
+    C / log(C0/t)^kappa on (0, cprime], extended linearly with matched
+    slope beyond the junction; requires C0/cprime > e^(kappa+1) so the
+    log branch is concave up to the junction.  The theory's bound M is
+    normalized to 1 (only C*M, C0*M and cprime*M are identifiable).
     """
     if t <= 0.0:
         raise ParameterDomainError(f"index functions are defined on (0, inf), got t={t}")
@@ -88,26 +81,25 @@ def psi0_eval(spec: IndexFunctionSpec, t: float) -> float:
             f"need C0/cprime > e^(kappa+1) = {math.exp(spec.kappa + 1.0):.6g}, "
             f"got {spec.C0 / spec.cprime:.6g}"
         )
-    junction = spec.cprime * spec.M
-    cm = spec.C * spec.M
+    junction = spec.cprime
 
     def log_branch(x: float) -> float:
-        return cm / math.log(spec.C0 * spec.M / x) ** spec.kappa
+        return spec.C / math.log(spec.C0 / x) ** spec.kappa
 
     if t <= junction:
         return log_branch(t)
     log_j = math.log(spec.C0 / spec.cprime)
-    slope = cm * spec.kappa / (junction * log_j ** (spec.kappa + 1.0))
+    slope = spec.C * spec.kappa / (junction * log_j ** (spec.kappa + 1.0))
     return log_branch(junction) + slope * (t - junction)
 
 
 def psi_infimum(spec: IndexFunctionSpec, t: float, lambda_grid: np.ndarray) -> PsiValue:
-    """Psi(t) = min over the grid of g(lambda) Psi0(t) + coef f(lambda)^2."""
+    """Psi(t) = min over the grid of g(lambda) Psi0(t) + f(lambda)^2."""
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     if lambda_grid.size == 0:
         raise EmptyGridError("lambda grid is empty")
     psi0 = psi0_eval(spec, t)
-    vals = spec.g(lambda_grid) * psi0 + spec.infimum_coef * spec.f(lambda_grid) ** 2
+    vals = spec.g(lambda_grid) * psi0 + spec.f(lambda_grid) ** 2
     k = int(np.argmin(vals))
     return PsiValue(float(vals[k]), float(lambda_grid[k]))
 
@@ -185,15 +177,21 @@ class VscReport:
         return sum(1 for r in self.rows if r.margin >= 0.0) / len(self.rows)
 
 
-def _sample_terms(op: AffineForwardOperator, q_dag: BoundaryVector,
-                  q: BoundaryVector) -> tuple[float, float, float]:
-    """(lhs, norm-difference part of rhs, misfit) for one sample."""
+def _sample_terms(op: AffineForwardOperator, basis: SpectralBasis, q_dag: BoundaryVector,
+                  samples: list[BoundaryVector], m0: float) -> list[tuple[float, float, float]]:
+    """(lhs, norm-difference part of rhs, misfit) per sample; each must be admissible."""
     mesh = op.mesh
-    diff = BoundaryVector(GAMMA_I, q.values - q_dag.values)
-    lhs = 0.25 * boundary_l2_norm(mesh, diff) ** 2
-    rhs_norms = 0.5 * boundary_l2_norm(mesh, q) ** 2 - 0.5 * boundary_l2_norm(mesh, q_dag) ** 2
-    misfit = op.misfit_norm(op.apply_linear(q.values), op.apply_linear(q_dag.values))
-    return lhs, rhs_norms, misfit
+    half_dag = 0.5 * boundary_l2_norm(mesh, q_dag) ** 2
+    k_dag = op.apply_linear(q_dag.values)
+    terms = []
+    for i, q in enumerate(samples):
+        if not admissibility_check(q, q_dag, basis, m0):
+            raise InadmissibleSampleError(f"sample {i} outside the admissible ball (m0={m0})")
+        diff = BoundaryVector(GAMMA_I, q.values - q_dag.values)
+        terms.append((0.25 * boundary_l2_norm(mesh, diff) ** 2,
+                      0.5 * boundary_l2_norm(mesh, q) ** 2 - half_dag,
+                      op.misfit_norm(op.apply_linear(q.values), k_dag)))
+    return terms
 
 
 def check_vsc_inequality(op: AffineForwardOperator, basis: SpectralBasis,
@@ -209,10 +207,7 @@ def check_vsc_inequality(op: AffineForwardOperator, basis: SpectralBasis,
         lambda_grid = default_lambda_grid(basis)
     rows = []
     scale = max(1.0, 0.5 * boundary_l2_norm(op.mesh, q_dag) ** 2)
-    for i, q in enumerate(samples):
-        if not admissibility_check(q, q_dag, basis, m0):
-            raise InadmissibleSampleError(f"sample {i} outside the admissible ball (m0={m0})")
-        lhs, rhs_norms, misfit = _sample_terms(op, q_dag, q)
+    for i, (lhs, rhs_norms, misfit) in enumerate(_sample_terms(op, basis, q_dag, samples, m0)):
         psi = psi_infimum(spec, max(misfit, T_FLOOR), lambda_grid).value
         rhs = rhs_norms + psi
         rows.append(VscSampleRow(i, lhs, rhs, rhs - lhs))
@@ -231,39 +226,38 @@ def fit_vsc_constants(op: AffineForwardOperator, basis: SpectralBasis,
                       lambda_grid: np.ndarray | None = None) -> IndexFunctionSpec:
     """Fit the constants of Psi in closed form, validated on the fitted samples.
 
-    The theory guarantees existence but not values.  M is normalized to
-    1 (only C*M, C0*M and cprime*M are identifiable), and C and g0 enter
-    Psi only as the product C*g0, so g0 stays 1 and C carries the
-    product.  cprime is the largest fitted misfit and C0 sits on its
-    floor 1.01 e^(kappa+1) cprime.  A sample with deficit
+    The theory guarantees existence but not values.  Every fitted sample
+    must be admissible.  cprime is the largest fitted misfit and C0 sits
+    on its floor 1.01 e^(kappa+1) cprime.  A sample with deficit
     D = lhs - (norm part of rhs) > 0 then holds iff
-    C >= max over lambda of (D - coef f(lambda)^2) / (g(lambda) Psi0_1(t)),
+    C >= max over lambda of (D - f(lambda)^2) / (g(lambda) Psi0_1(t)),
     with Psi0_1 the index function at C = 1; C is the largest of these
-    bounds times (1 + 1e-9), and one check of the inequality guards it.
+    bounds times (1 + 1e-9), and one check of the margins guards it.
 
     The fitted terms are the calibration samples plus one anchor, the
     far end (1 - t_max) qd of the shrinkage ray that
     sample_admissible_fluxes draws from.  Along that ray
     D = ||qd||^2 (t - t^2/4) and the bound grows with t while
-    t ||K qd|| <= cprime, which the anchor enforces, so the whole ray
-    is covered.
+    t ||K qd|| <= cprime (the anchor enforces this) and
+    kappa / log(C0 / (t ||K qd||)) <= (1 - t/2) / (1 - t/4), true for
+    every kappa <= 2, so on the whole domain (0, 1) of kappa the anchor
+    covers the ray.
     """
     if lambda_grid is None:
         lambda_grid = default_lambda_grid(basis)
     if not calibration:
         raise FitFailureError("empty calibration ensemble")
-    terms = [_sample_terms(op, q_dag, q) for q in calibration]
+    terms = _sample_terms(op, basis, q_dag, calibration, m0)
     if max(misfit for *_, misfit in terms) <= T_FLOOR:
         raise FitFailureError("all calibration misfits are zero; forward operator degenerate")
 
     anchor = BoundaryVector(GAMMA_I, (1.0 - _shrink_t_max(basis, q_dag, m0)) * q_dag.values)
-    samples = [*calibration, anchor]
-    terms.append(_sample_terms(op, q_dag, anchor))
+    terms += _sample_terms(op, basis, q_dag, [anchor], m0)
     cprime = max(misfit for *_, misfit in terms)
     unit = IndexFunctionSpec(C=1.0, C0=cprime * math.exp(kappa + 1.0) * 1.01, kappa=kappa,
                              s=s, cprime=cprime, f_coeff=sobolev_norm(basis, s, q_dag))
     lam = np.asarray(lambda_grid, dtype=float)
-    f2_term = unit.infimum_coef * unit.f(lam) ** 2
+    f2_term = unit.f(lam) ** 2
     g_unit = unit.g(lam)
     required = 0.0
     for lhs, rhs_norms, misfit in terms:
@@ -275,10 +269,10 @@ def fit_vsc_constants(op: AffineForwardOperator, basis: SpectralBasis,
         raise FitFailureError("no fitted sample has a positive deficit; nothing fixes C")
 
     fitted = replace(unit, C=required * (1.0 + 1e-9))
-    report = check_vsc_inequality(op, basis, q_dag, fitted, samples,
-                                  m0=m0, lambda_grid=lambda_grid)
-    if report.min_margin < 0.0:
-        raise FitFailureError(f"fitted constants leave a negative margin {report.min_margin:.3e}")
+    margin = min(rhs_norms + psi_infimum(fitted, max(misfit, T_FLOOR), lam).value - lhs
+                 for lhs, rhs_norms, misfit in terms)
+    if margin < 0.0:
+        raise FitFailureError(f"fitted constants leave a negative margin {margin:.3e}")
     logger.info("fitted VSC constants C0=%.4g C=%.4g cprime=%.4g",
                 fitted.C0, fitted.C, fitted.cprime)
     return fitted

@@ -203,6 +203,19 @@ def test_non_finite_delta_or_rho_exits_1(workdir, tmp_path, capsys, flag, value,
     assert f"fluxrec: error: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["vsc-check", "--kappa", "2.5"], "argument --kappa: must lie in (0, 1), got 2.5"),
+    (["vsc-check", "--s", "0.75"], "argument --s: must lie in (0, 1/2], got 0.75"),
+    (["vsc-check", "--s", "nan"], "argument --s: must lie in (0, 1/2], got nan"),
+    (["stability-probe", "--kappa", "0"], "argument --kappa: must lie in (0, 1), got 0.0"),
+], ids=["vsc-kappa", "vsc-s", "vsc-s-nan", "stability-kappa"])
+def test_out_of_domain_flag_exits_2(workdir, tmp_path, capsys, argv, message):
+    # the flags share the domain of the config keys they override
+    assert run([*argv, "--mesh", str(workdir / "mesh.txt"), "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("subcommand", ["vsc-check", "stability-probe"])
 def test_non_positive_n_samples_exits_2(workdir, tmp_path, capsys, subcommand):
     assert run([subcommand, "--mesh", str(workdir / "mesh.txt"), "--n-samples", "-5",

@@ -55,7 +55,7 @@ def shrinkage_ray(basis, q_dag, n_points):
 
 
 def test_psi0_frozen_value():
-    # independent high-precision oracle for kappa=0.9, C=M=1, C0=100,
+    # independent high-precision oracle for kappa=0.9, C=1, C0=100,
     # cprime=1: psi0(0.01) = 1 / ln(1e4)^0.9
     import mpmath as mp
 
@@ -73,7 +73,7 @@ def test_psi0_vanishes_at_zero_monotonically():
 
 
 def test_psi0_junction_continuity_and_slope():
-    junction = PSI0_SPEC.cprime * PSI0_SPEC.M
+    junction = PSI0_SPEC.cprime
     step = 1e-7
     left = psi0_eval(PSI0_SPEC, junction - step)
     mid = psi0_eval(PSI0_SPEC, junction)
@@ -118,9 +118,9 @@ def test_psi_infimum_s_half_hits_largest_lambda():
     grid = np.geomspace(1.0, 1e6, 200)
     out = psi_infimum(spec, 1e-3, grid)
     assert out.lambda_star == grid[-1]
-    # g is constant for s = 1/2, so the value approaches g0 * psi0 from above
-    assert out.value >= spec.g0 * psi0_eval(spec, 1e-3)
-    assert out.value <= spec.g0 * psi0_eval(spec, 1e-3) + spec.infimum_coef * grid[-1] ** -1.0
+    # g is 1 for s = 1/2, so the value approaches psi0 from above
+    assert out.value >= psi0_eval(spec, 1e-3)
+    assert out.value <= psi0_eval(spec, 1e-3) + grid[-1] ** -1.0
 
 
 def test_psi_infimum_monotone_and_grid_stable():
@@ -142,8 +142,7 @@ def test_psi_infimum_pointwise_bound():
     for t in (1e-5, 1e-2):
         value = psi_infimum(spec, t, grid).value
         for lam in grid[::50]:
-            bound = float(spec.g(lam)) * psi0_eval(spec, t) \
-                + spec.infimum_coef * float(spec.f(lam)) ** 2
+            bound = float(spec.g(lam)) * psi0_eval(spec, t) + float(spec.f(lam)) ** 2
             assert value <= bound + 1e-15
 
 
@@ -258,6 +257,20 @@ def test_vsc_inadmissible_sample_rejected(forward_op, basis, q_dag, fitted):
                          + 100.0 * e1.values / sobolev_norm(basis, 0.5, e1))
     with pytest.raises(InadmissibleSampleError):
         check_vsc_inequality(forward_op, basis, q_dag, spec, [far], m0=10.0)
+
+
+def test_fit_rejects_inadmissible_calibration_sample(forward_op, basis, q_dag):
+    calibration = sample_admissible_fluxes(basis, q_dag, 10.0, 30, seed=100)
+    e1 = basis.mode(0)
+    step = 100.0 * e1.values / sobolev_norm(basis, 0.5, e1)
+    far = BoundaryVector(GAMMA_I, q_dag.values + step)
+    with pytest.raises(InadmissibleSampleError, match="sample 30 outside"):
+        fit_vsc_constants(forward_op, basis, q_dag, [*calibration, far], s=0.5, kappa=0.9)
+    # with qd = 0 no sample has a positive deficit; admissibility is still checked first
+    zero = BoundaryVector(GAMMA_I, np.zeros(basis.n_modes))
+    with pytest.raises(InadmissibleSampleError, match="sample 0 outside"):
+        fit_vsc_constants(forward_op, basis, zero, [BoundaryVector(GAMMA_I, step)],
+                          s=0.5, kappa=0.9)
 
 
 def test_fit_failure_on_degenerate_calibration(forward_op, basis, q_dag):
