@@ -51,7 +51,9 @@ def read_boundary_csv(path, mesh, tag) -> BoundaryVector:
         raw = fh.read().splitlines()
     if not raw or raw[0] != TRACE_CSV_HEADER:
         raise MalformedFileError(f"bad header in {path}", 1)
-    indices = boundary_map(mesh, tag).vertex_indices
+    bmap = boundary_map(mesh, tag)
+    indices, arcs = bmap.vertex_indices, bmap.arc_coords
+    arc_tol = 1e-9 * bmap.perimeter
     n = len(indices)
     if len(raw) - 1 != n:
         raise MalformedFileError(f"{path} has {len(raw) - 1} records, expected {n}")
@@ -62,12 +64,16 @@ def read_boundary_csv(path, mesh, tag) -> BoundaryVector:
             raise MalformedFileError(f"expected 3 fields, got {len(parts)}", ln)
         try:
             index = int(parts[0])
+            arc = float(parts[1])
             values[ln - 2] = float(parts[2])
         except ValueError:
             raise MalformedFileError(f"malformed record {line!r}", ln) from None
         if index != indices[ln - 2]:
             raise MalformedFileError(
                 f"vertex_index {index} where the {tag} loop has vertex {indices[ln - 2]}", ln)
+        if not abs(arc - arcs[ln - 2]) <= arc_tol:
+            raise MalformedFileError(
+                f"arc_coord {parts[1]} where the {tag} loop has {_fmt(arcs[ln - 2])}", ln)
         if not np.isfinite(values[ln - 2]):
             raise MalformedFileError(f"non-finite value {parts[2]!r}", ln)
     return BoundaryVector(tag, values)
@@ -239,12 +245,7 @@ def cmd_stability_probe(args) -> int:
     cfg = parse_config(args.config, SCHEMAS["stability-probe"])
     kappa = args.kappa if args.kappa is not None else cfg["kappa"]
     mesh = load_mesh(args.mesh)
-    n_v = mesh.n_vertices
-    n_a = len(boundary_map(mesh, GAMMA_A))
-    data = ProblemData(resolve_field(cfg["alpha"], n_v, "alpha"),
-                       resolve_field(cfg["k"], n_a, "k"),
-                       np.zeros(n_v), np.zeros(n_a))
-    system = FactorizedSystem(mesh, data)
+    system = FactorizedSystem(mesh, _problem_data(mesh, {**cfg, "f": 0.0, "u_a": 0.0}))
     basis = build_spectral_basis(mesh)
     samples = generate_probe_ensemble(system, basis, args.n_samples, args.seed)
     c_fit, c0_fit, max_violation = fit_stability_modulus(samples, kappa,

@@ -130,24 +130,46 @@ def _norm_matrices(mesh: Mesh):
     return mass, stiffness
 
 
+@per_mesh
+def _tagged_edges(mesh: Mesh, tag: str):
+    """Per-edge (a, b, length, ia, ib) of one tagged loop, in mesh order, read-only.
+
+    ia, ib index the loop's BoundaryIndexMap.  Lengths are per-edge
+    np.linalg.norm calls; the vectorized norm differs in the last bit.
+    """
+    edges = mesh.boundary_edges[mesh.boundary_tags == tag]
+    length = np.array([float(np.linalg.norm(vb - va)) for va, vb in mesh.vertices[edges]])
+    pos = np.empty(mesh.n_vertices, dtype=np.int64)
+    pos[boundary_map(mesh, tag).vertex_indices] = np.arange(len(edges))
+    table = (*edges.T, length, *pos[edges].T)
+    for arr in table:
+        arr.flags.writeable = False
+    return table
+
+
+def flux_load_matrix(mesh: Mesh) -> sp.csc_matrix:
+    """B_i (n_v x n_i): int_GammaI q v = B_i q, so a flux's load is -B_i q."""
+    a, b, length, ia, ib = _tagged_edges(mesh, GAMMA_I)
+    # assemble_rhs's flux terms for unit q (2 L / 6 rounds exactly as L / 3 does)
+    vals = _edge_major(length / 3.0, length / 6.0, length / 6.0, length / 3.0)
+    return sp.csc_matrix((vals, (_edge_major(a, a, b, b), _edge_major(ia, ib, ia, ib))),
+                         shape=(mesh.n_vertices, len(length)))
+
+
+def _edge_major(*per_edge: np.ndarray) -> np.ndarray:
+    """[x0, y0, ..., x1, y1, ...]: one group of entries per edge, in edge order."""
+    return np.stack(per_edge, axis=1).ravel()
+
+
 def _edge_robin_matrix(mesh: Mesh, coeff_on_gamma_a: np.ndarray):
     """Sparse matrix of int_GammaA k u v for P1 traces (exact quadrature)."""
-    bmap = boundary_map(mesh, GAMMA_A)
-    pos = {int(v): i for i, v in enumerate(bmap.vertex_indices)}
-    rows, cols, vals = [], [], []
-    for (a, b), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-        if tag != GAMMA_A:
-            continue
-        length = float(np.linalg.norm(mesh.vertices[b] - mesh.vertices[a]))
-        ka, kb = coeff_on_gamma_a[pos[int(a)]], coeff_on_gamma_a[pos[int(b)]]
-        m_aa = length * (3.0 * ka + kb) / 12.0
-        m_ab = length * (ka + kb) / 12.0
-        m_bb = length * (ka + 3.0 * kb) / 12.0
-        rows.extend((a, a, b, b))
-        cols.extend((a, b, a, b))
-        vals.extend((m_aa, m_ab, m_ab, m_bb))
-    n = mesh.n_vertices
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    a, b, length, ia, ib = _tagged_edges(mesh, GAMMA_A)
+    ka, kb = coeff_on_gamma_a[ia], coeff_on_gamma_a[ib]
+    m_ab = length * (ka + kb) / 12.0
+    # COO entries (aa, ab, ba, bb) per edge, so duplicates sum in edge order
+    vals = _edge_major(length * (3.0 * ka + kb) / 12.0, m_ab, m_ab, length * (ka + 3.0 * kb) / 12.0)
+    return sp.csr_matrix((vals, (_edge_major(a, a, b, b), _edge_major(a, b, a, b))),
+                         shape=(mesh.n_vertices,) * 2)
 
 
 def assemble_system(mesh: Mesh, data: ProblemData) -> sp.csr_matrix:
@@ -181,33 +203,24 @@ def assemble_rhs(mesh: Mesh, data: ProblemData, q: BoundaryVector | None) -> np.
     mass, _ = _norm_matrices(mesh)
     rhs = mass @ data.f
 
-    bmap_i = boundary_map(mesh, GAMMA_I)
+    # ufunc.at updates each vertex in edge order, as a loop over the edges would
     if q is not None:
-        if q.values.shape != (len(bmap_i),):
+        a, b, length, ia, ib = _tagged_edges(mesh, GAMMA_I)
+        if q.values.shape != length.shape:  # one edge per vertex on the closed loop
             raise DimensionMismatchError(
-                f"flux has {q.values.shape} values for {len(bmap_i)} GammaI vertices"
-            )
-        pos_i = {int(v): i for i, v in enumerate(bmap_i.vertex_indices)}
-        for (a, b), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-            if tag != GAMMA_I:
-                continue
-            length = float(np.linalg.norm(mesh.vertices[b] - mesh.vertices[a]))
-            qa, qb = q.values[pos_i[int(a)]], q.values[pos_i[int(b)]]
-            # int_e q phi with q, phi linear on the edge
-            rhs[a] -= length * (2.0 * qa + qb) / 6.0
-            rhs[b] -= length * (qa + 2.0 * qb) / 6.0
+                f"flux has {q.values.shape} values for {len(length)} GammaI vertices")
+        qa, qb = q.values[ia], q.values[ib]
+        # int_e q phi with q, phi linear on the edge
+        np.subtract.at(rhs, _edge_major(a, b), _edge_major(length * (2.0 * qa + qb) / 6.0,
+                                                           length * (qa + 2.0 * qb) / 6.0))
 
-    bmap_a = boundary_map(mesh, GAMMA_A)
-    pos_a = {int(v): i for i, v in enumerate(bmap_a.vertex_indices)}
-    for (a, b), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-        if tag != GAMMA_A:
-            continue
-        length = float(np.linalg.norm(mesh.vertices[b] - mesh.vertices[a]))
-        ia, ib = pos_a[int(a)], pos_a[int(b)]
-        kt = data.k[ia] * (1.0 - _GAUSS_T) + data.k[ib] * _GAUSS_T
-        ut = data.u_a[ia] * (1.0 - _GAUSS_T) + data.u_a[ib] * _GAUSS_T
-        rhs[a] += length * float((_GAUSS_W * kt * ut * (1.0 - _GAUSS_T)).sum())
-        rhs[b] += length * float((_GAUSS_W * kt * ut * _GAUSS_T).sum())
+    a, b, length, ia, ib = _tagged_edges(mesh, GAMMA_A)
+    t = _GAUSS_T[None, :]
+    kt = data.k[ia][:, None] * (1.0 - t) + data.k[ib][:, None] * t
+    ut = data.u_a[ia][:, None] * (1.0 - t) + data.u_a[ib][:, None] * t
+    np.add.at(rhs, _edge_major(a, b),
+              _edge_major(length * (_GAUSS_W * kt * ut * (1.0 - t)).sum(axis=1),
+                          length * (_GAUSS_W * kt * ut * t).sum(axis=1)))
     return rhs
 
 
@@ -243,8 +256,7 @@ def trace(u: ScalarField, tag: str) -> BoundaryVector:
     """Restriction of nodal values to one tagged loop, in map order."""
     if tag not in (GAMMA_I, GAMMA_A):
         raise TagMismatchError(f"unknown tag {tag!r}")
-    bmap = boundary_map(u.mesh, tag)
-    return BoundaryVector(tag, u.values[bmap.vertex_indices].copy())
+    return BoundaryVector(tag, u.values[boundary_map(u.mesh, tag).vertex_indices])
 
 
 def norms(u: ScalarField) -> tuple[float, float]:
@@ -257,16 +269,12 @@ def norms(u: ScalarField) -> tuple[float, float]:
 
 def boundary_l2_norm(mesh: Mesh, v: BoundaryVector) -> float:
     """Discrete L2 norm on the tagged loop with lumped arc weights."""
-    w = boundary_weights(mesh, v.tag)
+    w = boundary_map(mesh, v.tag).weights
     if v.values.shape != w.shape:
         raise DimensionMismatchError(
             f"boundary vector has {v.values.shape} values for {w.shape} weights"
         )
     return float(np.sqrt((w * v.values * v.values).sum()))
-
-
-def boundary_weights(mesh: Mesh, tag: str) -> np.ndarray:
-    return boundary_map(mesh, tag).weights
 
 
 # 6-point Dunavant rule, exact to degree 4, barycentric points and weights

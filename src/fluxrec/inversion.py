@@ -43,8 +43,8 @@ from .fem import (
     BoundaryVector,
     FactorizedSystem,
     ProblemData,
-    assemble_rhs,
     boundary_l2_norm,
+    flux_load_matrix,
     trace,
 )
 from .geometry import GAMMA_A, GAMMA_I, Mesh, boundary_map
@@ -127,22 +127,14 @@ class TikhonovResult:
 def build_forward_operator(mesh: Mesh, data: ProblemData) -> AffineForwardOperator:
     """Assemble A(q) = K q + b, reusing one factorization for all columns."""
     system = FactorizedSystem(mesh, data)
-    bmap_i = boundary_map(mesh, GAMMA_I)
-    bmap_a = boundary_map(mesh, GAMMA_A)
-    n_i = len(bmap_i)
-
+    bmap_i, bmap_a = boundary_map(mesh, GAMMA_I), boundary_map(mesh, GAMMA_A)
     b = trace(system.solve_flux(None), GAMMA_A).values
-    zero_data = ProblemData(data.alpha, data.k, np.zeros(mesh.n_vertices),
-                            np.zeros(len(bmap_a)))
-    K = np.empty((len(bmap_a), n_i))
-    for start in range(0, n_i, _K_BLOCK):
-        cols = range(start, min(start + _K_BLOCK, n_i))
-        loads = np.empty((mesh.n_vertices, len(cols)))
-        for c, j in enumerate(cols):
-            e = np.zeros(n_i)
-            e[j] = 1.0
-            loads[:, c] = assemble_rhs(mesh, zero_data, BoundaryVector(GAMMA_I, e))
-        K[:, cols.start:cols.stop] = system._lu.solve(loads)[bmap_a.vertex_indices, :]
+    # the load of unit flux e_j is column j of -B_i; 0 - B_i keeps its zero entries +0.0
+    flux_load = flux_load_matrix(mesh)
+    K = np.empty((len(bmap_a), flux_load.shape[1]))
+    for start in range(0, flux_load.shape[1], _K_BLOCK):
+        loads = 0.0 - flux_load[:, start:start + _K_BLOCK].toarray()
+        K[:, start:start + _K_BLOCK] = system._lu.solve(loads)[bmap_a.vertex_indices, :]
     return AffineForwardOperator(mesh, data, K, b, bmap_a.weights, bmap_i.weights)
 
 

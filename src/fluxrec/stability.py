@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateEnsembleError
-from .fem import BoundaryVector, FactorizedSystem, ScalarField, boundary_l2_norm, norms, trace
+from .fem import BoundaryVector, FactorizedSystem, boundary_l2_norm, norms, trace
 from .geometry import GAMMA_A, GAMMA_I
 from .spectral import FluxCoefficients, SpectralBasis, sobolev_norm, synthesize
 
@@ -36,7 +36,6 @@ class StabilitySample:
     """One homogeneous solve with the norms entering the modulus fit."""
 
     q: BoundaryVector
-    u: ScalarField
     h1_norm: float
     trace_norm: float
     m_proxy: float
@@ -59,7 +58,7 @@ def sample_homogeneous_solution(system: FactorizedSystem, basis: SpectralBasis,
     _, h1 = norms(u)
     tr = boundary_l2_norm(system.mesh, trace(u, GAMMA_A))
     m_proxy = sobolev_norm(basis, 0.5, q) + h1
-    return StabilitySample(q, u, h1, tr, m_proxy)
+    return StabilitySample(q, h1, tr, m_proxy)
 
 
 def generate_probe_ensemble(system: FactorizedSystem, basis: SpectralBasis,
@@ -88,10 +87,8 @@ def generate_probe_ensemble(system: FactorizedSystem, basis: SpectralBasis,
         if s.m_proxy == 0.0:
             continue
         scale = 1.0 / s.m_proxy
-        samples.append(StabilitySample(
-            BoundaryVector(GAMMA_I, q.values * scale),
-            ScalarField(system.mesh, s.u.values * scale),
-            s.h1_norm * scale, s.trace_norm * scale, 1.0))
+        samples.append(StabilitySample(BoundaryVector(GAMMA_I, q.values * scale),
+                                       s.h1_norm * scale, s.trace_norm * scale, 1.0))
     return samples
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from fluxrec import fem, geometry, inversion, spectral
@@ -33,6 +34,54 @@ def discrete_trace_constant(mesh) -> float:
             break
         t_old = t
     return float(np.sqrt(t))
+
+
+def loop_assemble_rhs(mesh, data, q) -> np.ndarray:
+    """Edge-by-edge oracle of fem.assemble_rhs: the loops the vectorized code must match bitwise."""
+    mass, _ = fem._norm_matrices(mesh)
+    rhs = mass @ data.f
+    gauss_t = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
+    gauss_w = np.array([0.5, 0.5])
+    if q is not None:
+        pos_i = {int(v): i for i, v in
+                 enumerate(geometry.boundary_map(mesh, geometry.GAMMA_I).vertex_indices)}
+        for (a, b), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
+            if tag != geometry.GAMMA_I:
+                continue
+            length = float(np.linalg.norm(mesh.vertices[b] - mesh.vertices[a]))
+            qa, qb = q.values[pos_i[int(a)]], q.values[pos_i[int(b)]]
+            rhs[a] -= length * (2.0 * qa + qb) / 6.0
+            rhs[b] -= length * (qa + 2.0 * qb) / 6.0
+    pos_a = {int(v): i for i, v in
+             enumerate(geometry.boundary_map(mesh, geometry.GAMMA_A).vertex_indices)}
+    for (a, b), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
+        if tag != geometry.GAMMA_A:
+            continue
+        length = float(np.linalg.norm(mesh.vertices[b] - mesh.vertices[a]))
+        ia, ib = pos_a[int(a)], pos_a[int(b)]
+        kt = data.k[ia] * (1.0 - gauss_t) + data.k[ib] * gauss_t
+        ut = data.u_a[ia] * (1.0 - gauss_t) + data.u_a[ib] * gauss_t
+        rhs[a] += length * float((gauss_w * kt * ut * (1.0 - gauss_t)).sum())
+        rhs[b] += length * float((gauss_w * kt * ut * gauss_t).sum())
+    return rhs
+
+
+def loop_robin_matrix(mesh, k) -> sp.csr_matrix:
+    """Edge-by-edge oracle of fem._edge_robin_matrix, with its COO entry order."""
+    pos = {int(v): i for i, v in
+           enumerate(geometry.boundary_map(mesh, geometry.GAMMA_A).vertex_indices)}
+    rows, cols, vals = [], [], []
+    for (a, b), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
+        if tag != geometry.GAMMA_A:
+            continue
+        length = float(np.linalg.norm(mesh.vertices[b] - mesh.vertices[a]))
+        ka, kb = k[pos[int(a)]], k[pos[int(b)]]
+        m_ab = length * (ka + kb) / 12.0
+        rows.extend((a, a, b, b))
+        cols.extend((a, b, a, b))
+        vals.extend((length * (3.0 * ka + kb) / 12.0, m_ab, m_ab, length * (ka + 3.0 * kb) / 12.0))
+    n = mesh.n_vertices
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
 @pytest.fixture(scope="session")

@@ -186,6 +186,34 @@ def test_foreign_vertex_index_exits_2(workdir, tmp_path, capsys):
     assert "vertex_index 9999 where the GammaI loop has vertex" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("arc", ["0.5", "nan"])
+def test_foreign_arc_coord_exits_2(workdir, tmp_path, capsys, arc):
+    mesh = load_mesh(workdir / "mesh.txt")
+    flux_path = tmp_path / "flux_arc.csv"
+    cli.write_boundary_csv(flux_path, mesh, BoundaryVector(
+        GAMMA_I, np.zeros(len(boundary_map(mesh, GAMMA_I)))))
+    lines = flux_path.read_text().splitlines()
+    idx, _, value = lines[4].split(",")
+    lines[4] = f"{idx},{arc},{value}"
+    flux_path.write_text("\n".join(lines) + "\n")
+    assert run(["forward", "--mesh", str(workdir / "mesh.txt"), "--flux", str(flux_path),
+                "--out-trace", str(tmp_path / "trace.csv")]) == 2
+    err = capsys.readouterr().err
+    assert f"arc_coord {arc} where the GammaI loop has" in err
+    assert "(line 5)" in err
+
+
+def test_arc_coord_within_tolerance_is_accepted(workdir, tmp_path):
+    mesh = load_mesh(workdir / "mesh.txt")
+    bmap = boundary_map(mesh, GAMMA_I)
+    flux_path = tmp_path / "flux_rounded.csv"
+    lines = ["vertex_index,arc_coord,value"]
+    lines += [f"{i},{arc * (1 + 1e-10):.12g},1.0" for i, arc in zip(bmap.vertex_indices,
+                                                                    bmap.arc_coords)]
+    flux_path.write_text("\n".join(lines) + "\n")
+    assert cli.read_boundary_csv(flux_path, mesh, GAMMA_I).values.tolist() == [1.0] * len(bmap)
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--delta", "nan", "delta must be finite and >= 0, got nan"),
     ("--delta", "inf", "delta must be finite and >= 0, got inf"),

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from conftest import loop_assemble_rhs, loop_robin_matrix
 
-from fluxrec import fem, geometry
+from fluxrec import fem, geometry, inversion
 from fluxrec.errors import DegenerateTriangleError, TagMismatchError
 from fluxrec.fem import (
     BoundaryVector,
@@ -158,6 +159,50 @@ def test_rhs_tag_mismatch(coarse_mesh, default_data):
     n_a = len(boundary_map(coarse_mesh, GAMMA_A))
     with pytest.raises(TagMismatchError):
         assemble_rhs(coarse_mesh, default_data, BoundaryVector(GAMMA_A, np.zeros(n_a)))
+
+
+@pytest.fixture(scope="module", params=[0.1, 0.05, 0.049, 0.025])
+def random_problem(request):
+    """Mesh with random non-constant alpha, k, f, u_a and flux q (h = 0.049: n_i = 2 * 64 + 1)."""
+    mesh = generate_annulus_mesh(0.5, 1.0, request.param)
+    rng = np.random.default_rng(20240811)
+    n_a, n_i = len(boundary_map(mesh, GAMMA_A)), len(boundary_map(mesh, GAMMA_I))
+    data = ProblemData(1.0 + rng.random(mesh.n_vertices), 0.5 + rng.random(n_a),
+                       rng.standard_normal(mesh.n_vertices), rng.standard_normal(n_a))
+    return mesh, data, BoundaryVector(GAMMA_I, rng.standard_normal(n_i))
+
+
+def test_rhs_matches_edge_loop_bitwise(random_problem):
+    mesh, data, q = random_problem
+    for flux in (q, None):
+        assert assemble_rhs(mesh, data, flux).tobytes() \
+            == loop_assemble_rhs(mesh, data, flux).tobytes()
+
+
+def test_system_matches_edge_loop_bitwise(random_problem, monkeypatch):
+    mesh, data, _ = random_problem
+    system = assemble_system(mesh, data)
+    monkeypatch.setattr(fem, "_edge_robin_matrix", loop_robin_matrix)
+    oracle = assemble_system(mesh, data)
+    for name in ("data", "indices", "indptr"):
+        assert getattr(system, name).tobytes() == getattr(oracle, name).tobytes(), name
+
+
+def test_forward_operator_matches_column_loop_bitwise(random_problem):
+    # oracle: one loop-assembled load per unit flux, solved in the same blocks
+    mesh, data, _ = random_problem
+    op = inversion.build_forward_operator(mesh, data)
+    system = FactorizedSystem(mesh, data)
+    zero_data = ProblemData(data.alpha, data.k, np.zeros(mesh.n_vertices), np.zeros(op.n_a))
+    loads = np.column_stack([loop_assemble_rhs(mesh, zero_data, BoundaryVector(GAMMA_I, e))
+                             for e in np.eye(op.n_i)])
+    idx = boundary_map(mesh, GAMMA_A).vertex_indices
+    block = inversion._K_BLOCK
+    K = np.hstack([system._lu.solve(np.ascontiguousarray(loads[:, start:start + block]))[idx]
+                   for start in range(0, op.n_i, block)])
+    b = system.solve(loop_assemble_rhs(mesh, data, None)).values[idx]
+    assert op.K.tobytes() == K.tobytes()
+    assert op.b.tobytes() == b.tobytes()
 
 
 def test_constant_solution(coarse_mesh):

@@ -145,8 +145,12 @@ def _derived_data_of_a_dropped_mesh() -> weakref.ref:
     boundary_map(mesh, GAMMA_I)
     boundary_map(mesh, GAMMA_A)
     fem._norm_matrices(mesh)
+    fem._tagged_edges(mesh, GAMMA_I)
+    fem._tagged_edges(mesh, GAMMA_A)
     spectral.build_spectral_basis(mesh)
     inversion.build_forward_operator(mesh, fem.ProblemData.from_constants(mesh))
+    assert {(fem._tagged_edges.__wrapped__, GAMMA_I),
+            (fem._tagged_edges.__wrapped__, GAMMA_A)} <= mesh.memo.keys()
     return weakref.ref(mesh)
 
 
@@ -164,6 +168,7 @@ def test_derived_data_dies_with_its_mesh():
     (boundary_map, (GAMMA_I,)),
     (fem._norm_matrices, ()),
     (spectral.build_spectral_basis, ()),
+    (fem._tagged_edges, (GAMMA_A,)),
 ])
 def test_memo_returns_the_same_object_and_counts(fn, args):
     gc.disable()
