@@ -32,7 +32,7 @@ from .inversion import add_noise, build_forward_operator, choose_rho_discrepancy
 from .manifest import RunManifest
 from .rates import ExperimentConfig, _fmt, _write_lines, emit_report, run_rate_study
 from .spectral import build_spectral_basis, synthesize_flux_with_smoothness
-from .stability import fit_stability_modulus, generate_probe_ensemble
+from .stability import fit_stability_modulus, generate_probe_ensemble, stability_bound
 from .vsc import check_vsc_inequality, fit_vsc_constants, sample_admissible_fluxes
 
 TRACE_CSV_HEADER = "vertex_index,arc_coord,value"
@@ -254,15 +254,10 @@ def cmd_stability_probe(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     report_path = os.path.join(args.out, "stability_report.csv")
     lines = ["sample_id,trace_norm,h1_norm,m_proxy,bound,slack"]
-    for i, smp in enumerate(samples):
-        if smp.trace_norm > 0.0:
-            arg = c0_fit * smp.m_proxy / smp.trace_norm
-            bound = c_fit * smp.m_proxy / np.log(arg) ** kappa if arg > 1.0 else float("nan")
-        else:
-            bound = float("nan")
-        slack = bound - smp.h1_norm
-        lines.append(",".join([str(i), _fmt(smp.trace_norm), _fmt(smp.h1_norm),
-                               _fmt(smp.m_proxy), _fmt(bound), _fmt(slack)]))
+    bounds = stability_bound(samples, c_fit, c0_fit, kappa)
+    for i, (smp, bound) in enumerate(zip(samples, bounds)):
+        lines.append(",".join([str(i), _fmt(smp.trace_norm), _fmt(smp.h1_norm), _fmt(smp.m_proxy),
+                               _fmt(bound), _fmt(bound - smp.h1_norm)]))
     _write_lines(report_path, lines)
     summary_path = os.path.join(args.out, "summary.txt")
     _write_lines(summary_path, [

@@ -6,7 +6,7 @@ smallest constants (C, C0) with
 
     ||u||_{1,Omega} <= C * M / log(C0 * M / ||u||_{GammaA})^kappa
 
-over the ensemble are fitted by grid search.  The inaccessible H2 bound
+over the ensemble are fitted in closed form.  The inaccessible H2 bound
 M is replaced by the degree-1 homogeneous surrogate
 m_proxy = ||q||_{1/2,GammaI} + ||u||_{1,Omega}, which P1 elements can
 evaluate; ensembles are normalized to m_proxy = 1 so the fit sees only
@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DegenerateEnsembleError
 from .fem import BoundaryVector, FactorizedSystem, boundary_l2_norm, norms, trace
-from .geometry import GAMMA_A, GAMMA_I
+from .geometry import GAMMA_A
 from .spectral import FluxCoefficients, SpectralBasis, sobolev_norm, synthesize
 
 logger = logging.getLogger(__name__)
@@ -33,9 +33,8 @@ TRACE_FLOOR = 1e-14
 
 @dataclass(eq=False)
 class StabilitySample:
-    """One homogeneous solve with the norms entering the modulus fit."""
+    """The norms of one homogeneous solve entering the modulus fit."""
 
-    q: BoundaryVector
     h1_norm: float
     trace_norm: float
     m_proxy: float
@@ -58,7 +57,7 @@ def sample_homogeneous_solution(system: FactorizedSystem, basis: SpectralBasis,
     _, h1 = norms(u)
     tr = boundary_l2_norm(system.mesh, trace(u, GAMMA_A))
     m_proxy = sobolev_norm(basis, 0.5, q) + h1
-    return StabilitySample(q, h1, tr, m_proxy)
+    return StabilitySample(h1, tr, m_proxy)
 
 
 def generate_probe_ensemble(system: FactorizedSystem, basis: SpectralBasis,
@@ -87,19 +86,36 @@ def generate_probe_ensemble(system: FactorizedSystem, basis: SpectralBasis,
         if s.m_proxy == 0.0:
             continue
         scale = 1.0 / s.m_proxy
-        samples.append(StabilitySample(BoundaryVector(GAMMA_I, q.values * scale),
-                                       s.h1_norm * scale, s.trace_norm * scale, 1.0))
+        samples.append(StabilitySample(s.h1_norm * scale, s.trace_norm * scale, 1.0))
     return samples
+
+
+def stability_bound(samples: list[StabilitySample], c: float, c0: float,
+                    kappa: float) -> np.ndarray:
+    """Per-sample bound C * M / log(C0 * M / trace)^kappa.
+
+    NaN where the trace is zero or the log argument is <= 1: the bound
+    does not apply there.
+    """
+    tr = np.array([s.trace_norm for s in samples])
+    m = np.array([s.m_proxy for s in samples])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        arg = c0 * m / tr
+        bound = c * m / np.log(arg) ** kappa
+    return np.where((tr > 0.0) & (arg > 1.0), bound, np.nan)
 
 
 def fit_stability_modulus(samples: list[StabilitySample], kappa: float,
                           min_samples: int = 50) -> tuple[float, float, float]:
-    """Grid-fit (C, C0) validating the whole ensemble; returns max violation.
+    """Fit (C, C0) in closed form over the ensemble; returns max violation.
 
-    The C0 grid is floored at e^(kappa+1) * max(trace/M) so every log
-    argument stays comfortably above 1 (the same largeness margin the
-    logarithmic index function needs), then C is the smallest grid value
-    covering the worst sample at the best C0.
+    C0 sits on its floor e^(kappa+1) * max(trace/M), so every log
+    argument is at least e^(kappa+1) (the same largeness margin the
+    logarithmic index function needs).  Above that floor every term of
+    the requirement max h1 * log(C0 * M / trace)^kappa / M grows with
+    C0, so the floor minimizes it; C is that requirement times
+    (1 + 1e-9), the smallest constant covering every sample up to
+    round-off.
     """
     usable = [s for s in samples if s.trace_norm > TRACE_FLOOR]
     if not usable:
@@ -111,25 +127,15 @@ def fit_stability_modulus(samples: list[StabilitySample], kappa: float,
     h1 = np.array([s.h1_norm for s in usable])
     tr = np.array([s.trace_norm for s in usable])
     m = np.array([s.m_proxy for s in usable])
-
-    ratio_max = float((tr / m).max())
-    c0_grid = math.exp(kappa + 1.0) * ratio_max * np.geomspace(1.0, 1e6, 120)
-    c_grid = np.geomspace(1e-6, 1e8, 281)
-
-    best_c0, best_req = None, np.inf
-    for c0 in c0_grid:
-        req = float((h1 * np.log(c0 * m / tr) ** kappa / m).max())
-        if req < best_req:
-            best_req, best_c0 = req, float(c0)
-    idx = int(np.searchsorted(c_grid, best_req, side="left"))
-    if idx >= len(c_grid):
-        raise DegenerateEnsembleError(f"required C {best_req:.3e} beyond the grid")
-    c_fit = float(c_grid[idx])
-    bound = c_fit * m / np.log(best_c0 * m / tr) ** kappa
-    max_violation = float((h1 - bound).max())
+    c0 = math.exp(kappa + 1.0) * float((tr / m).max())
+    req = float((h1 * np.log(c0 * m / tr) ** kappa / m).max())
+    if not 0.0 < req < math.inf:
+        raise DegenerateEnsembleError(f"required C {req:.3e} is not positive and finite")
+    c_fit = req * (1.0 + 1e-9)
+    max_violation = float((h1 - stability_bound(usable, c_fit, c0, kappa)).max())
     logger.info("stability fit: C=%.4g C0=%.4g max_violation=%.3e",
-                c_fit, best_c0, max_violation)
-    return c_fit, best_c0, max_violation
+                c_fit, c0, max_violation)
+    return c_fit, c0, max_violation
 
 
 def evaluate_stability_bound(samples: list[StabilitySample], c: float, c0: float,

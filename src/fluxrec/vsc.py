@@ -104,11 +104,9 @@ def psi_infimum(spec: IndexFunctionSpec, t: float, lambda_grid: np.ndarray) -> P
     return PsiValue(float(vals[k]), float(lambda_grid[k]))
 
 
-def default_lambda_grid(basis: SpectralBasis, extension: float = 1e3,
-                        n_points: int = 400) -> np.ndarray:
-    """Log grid from lambda_1 to lambda_max * extension (infimum search)."""
-    lam_max = float(basis.eigenvalues[-1])
-    return np.geomspace(1.0, lam_max * extension, n_points)
+def default_lambda_grid(basis: SpectralBasis) -> np.ndarray:
+    """Log grid of 400 points from lambda_1 to lambda_max * 1e3 (infimum search)."""
+    return np.geomspace(1.0, float(basis.eigenvalues[-1]) * 1e3, 400)
 
 
 @dataclass
@@ -196,15 +194,13 @@ def _sample_terms(op: AffineForwardOperator, basis: SpectralBasis, q_dag: Bounda
 
 def check_vsc_inequality(op: AffineForwardOperator, basis: SpectralBasis,
                          q_dag: BoundaryVector, spec: IndexFunctionSpec,
-                         samples: list[BoundaryVector], m0: float = 10.0,
-                         lambda_grid: np.ndarray | None = None) -> VscReport:
+                         samples: list[BoundaryVector], m0: float = 10.0) -> VscReport:
     """Per-sample margins RHS - LHS of the source-condition inequality.
 
     Every sample must lie in the admissible ball; the misfit argument of
     Psi is floored at T_FLOOR so the degenerate sample q = qd evaluates.
     """
-    if lambda_grid is None:
-        lambda_grid = default_lambda_grid(basis)
+    lambda_grid = default_lambda_grid(basis)
     rows = []
     scale = max(1.0, 0.5 * boundary_l2_norm(op.mesh, q_dag) ** 2)
     for i, (lhs, rhs_norms, misfit) in enumerate(_sample_terms(op, basis, q_dag, samples, m0)):
@@ -222,8 +218,7 @@ def _shrink_t_max(basis: SpectralBasis, q_dag: BoundaryVector, m0: float) -> flo
 
 def fit_vsc_constants(op: AffineForwardOperator, basis: SpectralBasis,
                       q_dag: BoundaryVector, calibration: list[BoundaryVector],
-                      s: float, kappa: float, m0: float = 10.0,
-                      lambda_grid: np.ndarray | None = None) -> IndexFunctionSpec:
+                      s: float, kappa: float, m0: float = 10.0) -> IndexFunctionSpec:
     """Fit the constants of Psi in closed form, validated on the fitted samples.
 
     The theory guarantees existence but not values.  Every fitted sample
@@ -243,8 +238,6 @@ def fit_vsc_constants(op: AffineForwardOperator, basis: SpectralBasis,
     every kappa <= 2, so on the whole domain (0, 1) of kappa the anchor
     covers the ray.
     """
-    if lambda_grid is None:
-        lambda_grid = default_lambda_grid(basis)
     if not calibration:
         raise FitFailureError("empty calibration ensemble")
     terms = _sample_terms(op, basis, q_dag, calibration, m0)
@@ -256,7 +249,7 @@ def fit_vsc_constants(op: AffineForwardOperator, basis: SpectralBasis,
     cprime = max(misfit for *_, misfit in terms)
     unit = IndexFunctionSpec(C=1.0, C0=cprime * math.exp(kappa + 1.0) * 1.01, kappa=kappa,
                              s=s, cprime=cprime, f_coeff=sobolev_norm(basis, s, q_dag))
-    lam = np.asarray(lambda_grid, dtype=float)
+    lam = default_lambda_grid(basis)
     f2_term = unit.f(lam) ** 2
     g_unit = unit.g(lam)
     required = 0.0

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from fluxrec.stability import (
     generate_probe_ensemble,
     near_uniqueness_check,
     sample_homogeneous_solution,
+    stability_bound,
 )
 
 
@@ -98,6 +101,36 @@ def test_fit_needs_enough_signal(probe_system, basis):
         fit_stability_modulus(zeros, kappa=0.9)
     with pytest.raises(DegenerateEnsembleError):
         fit_stability_modulus([], kappa=0.9)
+
+
+def hand_built_samples(h1, tr, m):
+    return [stability.StabilitySample(*norms) for norms in zip(h1, tr, m)]
+
+
+@pytest.mark.parametrize("kappa", [0.3, 0.9])
+def test_fit_is_the_closed_form(rng, kappa):
+    h1 = rng.uniform(0.1, 1.0, 80)
+    tr = np.geomspace(1e-9, 1e-1, 80) * rng.uniform(0.5, 2.0, 80)
+    m = rng.uniform(0.5, 2.0, 80)
+    c_fit, c0_fit, max_violation = fit_stability_modulus(hand_built_samples(h1, tr, m), kappa)
+    assert c0_fit == math.exp(kappa + 1.0) * float((tr / m).max())
+    req = float((h1 * np.log(c0_fit * m / tr) ** kappa / m).max())
+    assert req <= c_fit <= req * (1.0 + 2e-9)
+    assert -1e-8 * h1.max() <= max_violation <= 0.0
+
+
+def test_fit_rejects_zero_interior_norms():
+    n = 60
+    samples = hand_built_samples(np.zeros(n), np.geomspace(1e-6, 1e-1, n), np.ones(n))
+    with pytest.raises(DegenerateEnsembleError):
+        fit_stability_modulus(samples, kappa=0.9)
+
+
+def test_stability_bound_is_nan_off_its_domain():
+    samples = hand_built_samples([1.0, 1.0, 1.0, 0.0], [0.0, 2.0, 1e-3, 0.0], [1.0, 1.0, 1.0, 0.0])
+    bound = stability_bound(samples, c=2.0, c0=2.0, kappa=0.9)
+    assert np.isnan(bound[[0, 1, 3]]).all()
+    assert bound[2] == pytest.approx(2.0 / math.log(2e3) ** 0.9, rel=1e-15)
 
 
 def test_holdout_tolerates_five_percent(probe_system, basis, ensemble):
