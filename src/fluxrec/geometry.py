@@ -129,11 +129,8 @@ def triangle_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
 
 
 def _max_edge_length(vertices: np.ndarray, triangles: np.ndarray) -> float:
-    h = 0.0
-    for a, b in ((0, 1), (1, 2), (2, 0)):
-        d = vertices[triangles[:, a]] - vertices[triangles[:, b]]
-        h = max(h, float(np.sqrt((d * d).sum(axis=1)).max()))
-    return h
+    d = vertices[triangles] - vertices[np.roll(triangles, -1, axis=1)]
+    return float(np.sqrt((d * d).sum(axis=-1)).max(initial=0.0))
 
 
 def generate_annulus_mesh(r_inner: float, r_outer: float, h_target: float) -> Mesh:
@@ -158,25 +155,19 @@ def generate_annulus_mesh(r_inner: float, r_outer: float, h_target: float) -> Me
     theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
 
     vertices = np.empty(((n_r + 1) * n_theta, 2))
-    for j, r in enumerate(radii):
-        vertices[j * n_theta:(j + 1) * n_theta, 0] = r * np.cos(theta)
-        vertices[j * n_theta:(j + 1) * n_theta, 1] = r * np.sin(theta)
+    vertices[:, 0] = (radii[:, None] * np.cos(theta)).ravel()
+    vertices[:, 1] = (radii[:, None] * np.sin(theta)).ravel()
 
-    triangles = []
-    for j in range(n_r):
-        base, top = j * n_theta, (j + 1) * n_theta
-        for i in range(n_theta):
-            ip = (i + 1) % n_theta
-            a, b = base + i, base + ip
-            c, d = top + ip, top + i
-            triangles.append((a, d, c))
-            triangles.append((a, c, b))
-    triangles = np.asarray(triangles, dtype=np.int64)
+    # ring j, sector i: the quad (a, b, c, d) = (i, i+1) on ring j, (i+1, i) on ring j+1
+    i = np.arange(n_theta)
+    ip = (i + 1) % n_theta
+    base = n_theta * np.arange(n_r)[:, None]
+    a, b = base + i, base + ip
+    c, d = b + n_theta, a + n_theta
+    triangles = np.stack((a, d, c, a, c, b), axis=-1).reshape(-1, 3)
 
-    inner = [(i, (i + 1) % n_theta) for i in range(n_theta)]
-    outer_base = n_r * n_theta
-    outer = [(outer_base + i, outer_base + (i + 1) % n_theta) for i in range(n_theta)]
-    boundary_edges = np.asarray(inner + outer, dtype=np.int64)
+    loop = np.stack((i, ip), axis=1)
+    boundary_edges = np.concatenate((loop, loop + n_r * n_theta))
     boundary_tags = np.asarray([GAMMA_I] * n_theta + [GAMMA_A] * n_theta)
 
     mesh = Mesh(vertices, triangles, boundary_edges, boundary_tags,
@@ -192,67 +183,66 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     their loop (radius taken as the mean endpoint radius, assuming
     circles centred at the origin); tags are inherited by both halves.
     """
-    vertices = list(map(tuple, mesh.vertices))
-    midpoint_index: dict[tuple[int, int], int] = {}
+    v, n_v = mesh.vertices, mesh.n_vertices
+    edges, side_edge, _, boundary_edge = _edge_table(mesh.triangles, mesh.boundary_edges)
+    midpoints = 0.5 * (v[edges[:, 0]] + v[edges[:, 1]])
+    for e, (a, b) in zip(boundary_edge.tolist(), mesh.boundary_edges.tolist()):
+        r = 0.5 * (np.linalg.norm(v[a]) + np.linalg.norm(v[b]))
+        midpoints[e] = midpoints[e] * (r / np.linalg.norm(midpoints[e]))
 
-    boundary_keys = {}
-    for (a, b), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-        boundary_keys[(min(a, b), max(a, b))] = tag
-
-    def midpoint(a: int, b: int) -> int:
-        key = (min(a, b), max(a, b))
-        idx = midpoint_index.get(key)
-        if idx is not None:
-            return idx
-        pm = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
-        if key in boundary_keys:
-            r = 0.5 * (np.linalg.norm(mesh.vertices[a]) + np.linalg.norm(mesh.vertices[b]))
-            pm = pm * (r / np.linalg.norm(pm))
-        idx = len(vertices)
-        vertices.append((pm[0], pm[1]))
-        midpoint_index[key] = idx
-        return idx
-
-    triangles = []
-    for a, b, c in mesh.triangles:
-        mab, mbc, mca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-        triangles.extend(((a, mab, mca), (mab, b, mbc), (mca, mbc, c), (mab, mbc, mca)))
-
-    edges, tags = [], []
-    for (a, b), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-        m = midpoint_index[(min(a, b), max(a, b))]
-        edges.extend(((a, m), (m, b)))
-        tags.extend((tag, tag))
-
-    new_vertices = np.asarray(vertices)
-    new_triangles = np.asarray(triangles, dtype=np.int64)
-    refined = Mesh(new_vertices, new_triangles,
-                   np.asarray(edges, dtype=np.int64), np.asarray(tags),
-                   _max_edge_length(new_vertices, new_triangles))
+    (a, b, c), (mab, mbc, mca) = mesh.triangles.T, (n_v + side_edge).T
+    triangles = np.stack((a, mab, mca, mab, b, mbc, mca, mbc, c, mab, mbc, mca),
+                         axis=1).reshape(-1, 3)
+    (a, b), m = mesh.boundary_edges.T, n_v + boundary_edge
+    vertices = np.concatenate((v, midpoints))
+    refined = Mesh(vertices, triangles, np.stack((a, m, m, b), axis=1).reshape(-1, 2),
+                   np.repeat(mesh.boundary_tags, 2), _max_edge_length(vertices, triangles))
     validate_mesh(refined)
     return refined
 
 
+def _edge_table(triangles: np.ndarray, pairs: np.ndarray):
+    """Edges of a triangulation and of extra vertex pairs, numbered in first-encounter order.
+
+    Sides are read row by row as (a, b), (b, c), (c, a), then the pairs.  Returns the
+    sorted endpoints of each edge, the (n_t, 3) edge of each side, each edge's triangle
+    count and the edge of each pair.
+    """
+    sides = triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    keys = np.sort(np.concatenate((sides, pairs.reshape(-1, 2))), axis=1)
+    base = int(keys.max(initial=0)) + 1
+    _, first, inverse = np.unique(keys[:, 0] * base + keys[:, 1],
+                                  return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    edge = rank[inverse]
+    n_s = len(sides)
+    counts = np.bincount(edge[:n_s], minlength=order.size)
+    return keys[first[order]], edge[:n_s].reshape(-1, 3), counts, edge[n_s:]
+
+
 def validate_mesh(mesh: Mesh) -> None:
     """Check all Mesh invariants, raising InvalidGeometryError on failure."""
+    if not (np.isfinite(mesh.vertices).all() and np.isfinite(mesh.h)):
+        raise InvalidGeometryError("mesh has non-finite vertex coordinates or edge lengths")
     areas = triangle_areas(mesh.vertices, mesh.triangles)
     if not (areas > 0.0).all():
         raise InvalidGeometryError("mesh contains non-positively-oriented triangles")
+    unused = np.flatnonzero(np.bincount(mesh.triangles.ravel(), minlength=mesh.n_vertices) == 0)
+    if unused.size:
+        raise InvalidGeometryError(f"vertex {unused[0]} lies on no triangle")
 
-    edge_count: dict[tuple[int, int], int] = {}
-    for tri in mesh.triangles:
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            key = (min(a, b), max(a, b))
-            edge_count[key] = edge_count.get(key, 0) + 1
-
-    tagged = set()
-    for a, b in mesh.boundary_edges:
-        key = (min(a, b), max(a, b))
-        if edge_count.get(key, 0) != 1:
-            raise InvalidGeometryError(f"boundary edge {key} not on exactly one triangle")
-        tagged.add(key)
-    topological = {k for k, c in edge_count.items() if c == 1}
-    if tagged != topological:
+    edges, _, counts, tagged = _edge_table(mesh.triangles, mesh.boundary_edges)
+    crowded = np.flatnonzero(counts > 2)
+    if crowded.size:
+        raise InvalidGeometryError(
+            f"edge {tuple(edges[crowded[0]].tolist())} on {counts[crowded[0]]} triangles")
+    stray = np.flatnonzero(counts[tagged] != 1)
+    if stray.size:
+        key = tuple(edges[tagged[stray[0]]].tolist())
+        raise InvalidGeometryError(f"boundary edge {key} not on exactly one triangle")
+    if np.unique(tagged).size != np.count_nonzero(counts == 1):
         raise InvalidGeometryError("tagged edges do not match the triangulation boundary")
 
     loops = {}
@@ -320,20 +310,19 @@ def boundary_map(mesh: Mesh, tag: str) -> BoundaryIndexMap:
 
 def save_mesh(mesh: Mesh, path) -> None:
     """Write the plain-text mesh format (VERTICES/TRIANGLES/BOUNDARY_EDGES)."""
-    lines = [f"VERTICES {mesh.n_vertices}"]
-    lines.extend(f"{float(x)!r} {float(y)!r}" for x, y in mesh.vertices)
-    lines.append(f"TRIANGLES {mesh.n_triangles}")
-    lines.extend(f"{a} {b} {c}" for a, b, c in mesh.triangles)
-    lines.append(f"BOUNDARY_EDGES {len(mesh.boundary_edges)}")
-    lines.extend(
-        f"{a} {b} {tag}" for (a, b), tag in zip(mesh.boundary_edges, mesh.boundary_tags)
-    )
+    text = (f"VERTICES {mesh.n_vertices}\n"
+            + "%r %r\n" * mesh.n_vertices % tuple(mesh.vertices.ravel().tolist())
+            + f"TRIANGLES {mesh.n_triangles}\n"
+            + "%d %d %d\n" * mesh.n_triangles % tuple(mesh.triangles.ravel().tolist())
+            + f"BOUNDARY_EDGES {len(mesh.boundary_edges)}\n"
+            + "".join(f"{a} {b} {tag}\n" for (a, b), tag in
+                      zip(mesh.boundary_edges.tolist(), mesh.boundary_tags.tolist())))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)
 
 
 def load_mesh(path) -> Mesh:
-    """Read a mesh written by :func:`save_mesh`; round trip is bit-exact."""
+    """Read and validate a mesh written by :func:`save_mesh`; round trip is bit-exact."""
     with open(path, encoding="utf-8") as fh:
         raw = fh.read().splitlines()
 
@@ -379,12 +368,22 @@ def load_mesh(path) -> Mesh:
         edges.append((a, b))
         tags.append(tag)
 
-    vertices = np.asarray(verts)
-    triangles = np.asarray(tris, dtype=np.int64)
-    if triangles.size and (triangles.min() < 0 or triangles.max() >= n_v):
-        raise MalformedFileError("triangle references a vertex out of range", pos)
-    return Mesh(vertices, triangles, np.asarray(edges, dtype=np.int64),
-                np.asarray(tags), _max_edge_length(vertices, triangles))
+    vertices = np.asarray(verts).reshape(-1, 2)
+    try:
+        triangles = np.asarray(tris, dtype=np.int64).reshape(-1, 3)
+        boundary_edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:
+        raise MalformedFileError("vertex index out of range", pos) from None
+    for ids in (triangles, boundary_edges):
+        if ids.size and (ids.min() < 0 or ids.max() >= n_v):
+            raise MalformedFileError("vertex index out of range", pos)
+    mesh = Mesh(vertices, triangles, boundary_edges, np.asarray(tags),
+                _max_edge_length(vertices, triangles))
+    try:
+        validate_mesh(mesh)
+    except InvalidGeometryError as exc:
+        raise MalformedFileError(f"invalid mesh in {path}: {exc}") from None
+    return mesh
 
 
 def _bad():

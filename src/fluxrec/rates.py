@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BracketFailureError, InsufficientDataError
+from .errors import BracketFailureError, InsufficientDataError, SchemaError
 from .fem import BoundaryVector, FactorizedSystem, ProblemData, boundary_l2_norm, trace
 from .geometry import GAMMA_A, GAMMA_I, Mesh, boundary_map, generate_annulus_mesh, refine_uniform
 from .inversion import (
@@ -70,7 +70,8 @@ class ExperimentConfig:
         if self.rho_rule not in ("discrepancy", "fixed"):
             raise ValueError(f"unknown rho rule {self.rho_rule!r}")
         if self.rho_rule == "fixed" and len(self.fixed_rho_schedule) != grid.size:
-            raise ValueError("fixed_rho_schedule must match delta_grid length")
+            raise SchemaError("fixed_rho_schedule", f"has {len(self.fixed_rho_schedule)} "
+                              f"entries, delta_grid has {grid.size}")
         if not all(0.0 < rho < math.inf for rho in self.fixed_rho_schedule):
             raise ValueError("fixed_rho_schedule entries must be positive and finite")
 

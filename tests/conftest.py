@@ -4,6 +4,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from fluxrec import fem, geometry, inversion, spectral
+from fluxrec.errors import InvalidGeometryError
 
 
 def discrete_trace_constant(mesh) -> float:
@@ -82,6 +83,111 @@ def loop_robin_matrix(mesh, k) -> sp.csr_matrix:
         vals.extend((length * (3.0 * ka + kb) / 12.0, m_ab, m_ab, length * (ka + 3.0 * kb) / 12.0))
     n = mesh.n_vertices
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+def loop_annulus_mesh(r_inner, r_outer, h_target):
+    """Per-triangle loop oracle of geometry.generate_annulus_mesh.
+
+    Returns (vertices, triangles, boundary_edges, boundary_tags).
+    """
+    n_theta = max(8, int(np.ceil(2.0 * np.pi * r_outer / h_target)))
+    n_r = max(2, int(np.ceil((r_outer - r_inner) / h_target)))
+    radii = np.linspace(r_inner, r_outer, n_r + 1)
+    theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    vertices = np.empty(((n_r + 1) * n_theta, 2))
+    for j, r in enumerate(radii):
+        vertices[j * n_theta:(j + 1) * n_theta, 0] = r * np.cos(theta)
+        vertices[j * n_theta:(j + 1) * n_theta, 1] = r * np.sin(theta)
+    triangles = []
+    for j in range(n_r):
+        base, top = j * n_theta, (j + 1) * n_theta
+        for i in range(n_theta):
+            ip = (i + 1) % n_theta
+            a, b = base + i, base + ip
+            c, d = top + ip, top + i
+            triangles.append((a, d, c))
+            triangles.append((a, c, b))
+    inner = [(i, (i + 1) % n_theta) for i in range(n_theta)]
+    outer_base = n_r * n_theta
+    outer = [(outer_base + i, outer_base + (i + 1) % n_theta) for i in range(n_theta)]
+    return (vertices, np.asarray(triangles, dtype=np.int64),
+            np.asarray(inner + outer, dtype=np.int64),
+            np.asarray([geometry.GAMMA_I] * n_theta + [geometry.GAMMA_A] * n_theta))
+
+
+def loop_refine_uniform(mesh) -> geometry.Mesh:
+    """Dict-based oracle of geometry.refine_uniform (unvalidated), to be matched bitwise."""
+    vertices = list(map(tuple, mesh.vertices))
+    midpoint_index = {}
+    boundary_keys = {}
+    for (a, b), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
+        boundary_keys[(min(a, b), max(a, b))] = tag
+
+    def midpoint(a, b):
+        key = (min(a, b), max(a, b))
+        idx = midpoint_index.get(key)
+        if idx is not None:
+            return idx
+        pm = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
+        if key in boundary_keys:
+            r = 0.5 * (np.linalg.norm(mesh.vertices[a]) + np.linalg.norm(mesh.vertices[b]))
+            pm = pm * (r / np.linalg.norm(pm))
+        idx = len(vertices)
+        vertices.append((pm[0], pm[1]))
+        midpoint_index[key] = idx
+        return idx
+
+    triangles = []
+    for a, b, c in mesh.triangles:
+        mab, mbc, mca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+        triangles.extend(((a, mab, mca), (mab, b, mbc), (mca, mbc, c), (mab, mbc, mca)))
+    edges, tags = [], []
+    for (a, b), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
+        m = midpoint_index[(min(a, b), max(a, b))]
+        edges.extend(((a, m), (m, b)))
+        tags.extend((tag, tag))
+    new_vertices = np.asarray(vertices)
+    new_triangles = np.asarray(triangles, dtype=np.int64)
+    return geometry.Mesh(new_vertices, new_triangles, np.asarray(edges, dtype=np.int64),
+                         np.asarray(tags), geometry._max_edge_length(new_vertices, new_triangles))
+
+
+def loop_validate_mesh(mesh) -> None:
+    """Dict-based oracle of geometry.validate_mesh: the same checks, in the same order."""
+    if not (np.isfinite(mesh.vertices).all() and np.isfinite(mesh.h)):
+        raise InvalidGeometryError("mesh has non-finite vertex coordinates or edge lengths")
+    if not (geometry.triangle_areas(mesh.vertices, mesh.triangles) > 0.0).all():
+        raise InvalidGeometryError("mesh contains non-positively-oriented triangles")
+    used = {v for tri in mesh.triangles.tolist() for v in tri}
+    for v in range(mesh.n_vertices):
+        if v not in used:
+            raise InvalidGeometryError(f"vertex {v} lies on no triangle")
+
+    edge_count = {}
+    for tri in mesh.triangles.tolist():
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            key = (min(a, b), max(a, b))
+            edge_count[key] = edge_count.get(key, 0) + 1
+    for key, count in edge_count.items():
+        if count > 2:
+            raise InvalidGeometryError(f"edge {key} on {count} triangles")
+    tagged = set()
+    for a, b in mesh.boundary_edges.tolist():
+        key = (min(a, b), max(a, b))
+        if edge_count.get(key, 0) != 1:
+            raise InvalidGeometryError(f"boundary edge {key} not on exactly one triangle")
+        tagged.add(key)
+    if tagged != {k for k, c in edge_count.items() if c == 1}:
+        raise InvalidGeometryError("tagged edges do not match the triangulation boundary")
+
+    loops = {}
+    for tag in geometry.VALID_TAGS:
+        sel = mesh.boundary_tags == tag
+        if not sel.any():
+            raise InvalidGeometryError(f"missing boundary tag {tag}")
+        loops[tag] = geometry._walk_loop(mesh, mesh.boundary_edges[sel])
+    if set(loops[geometry.GAMMA_I]) & set(loops[geometry.GAMMA_A]):
+        raise InvalidGeometryError("GammaI and GammaA loops share a vertex")
 
 
 @pytest.fixture(scope="session")

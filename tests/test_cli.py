@@ -106,6 +106,54 @@ def test_non_positive_rho_schedule_exits_2(tmp_path, capsys, schedule):
     assert not (tmp_path / "out").exists()
 
 
+def _bad_mesh_file(path, defect: str):
+    """An h = 0.2 mesh file with one unused vertex appended, or one triangle turned clockwise."""
+    cli.dispatch(["mesh-gen", "--h", "0.2", "--out", str(path)])
+    lines = path.read_text().splitlines()
+    n_v = int(lines[0].split()[1])
+    if defect == "dangling vertex":
+        lines[0] = f"VERTICES {n_v + 1}"
+        lines.insert(n_v + 1, "0.0 0.0")
+    else:
+        a, b, c = lines[n_v + 2].split()
+        lines[n_v + 2] = f"{a} {c} {b}"
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("defect", ["dangling vertex", "clockwise triangle"])
+@pytest.mark.parametrize("subcommand", ["spectrum", "forward", "invert"])
+def test_invalid_mesh_file_exits_2(tmp_path, capsys, defect, subcommand):
+    mesh = tmp_path / "mesh.txt"
+    _bad_mesh_file(mesh, defect)
+    capsys.readouterr()
+    out = str(tmp_path / "out")
+    argv = {
+        "spectrum": ["spectrum", "--mesh", str(mesh), "--out", out],
+        "forward": ["forward", "--mesh", str(mesh), "--flux", "flux.csv", "--out-trace", out],
+        "invert": ["invert", "--mesh", str(mesh), "--data-trace", "trace.csv",
+                   "--delta", "1e-4", "--out", out],
+    }[subcommand]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    reason = {"dangling vertex": "vertex 128 lies on no triangle",
+              "clockwise triangle": "mesh contains non-positively-oriented triangles"}[defect]
+    assert err == f"fluxrec: error: invalid mesh in {mesh}: {reason}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("schedule", ["", "fixed_rho_schedule = 1e-3\n",
+                                      "fixed_rho_schedule = 1e-3, 1e-5, 1e-7, 1e-9, 1e-11\n"])
+def test_rho_schedule_length_mismatch_exits_2(tmp_path, capsys, schedule):
+    # a cross-key error is a schema error like any per-key one
+    cfg = tmp_path / "fixed.cfg"
+    cfg.write_text("delta_grid = 1e-2, 1e-3, 1e-4, 1e-5\nrho_rule = fixed\n" + schedule)
+    assert run(["rates", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fluxrec: error: config key 'fixed_rho_schedule': has ")
+    assert err.endswith("entries, delta_grid has 4\n") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("key", ["alpha", "k", "f", "u_a"])
 def test_rates_rejects_field_file_exits_2(tmp_path, capsys, key):
     # the rate study builds its fields from constants; a path is a schema error

@@ -3,15 +3,19 @@ import weakref
 
 import numpy as np
 import pytest
+from conftest import loop_annulus_mesh, loop_refine_uniform, loop_validate_mesh
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fluxrec import fem, geometry, inversion, spectral
-from fluxrec.errors import InvalidGeometryError, MalformedFileError, MissingTagError
+from fluxrec.errors import FluxRecError, InvalidGeometryError, MalformedFileError, MissingTagError
 from fluxrec.geometry import (
     GAMMA_A,
     GAMMA_I,
     boundary_map,
     generate_annulus_mesh,
     load_mesh,
+    refine_uniform,
     save_mesh,
     triangle_areas,
     validate_mesh,
@@ -140,6 +144,19 @@ def test_load_garbage(tmp_path):
     assert err.value.line_number == 3
 
 
+@pytest.mark.parametrize("section, record", [("TRIANGLES", "0 1 99999999999999999999999"),
+                                             ("BOUNDARY_EDGES", "-1 0 GammaI"),
+                                             ("BOUNDARY_EDGES", "0 378 GammaA")])
+def test_load_rejects_a_vertex_index_out_of_range(tmp_path, coarse_mesh, section, record):
+    path = tmp_path / "mesh.txt"
+    save_mesh(coarse_mesh, path)
+    lines = path.read_text().splitlines()
+    lines[next(i for i, line in enumerate(lines) if line.startswith(section)) + 1] = record
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MalformedFileError, match="vertex index out of range"):
+        load_mesh(path)
+
+
 def _derived_data_of_a_dropped_mesh() -> weakref.ref:
     mesh = generate_annulus_mesh(0.5, 1.0, 0.2)
     boundary_map(mesh, GAMMA_I)
@@ -187,3 +204,195 @@ def test_memo_returns_the_same_object_and_counts(fn, args):
         == (before.hits, before.misses + 1, before.currsize + 1)
     assert (hit.hits, hit.misses, hit.currsize) == (missed.hits + 1, missed.misses, missed.currsize)
     assert dropped.currsize == before.currsize
+
+
+def _assert_bitwise(mesh, vertices, triangles, boundary_edges, boundary_tags):
+    for name, want in (("vertices", vertices), ("triangles", triangles),
+                       ("boundary_edges", boundary_edges), ("boundary_tags", boundary_tags)):
+        got = getattr(mesh, name)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), name
+
+
+def _assert_same_mesh(mesh, oracle):
+    _assert_bitwise(mesh, oracle.vertices, oracle.triangles, oracle.boundary_edges,
+                    oracle.boundary_tags)
+    assert mesh.h == oracle.h
+
+
+@pytest.mark.parametrize("h", [0.2, 0.1, 0.035])
+def test_generation_matches_loop_oracle_bitwise(h):
+    _assert_bitwise(generate_annulus_mesh(0.5, 1.0, h), *loop_annulus_mesh(0.5, 1.0, h))
+
+
+@pytest.mark.parametrize("h, times", [(0.2, 1), (0.1, 2), (0.035, 1)])
+def test_refine_matches_dict_oracle_bitwise(h, times):
+    mesh = oracle = generate_annulus_mesh(0.5, 1.0, h)
+    for _ in range(times):
+        mesh, oracle = refine_uniform(mesh), loop_refine_uniform(oracle)
+        _assert_same_mesh(mesh, oracle)
+
+
+def _mesh(vertices, triangles, boundary_edges, boundary_tags) -> geometry.Mesh:
+    vertices, triangles = np.asarray(vertices, dtype=float), np.asarray(triangles, dtype=np.int64)
+    return geometry.Mesh(vertices, triangles, np.asarray(boundary_edges, dtype=np.int64),
+                         np.asarray(boundary_tags), geometry._max_edge_length(vertices, triangles))
+
+
+def test_refine_of_a_permuted_mesh_matches_dict_oracle_bitwise(coarse_mesh):
+    # relabelled vertices, shuffled triangles with rotated corners and shuffled boundary
+    # edges: first-encounter edge numbering no longer follows the structured order
+    rng = np.random.default_rng(7)
+    perm = rng.permutation(coarse_mesh.n_vertices)
+    tris = perm[coarse_mesh.triangles][rng.permutation(coarse_mesh.n_triangles)]
+    tris = np.take_along_axis(tris, (np.arange(3) + rng.integers(0, 3, (len(tris), 1))) % 3,
+                              axis=1)
+    order = rng.permutation(len(coarse_mesh.boundary_edges))
+    mesh = _mesh(coarse_mesh.vertices[np.argsort(perm)], tris,
+                 perm[coarse_mesh.boundary_edges][order], coarse_mesh.boundary_tags[order])
+    validate_mesh(mesh)
+    _assert_same_mesh(refine_uniform(mesh), loop_refine_uniform(mesh))
+    _assert_same_mesh(refine_uniform(refine_uniform(mesh)),
+                      loop_refine_uniform(loop_refine_uniform(mesh)))
+
+
+def _tagged_interior_edge(v, t, e, g):
+    a, _, c = t[0]  # the diagonal of the first quad lies inside the annulus
+    return v, t, np.vstack((e, [[a, c]])), np.append(g, GAMMA_I)
+
+
+def _untagged_boundary_edge(v, t, e, g):
+    return v, t, e[:-1], g[:-1]
+
+
+def _edge_on_three_triangles(v, t, e, g):
+    a, d, c = t[0]
+    mid = 0.5 * (v[a] + v[c])
+    return np.vstack((v, mid + 0.3 * (v[d] - mid))), np.vstack((t, [[a, len(v), c]])), e, g
+
+
+def _clockwise_triangle(v, t, e, g):
+    t = t.copy()
+    t[5] = t[5, [0, 2, 1]]
+    return v, t, e, g
+
+
+def _dangling_vertex(v, t, e, g):
+    return np.vstack((v, [[0.0, 0.0]])), t, e, g
+
+
+def _missing_tag(v, t, e, g):
+    return v, t, e, np.full_like(g, GAMMA_A)
+
+
+def _non_finite_vertex(v, t, e, g):
+    v = v.copy()
+    v[3, 1] = np.inf
+    return v, t, e, g
+
+
+def _overflowing_edge(v, t, e, g):
+    v = v.copy()
+    v[-1] = (1e308, 0.0)  # finite, and positively oriented, but the edge length overflows
+    return v, t, e, g
+
+
+DEFECTS = {
+    "tagged interior edge": (_tagged_interior_edge, "boundary edge (0, 33) not on exactly one"),
+    "untagged boundary edge": (_untagged_boundary_edge, "tagged edges do not match"),
+    "edge on three triangles": (_edge_on_three_triangles, "edge (0, 33) on 3 triangles"),
+    "clockwise triangle": (_clockwise_triangle, "mesh contains non-positively-oriented"),
+    "dangling vertex": (_dangling_vertex, "vertex 128 lies on no triangle"),
+    "missing tag": (_missing_tag, "missing boundary tag GammaI"),
+    "non-finite vertex": (_non_finite_vertex, "mesh has non-finite vertex coordinates"),
+    "overflowing edge length": (_overflowing_edge, "mesh has non-finite vertex coordinates"),
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("defect", sorted(DEFECTS))
+def test_validation_errors_match_dict_oracle(defect):
+    build, message = DEFECTS[defect]
+    base = generate_annulus_mesh(0.5, 1.0, 0.2)
+    mesh = _mesh(*build(base.vertices, base.triangles, base.boundary_edges, base.boundary_tags))
+    with pytest.raises(FluxRecError) as got:
+        validate_mesh(mesh)
+    with pytest.raises(FluxRecError) as want:
+        loop_validate_mesh(mesh)
+    assert type(got.value) is type(want.value) is InvalidGeometryError
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith(message)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("defect", sorted(DEFECTS))
+def test_load_rejects_an_invalid_mesh_naming_the_path(tmp_path, defect):
+    build, message = DEFECTS[defect]
+    base = generate_annulus_mesh(0.5, 1.0, 0.2)
+    path = tmp_path / "mesh.txt"
+    save_mesh(_mesh(*build(base.vertices, base.triangles, base.boundary_edges,
+                           base.boundary_tags)), path)
+    with pytest.raises(MalformedFileError) as err:
+        load_mesh(path)
+    assert str(err.value).startswith(f"invalid mesh in {path}: {message}")
+    assert err.value.exit_code == 2
+
+
+@pytest.fixture(scope="module")
+def small_mesh_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("mesh") / "mesh.txt"
+    save_mesh(generate_annulus_mesh(0.5, 1.0, 0.45), path)  # 42 vertices
+    return path
+
+
+def _load_or_reject(path, text: str) -> None:
+    """Any mesh text loads into a valid mesh or fails with an exit-2 FluxRecError."""
+    path.write_text(text, encoding="utf-8")
+    try:
+        mesh = load_mesh(path)
+    except FluxRecError as exc:
+        assert exc.exit_code == 2, repr(exc)
+    else:
+        validate_mesh(mesh)
+
+
+_TOKENS = st.one_of(
+    st.sampled_from(["-1", "0", "1", "41", "42", "-0.0", "1e308", "nan", "inf", "GammaI",
+                     "GammaA", "", "99999999999999999999999"]),
+    st.integers(-2, 45).map(str),
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def _mutations(draw, lines: list[str]) -> str:
+    lines = list(lines)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(["delete", "duplicate", "swap", "line", "token"]))
+        if kind == "delete":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        elif kind == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind == "line":
+            lines[i] = draw(st.text(max_size=20))
+        else:
+            parts = lines[i].split(" ")
+            parts[draw(st.integers(0, len(parts) - 1))] = draw(_TOKENS)
+            lines[i] = " ".join(parts)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_mesh_file_loads_valid_or_exits_2(small_mesh_file, data):
+    lines = small_mesh_file.read_text(encoding="utf-8").splitlines()
+    _load_or_reject(small_mesh_file.with_name("mutated.txt"), data.draw(_mutations(lines)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.text())
+def test_arbitrary_mesh_text_loads_valid_or_exits_2(small_mesh_file, text):
+    _load_or_reject(small_mesh_file.with_name("arbitrary.txt"), text)

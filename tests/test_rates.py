@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fluxrec.errors import InsufficientDataError
+from fluxrec.errors import InsufficientDataError, SchemaError
 from fluxrec.geometry import GAMMA_A, GAMMA_I, boundary_map
 from fluxrec.rates import (
     ExperimentConfig,
@@ -31,7 +31,7 @@ def test_config_validation():
     ExperimentConfig(refine_level=0, allow_inverse_crime=True)  # labeled escape hatch
     with pytest.raises(ValueError):
         ExperimentConfig(rho_rule="magic")
-    with pytest.raises(ValueError):
+    with pytest.raises(SchemaError, match="'fixed_rho_schedule': has 1 entries, delta_grid has 9"):
         ExperimentConfig(rho_rule="fixed", fixed_rho_schedule=(1.0,))
 
 
