@@ -155,10 +155,18 @@ def parse_config(path: str | None, schema: dict[str, Key]) -> dict[str, Any]:
         except ValueError:
             raise SchemaError(name, f"cannot parse {text!r} as {key.parse.__name__.lstrip('_')}") from None
         problem = key.check(value)
+        if problem is None and _non_finite(value):
+            problem = "must be finite"
         if problem is not None:
             raise SchemaError(name, problem)
         values[name] = value
     return values
+
+
+def _non_finite(value) -> bool:
+    """True when a parsed value is, or lists, a NaN or infinite float."""
+    items = value if isinstance(value, tuple) else (value,)
+    return any(isinstance(v, float) and not math.isfinite(v) for v in items)
 
 
 def resolve_field(value, n_expected: int, key: str) -> np.ndarray:

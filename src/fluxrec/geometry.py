@@ -125,12 +125,15 @@ def triangle_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     p0 = vertices[triangles[:, 0]]
     p1 = vertices[triangles[:, 1]]
     p2 = vertices[triangles[:, 2]]
-    return 0.5 * _cross_z(p1 - p0, p2 - p0)
+    # huge finite coordinates overflow to inf or NaN, which validate_mesh rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 0.5 * _cross_z(p1 - p0, p2 - p0)
 
 
 def _max_edge_length(vertices: np.ndarray, triangles: np.ndarray) -> float:
-    d = vertices[triangles] - vertices[np.roll(triangles, -1, axis=1)]
-    return float(np.sqrt((d * d).sum(axis=-1)).max(initial=0.0))
+    with np.errstate(over="ignore", invalid="ignore"):  # as in triangle_areas
+        d = vertices[triangles] - vertices[np.roll(triangles, -1, axis=1)]
+        return float(np.sqrt((d * d).sum(axis=-1)).max(initial=0.0))
 
 
 def generate_annulus_mesh(r_inner: float, r_outer: float, h_target: float) -> Mesh:
@@ -367,6 +370,10 @@ def load_mesh(path) -> Mesh:
             raise MalformedFileError(f"unknown boundary tag {tag!r}", pos)
         edges.append((a, b))
         tags.append(tag)
+    for ln in range(pos, len(raw)):
+        if raw[ln].strip():
+            raise MalformedFileError(f"unexpected record {raw[ln]!r} after the boundary edges",
+                                     ln + 1)
 
     vertices = np.asarray(verts).reshape(-1, 2)
     try:

@@ -134,7 +134,7 @@ def build_forward_operator(mesh: Mesh, data: ProblemData) -> AffineForwardOperat
     K = np.empty((len(bmap_a), flux_load.shape[1]))
     for start in range(0, flux_load.shape[1], _K_BLOCK):
         loads = 0.0 - flux_load[:, start:start + _K_BLOCK].toarray()
-        K[:, start:start + _K_BLOCK] = system._lu.solve(loads)[bmap_a.vertex_indices, :]
+        K[:, start:start + _K_BLOCK] = system.solve_block(loads)[bmap_a.vertex_indices, :]
     return AffineForwardOperator(mesh, data, K, b, bmap_a.weights, bmap_i.weights)
 
 

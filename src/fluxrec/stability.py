@@ -22,9 +22,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateEnsembleError
-from .fem import BoundaryVector, FactorizedSystem, boundary_l2_norm, norms, trace
-from .geometry import GAMMA_A
-from .spectral import FluxCoefficients, SpectralBasis, sobolev_norm, synthesize
+from .fem import (
+    BoundaryVector,
+    FactorizedSystem,
+    _norm_matrices,
+    boundary_l2_norm,
+    flux_load_matrix,
+    norms,
+    trace,
+)
+from .geometry import GAMMA_A, boundary_map
+from .inversion import _K_BLOCK
+from .spectral import SpectralBasis, sobolev_norm
 
 logger = logging.getLogger(__name__)
 
@@ -67,27 +76,48 @@ def generate_probe_ensemble(system: FactorizedSystem, basis: SpectralBasis,
     Alternates pure eigenmodes (index growing with the sample counter,
     which spreads trace norms over many decades) with random decaying
     mixtures.  Deterministic per seed; linearity makes the
-    normalization exact.
+    normalization exact.  The fluxes are the columns of one matrix,
+    solved _K_BLOCK at a time; sample_homogeneous_solution computes the
+    same norms one flux at a time.
     """
+    if np.any(system.data.f != 0.0) or np.any(system.data.u_a != 0.0):
+        raise ValueError("stability probe requires f = 0 and u_a = 0")
     rng = np.random.default_rng(seed)
     n_modes = basis.n_modes
     max_pure = min(n_modes - 1, 48)
-    samples = []
-    for i in range(n_samples):
-        if i % 2 == 0:
-            mode = 1 + (i // 2) % max_pure
-            c = np.zeros(n_modes)
-            c[mode] = 1.0
-        else:
-            p = rng.uniform(0.5, 2.0)
-            c = rng.standard_normal(n_modes) * basis.eigenvalues ** (-p)
-        q = synthesize(basis, FluxCoefficients(c))
-        s = sample_homogeneous_solution(system, basis, q)
-        if s.m_proxy == 0.0:
-            continue
-        scale = 1.0 / s.m_proxy
-        samples.append(StabilitySample(s.h1_norm * scale, s.trace_norm * scale, 1.0))
-    return samples
+    coeffs = np.zeros((n_modes, n_samples))
+    even = np.arange(0, n_samples, 2)
+    coeffs[1 + (even // 2) % max_pure, even] = 1.0
+    for i in range(1, n_samples, 2):  # draws in sample order: the same fluxes for each seed
+        p = rng.uniform(0.5, 2.0)
+        coeffs[:, i] = rng.standard_normal(n_modes) * basis.eigenvalues ** (-p)
+    fluxes = basis.eigenvectors @ coeffs
+    analyzed = basis.eigenvectors.T @ (basis.mass_diag[:, None] * fluxes)
+    half_norm = np.sqrt(_column_sums(basis.eigenvalues[:, None] * analyzed ** 2))
+
+    mesh = system.mesh
+    mass, stiffness = _norm_matrices(mesh)
+    h1_matrix = mass + stiffness
+    flux_load = flux_load_matrix(mesh)
+    bmap_a = boundary_map(mesh, GAMMA_A)
+    h1 = np.empty(n_samples)
+    tr = np.empty(n_samples)
+    for start in range(0, n_samples, _K_BLOCK):
+        cols = slice(start, start + _K_BLOCK)
+        u = system.solve_block(0.0 - flux_load @ fluxes[:, cols])
+        h1[cols] = np.sqrt(np.maximum(_column_sums(u * (h1_matrix @ u)), 0.0))
+        u_a = u[bmap_a.vertex_indices]
+        tr[cols] = np.sqrt(_column_sums(bmap_a.weights[:, None] * u_a * u_a))
+    m_proxy = half_norm + h1
+    keep = m_proxy != 0.0
+    scale = 1.0 / m_proxy[keep]
+    return [StabilitySample(h, t, 1.0)
+            for h, t in zip((h1[keep] * scale).tolist(), (tr[keep] * scale).tolist())]
+
+
+def _column_sums(x: np.ndarray) -> np.ndarray:
+    """Pairwise sum of each column; a sum over a strided axis 0 adds row by row."""
+    return np.ascontiguousarray(x.T).sum(axis=1)
 
 
 def stability_bound(samples: list[StabilitySample], c: float, c0: float,

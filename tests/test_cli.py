@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -49,6 +51,15 @@ def test_parse_config_domain_guards(tmp_path):
     bad_s.write_text("s = 0.7\n")
     with pytest.raises(SchemaError, match="must lie in"):
         parse_config(str(bad_s), SCHEMAS["vsc-check"])
+
+
+@pytest.mark.parametrize("line", ["alpha = inf", "h = inf", "f = nan", "u_a = -inf",
+                                  "delta_grid = inf, 1e-3"])
+def test_parse_config_rejects_non_finite_numbers(tmp_path, line):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(line + "\n")
+    with pytest.raises(SchemaError, match="must be finite"):
+        parse_config(str(cfg), SCHEMAS["rates"])
 
 
 def test_parse_config_unknown_key(tmp_path):
@@ -139,6 +150,23 @@ def test_invalid_mesh_file_exits_2(tmp_path, capsys, defect, subcommand):
               "clockwise triangle": "mesh contains non-positively-oriented triangles"}[defect]
     assert err == f"fluxrec: error: invalid mesh in {mesh}: {reason}\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_huge_coordinate_prints_one_error_line(tmp_path):
+    # numpy overflow warnings would reach stderr ahead of the error line
+    mesh = tmp_path / "mesh.txt"
+    cli.dispatch(["mesh-gen", "--h", "0.2", "--out", str(mesh)])
+    lines = mesh.read_text().splitlines()
+    lines[int(lines[0].split()[1])] = "1e308 1e308"  # the last vertex
+    mesh.write_text("\n".join(lines) + "\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-W", "default", "-m", "fluxrec.cli", "spectrum",
+                           "--mesh", str(mesh), "--out", str(tmp_path / "spectrum.csv")],
+                          capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 2
+    assert proc.stderr == (f"fluxrec: error: invalid mesh in {mesh}: "
+                           "mesh has non-finite vertex coordinates or edge lengths\n")
 
 
 @pytest.mark.parametrize("schedule", ["", "fixed_rho_schedule = 1e-3\n",

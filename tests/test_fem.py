@@ -4,7 +4,12 @@ import scipy.linalg
 from conftest import loop_assemble_rhs, loop_robin_matrix
 
 from fluxrec import fem, geometry, inversion
-from fluxrec.errors import DegenerateTriangleError, TagMismatchError
+from fluxrec.errors import (
+    DegenerateTriangleError,
+    DimensionMismatchError,
+    SolverFailureError,
+    TagMismatchError,
+)
 from fluxrec.fem import (
     BoundaryVector,
     FactorizedSystem,
@@ -203,6 +208,41 @@ def test_forward_operator_matches_column_loop_bitwise(random_problem):
     b = system.solve(loop_assemble_rhs(mesh, data, None)).values[idx]
     assert op.K.tobytes() == K.tobytes()
     assert op.b.tobytes() == b.tobytes()
+
+
+def test_solve_block_checks_every_column(coarse_mesh, default_data, rng):
+    system = FactorizedSystem(coarse_mesh, default_data)
+    loads = rng.standard_normal((coarse_mesh.n_vertices, 4))
+    loads[:, 1] = 0.0
+    u = system.solve_block(loads)
+    assert u.shape == loads.shape
+    assert not u[:, 1].any()
+    for j in (0, 2, 3):
+        assert np.linalg.norm(system.matrix @ u[:, j] - loads[:, j]) \
+            <= 1e-10 * np.linalg.norm(loads[:, j])
+    for bad in (np.nan, np.inf):
+        loads[5, 2] = bad
+        with pytest.raises(SolverFailureError, match="column 2"):
+            system.solve_block(loads)
+    with pytest.raises(DimensionMismatchError):
+        system.solve_block(loads[:-1])
+
+
+def test_singular_factorization_is_a_solver_failure(coarse_mesh, default_data):
+    alpha = default_data.alpha.copy()
+    alpha[0] = np.inf
+    data = ProblemData(alpha, default_data.k, default_data.f, default_data.u_a)
+    with pytest.raises(SolverFailureError, match="factorization failed"):
+        FactorizedSystem(coarse_mesh, data)
+
+
+def test_single_solve_is_a_one_column_block(coarse_mesh, default_data, rng):
+    system = FactorizedSystem(coarse_mesh, default_data)
+    rhs = rng.standard_normal(coarse_mesh.n_vertices)
+    assert system.solve(rhs).values.tobytes() == system._lu.solve(rhs).tobytes()
+    assert not system.solve(np.zeros_like(rhs)).values.any()
+    with pytest.raises(SolverFailureError):
+        system.solve(np.full_like(rhs, np.nan))
 
 
 def test_constant_solution(coarse_mesh):

@@ -144,6 +144,25 @@ def test_load_garbage(tmp_path):
     assert err.value.line_number == 3
 
 
+@pytest.mark.parametrize("record", ["garbage here", "duplicate"])
+def test_load_rejects_records_after_the_boundary_edges(tmp_path, record):
+    path = tmp_path / "mesh.txt"
+    save_mesh(generate_annulus_mesh(0.5, 1.0, 0.2), path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines + [" ", lines[-1] if record == "duplicate" else record]) + "\n")
+    with pytest.raises(MalformedFileError) as err:
+        load_mesh(path)
+    assert err.value.line_number == len(lines) + 2
+    assert err.value.exit_code == 2
+
+
+def test_load_accepts_trailing_blank_lines(tmp_path, coarse_mesh):
+    path = tmp_path / "mesh.txt"
+    save_mesh(coarse_mesh, path)
+    path.write_text(path.read_text() + "\n   \n\t\n")
+    assert load_mesh(path).vertices.tobytes() == coarse_mesh.vertices.tobytes()
+
+
 @pytest.mark.parametrize("section, record", [("TRIANGLES", "0 1 99999999999999999999999"),
                                              ("BOUNDARY_EDGES", "-1 0 GammaI"),
                                              ("BOUNDARY_EDGES", "0 378 GammaA")])
@@ -323,7 +342,7 @@ def test_validation_errors_match_dict_oracle(defect):
     assert str(got.value).startswith(message)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("defect", sorted(DEFECTS))
 def test_load_rejects_an_invalid_mesh_naming_the_path(tmp_path, defect):
     build, message = DEFECTS[defect]

@@ -6,8 +6,8 @@ import pytest
 from fluxrec import fem, stability
 from fluxrec.errors import DegenerateEnsembleError
 from fluxrec.fem import BoundaryVector, FactorizedSystem, ProblemData
-from fluxrec.geometry import GAMMA_I, refine_uniform
-from fluxrec.spectral import build_spectral_basis
+from fluxrec.geometry import GAMMA_I, generate_annulus_mesh, refine_uniform
+from fluxrec.spectral import FluxCoefficients, build_spectral_basis, synthesize
 from fluxrec.stability import (
     evaluate_stability_bound,
     fit_stability_modulus,
@@ -58,6 +58,57 @@ def test_high_modes_decay_across_annulus(probe_system, basis):
     s5 = sample_homogeneous_solution(probe_system, basis, basis.mode(9))
     # ratio trace/h1 falls sharply with boundary frequency
     assert s5.trace_norm / s5.h1_norm < 0.1 * (s1.trace_norm / s1.h1_norm)
+
+
+def per_sample_ensemble(system, basis, n_samples, seed):
+    """Oracle of generate_probe_ensemble: one synthesize and one solve per sample."""
+    rng = np.random.default_rng(seed)
+    max_pure = min(basis.n_modes - 1, 48)
+    samples = []
+    for i in range(n_samples):
+        if i % 2 == 0:
+            c = np.zeros(basis.n_modes)
+            c[1 + (i // 2) % max_pure] = 1.0
+        else:
+            p = rng.uniform(0.5, 2.0)
+            c = rng.standard_normal(basis.n_modes) * basis.eigenvalues ** (-p)
+        s = sample_homogeneous_solution(system, basis, synthesize(basis, FluxCoefficients(c)))
+        if s.m_proxy == 0.0:
+            continue
+        scale = 1.0 / s.m_proxy
+        samples.append(stability.StabilitySample(s.h1_norm * scale, s.trace_norm * scale, 1.0))
+    return samples
+
+
+@pytest.fixture(scope="module", params=[0.1, 0.05])
+def probe_problem(request):
+    mesh = generate_annulus_mesh(0.5, 1.0, request.param)
+    system = FactorizedSystem(mesh, ProblemData.from_constants(mesh, f=0.0, u_a=0.0))
+    return system, build_spectral_basis(mesh)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 20031])
+def test_block_ensemble_matches_per_sample_oracle(probe_problem, seed):
+    system, basis = probe_problem
+    n_samples = 150  # more than two blocks of inversion._K_BLOCK columns
+    block = generate_probe_ensemble(system, basis, n_samples, seed)
+    oracle = per_sample_ensemble(system, basis, n_samples, seed)
+    assert len(block) == len(oracle) == n_samples
+    for name in ("h1_norm", "trace_norm", "m_proxy"):
+        got = np.array([getattr(s, name) for s in block])
+        want = np.array([getattr(s, name) for s in oracle])
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), name
+    c_fit, c0_fit, max_violation = fit_stability_modulus(block, kappa=0.9)
+    c_oracle, c0_oracle, _ = fit_stability_modulus(oracle, kappa=0.9)
+    assert c_fit == pytest.approx(c_oracle, rel=1e-12, abs=0.0)
+    assert c0_fit == pytest.approx(c0_oracle, rel=1e-12, abs=0.0)
+    assert max_violation <= 0.0
+
+
+def test_ensemble_requires_homogeneous_data(coarse_mesh, basis):
+    bad = FactorizedSystem(coarse_mesh, ProblemData.from_constants(coarse_mesh, f=1.0))
+    with pytest.raises(ValueError, match="f = 0 and u_a = 0"):
+        generate_probe_ensemble(bad, basis, 10, seed=0)
 
 
 def test_trace_inequality_with_calibrated_constant(ensemble, trace_constant):
