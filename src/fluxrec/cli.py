@@ -217,9 +217,8 @@ def cmd_vsc_check(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     report_path = os.path.join(args.out, "vsc_report.csv")
     lines = ["sample_id,lhs,rhs,margin"]
-    for row in report.rows:
-        lines.append(",".join([str(row.sample_id), _fmt(row.lhs), _fmt(row.rhs),
-                               _fmt(row.margin)]))
+    for i, sides in enumerate(zip(report.lhs, report.rhs, report.margin)):
+        lines.append(",".join([str(i), *map(_fmt, sides)]))
     _write_lines(report_path, lines)
     summary_path = os.path.join(args.out, "summary.txt")
     _write_lines(summary_path, [

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+import warnings
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -170,15 +171,28 @@ def _non_finite(value) -> bool:
 
 
 def resolve_field(value, n_expected: int, key: str) -> np.ndarray:
-    """Turn a config constant or one-column file into an array of length n."""
+    """Turn a config constant or one-column file into an array of length n.
+
+    A file's values get the finiteness and domain checks of a constant.
+    """
     if isinstance(value, str):
         try:
-            arr = np.loadtxt(value, dtype=float, ndmin=1)
+            with warnings.catch_warnings():
+                # numpy warns on an empty file; its length check below is the one report
+                warnings.simplefilter("ignore", UserWarning)
+                arr = np.loadtxt(value, dtype=float, ndmin=1)
         except OSError as exc:
             raise MalformedFileError(f"cannot read field file for {key}: {exc}") from exc
         except ValueError as exc:
             raise MalformedFileError(f"bad numeric data in field file for {key}: {exc}") from exc
         if arr.shape != (n_expected,):
             raise SchemaError(key, f"field file has {arr.shape[0]} values, expected {n_expected}")
+        if not np.isfinite(arr).all():
+            raise SchemaError(key, "field file values must be finite")
+        # every key domain is an interval, so checking both ends checks every value
+        for end in (arr.min(), arr.max()):
+            problem = PROBLEM_KEYS[key].check(float(end))
+            if problem is not None:
+                raise SchemaError(key, f"field file value {float(end)!r} {problem}")
         return arr
     return np.full(n_expected, float(value))

@@ -288,6 +288,11 @@ def _column_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->j", x, x))
 
 
+def _column_sums(x: np.ndarray) -> np.ndarray:
+    """Pairwise sum of each column; a sum over a strided axis 0 adds row by row."""
+    return np.ascontiguousarray(x.T).sum(axis=1)
+
+
 def trace(u: ScalarField, tag: str) -> BoundaryVector:
     """Restriction of nodal values to one tagged loop, in map order."""
     if tag not in (GAMMA_I, GAMMA_A):

@@ -361,13 +361,16 @@ def load_mesh(path) -> Mesh:
     n_v = expect_header("VERTICES")
     verts = take(n_v, lambda p: (float(p[0]), float(p[1])) if len(p) == 2 else _bad())
     n_t = expect_header("TRIANGLES")
+    first_triangle_line = pos + 1
     tris = take(n_t, lambda p: (int(p[0]), int(p[1]), int(p[2])) if len(p) == 3 else _bad())
     n_b = expect_header("BOUNDARY_EDGES")
+    first_edge_line = pos + 1
 
+    records = take(n_b, lambda p: (int(p[0]), int(p[1]), p[2]) if len(p) == 3 else _bad())
     edges, tags = [], []
-    for a, b, tag in take(n_b, lambda p: (int(p[0]), int(p[1]), p[2]) if len(p) == 3 else _bad()):
+    for j, (a, b, tag) in enumerate(records):
         if tag not in VALID_TAGS:
-            raise MalformedFileError(f"unknown boundary tag {tag!r}", pos)
+            raise MalformedFileError(f"unknown boundary tag {tag!r}", first_edge_line + j)
         edges.append((a, b))
         tags.append(tag)
     for ln in range(pos, len(raw)):
@@ -375,15 +378,20 @@ def load_mesh(path) -> Mesh:
             raise MalformedFileError(f"unexpected record {raw[ln]!r} after the boundary edges",
                                      ln + 1)
 
+    def vertex_ids(records, width: int, first_line: int) -> np.ndarray:
+        """The records as an index array; the first naming no vertex is reported by its line."""
+        try:
+            ids = np.asarray(records, dtype=np.int64).reshape(-1, width)
+            bad = np.flatnonzero(((ids < 0) | (ids >= n_v)).any(axis=1))
+        except OverflowError:
+            bad = [i for i, rec in enumerate(records) if not all(0 <= v < n_v for v in rec)]
+        if len(bad):
+            raise MalformedFileError("vertex index out of range", first_line + int(bad[0]))
+        return ids
+
     vertices = np.asarray(verts).reshape(-1, 2)
-    try:
-        triangles = np.asarray(tris, dtype=np.int64).reshape(-1, 3)
-        boundary_edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    except OverflowError:
-        raise MalformedFileError("vertex index out of range", pos) from None
-    for ids in (triangles, boundary_edges):
-        if ids.size and (ids.min() < 0 or ids.max() >= n_v):
-            raise MalformedFileError("vertex index out of range", pos)
+    triangles = vertex_ids(tris, 3, first_triangle_line)
+    boundary_edges = vertex_ids(edges, 2, first_edge_line)
     mesh = Mesh(vertices, triangles, boundary_edges, np.asarray(tags),
                 _max_edge_length(vertices, triangles))
     try:

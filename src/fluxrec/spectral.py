@@ -54,16 +54,6 @@ class SpectralBasis:
         return BoundaryVector(GAMMA_I, self.eigenvectors[:, n].copy())
 
 
-@dataclass(eq=False)
-class FluxCoefficients:
-    """Eigencoefficients c_n = (q, e_n) on GammaI."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-
-
 @per_mesh
 def build_spectral_basis(mesh: Mesh) -> SpectralBasis:
     """Full symmetric generalized eigendecomposition of the loop operator.
@@ -119,15 +109,17 @@ def _check_dim(basis: SpectralBasis, values: np.ndarray) -> None:
         )
 
 
-def analyze(basis: SpectralBasis, q: BoundaryVector) -> FluxCoefficients:
-    """Eigencoefficients of q; Parseval holds exactly in the lumped norm."""
+def analyze(basis: SpectralBasis, q: BoundaryVector) -> np.ndarray:
+    """Eigencoefficients c_n = (q, e_n); Parseval holds exactly in the lumped norm."""
     _check_dim(basis, q.values)
-    return FluxCoefficients(basis.eigenvectors.T @ (basis.mass_diag * q.values))
+    return basis.eigenvectors.T @ (basis.mass_diag * q.values)
 
 
-def synthesize(basis: SpectralBasis, c: FluxCoefficients) -> BoundaryVector:
-    _check_dim(basis, c.values)
-    return BoundaryVector(GAMMA_I, basis.eigenvectors @ c.values)
+def synthesize(basis: SpectralBasis, c: np.ndarray) -> BoundaryVector:
+    """The flux sum_n c_n e_n with eigencoefficients c."""
+    c = np.asarray(c, dtype=float)
+    _check_dim(basis, c)
+    return BoundaryVector(GAMMA_I, basis.eigenvectors @ c)
 
 
 def sobolev_norm(basis: SpectralBasis, s: float, q: BoundaryVector) -> float:
@@ -135,13 +127,12 @@ def sobolev_norm(basis: SpectralBasis, s: float, q: BoundaryVector) -> float:
     if not -0.5 <= s <= 1.0:
         raise ValueError(f"s={s} outside supported range [-1/2, 1]")
     c = analyze(basis, q)
-    return float(np.sqrt((basis.eigenvalues ** (2.0 * s) * c.values ** 2).sum()))
+    return float(np.sqrt((basis.eigenvalues ** (2.0 * s) * c ** 2).sum()))
 
 
 def tail_norm(basis: SpectralBasis, lambda_cut: float, q: BoundaryVector) -> float:
     """||(I - P_lambda) q|| in the lumped L2(GammaI) norm, from coefficients."""
-    c = analyze(basis, q)
-    tail = c.values[basis.eigenvalues > lambda_cut]
+    tail = analyze(basis, q)[basis.eigenvalues > lambda_cut]
     return float(np.sqrt((tail * tail).sum()))
 
 
@@ -161,7 +152,7 @@ def synthesize_flux_with_smoothness(basis: SpectralBasis, s: float, eps: float,
     signs = rng.choice(np.array([-1.0, 1.0]), size=basis.n_modes)
     coeffs = signs * basis.eigenvalues ** (-(s + 0.5 + eps))
     coeffs /= np.linalg.norm(coeffs)
-    return synthesize(basis, FluxCoefficients(coeffs))
+    return synthesize(basis, coeffs)
 
 
 def band_limited_flux(basis: SpectralBasis, n_modes: int, seed: int) -> BoundaryVector:
@@ -170,4 +161,4 @@ def band_limited_flux(basis: SpectralBasis, n_modes: int, seed: int) -> Boundary
     coeffs = np.zeros(basis.n_modes)
     coeffs[:n_modes] = rng.standard_normal(n_modes)
     coeffs /= np.linalg.norm(coeffs)
-    return synthesize(basis, FluxCoefficients(coeffs))
+    return synthesize(basis, coeffs)

@@ -25,6 +25,7 @@ from .errors import DegenerateEnsembleError
 from .fem import (
     BoundaryVector,
     FactorizedSystem,
+    _column_sums,
     _norm_matrices,
     boundary_l2_norm,
     flux_load_matrix,
@@ -113,11 +114,6 @@ def generate_probe_ensemble(system: FactorizedSystem, basis: SpectralBasis,
     scale = 1.0 / m_proxy[keep]
     return [StabilitySample(h, t, 1.0)
             for h, t in zip((h1[keep] * scale).tolist(), (tr[keep] * scale).tolist())]
-
-
-def _column_sums(x: np.ndarray) -> np.ndarray:
-    """Pairwise sum of each column; a sum over a strided axis 0 adds row by row."""
-    return np.ascontiguousarray(x.T).sum(axis=1)
 
 
 def stability_bound(samples: list[StabilitySample], c: float, c0: float,

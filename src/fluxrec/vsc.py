@@ -27,15 +27,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (
+    DimensionMismatchError,
     EmptyGridError,
     FitFailureError,
     InadmissibleSampleError,
     ParameterDomainError,
 )
-from .fem import BoundaryVector, boundary_l2_norm
-from .geometry import GAMMA_I
-from .inversion import AffineForwardOperator, admissibility_check
-from .spectral import SpectralBasis, analyze, sobolev_norm, synthesize, FluxCoefficients
+from .fem import BoundaryVector, _column_sums, boundary_l2_norm
+from .inversion import AffineForwardOperator
+from .spectral import SpectralBasis, analyze, sobolev_norm
 
 logger = logging.getLogger(__name__)
 
@@ -60,48 +60,39 @@ class IndexFunctionSpec:
         return np.asarray(lam, dtype=float) ** (0.5 - self.s)
 
 
-@dataclass
-class PsiValue:
-    value: float
-    lambda_star: float
-
-
-def psi0_eval(spec: IndexFunctionSpec, t: float) -> float:
-    """Logarithmic index function with linear extension.
+def psi0_eval(spec: IndexFunctionSpec, t) -> np.ndarray:
+    """Logarithmic index function with linear extension, at every entry of t.
 
     C / log(C0/t)^kappa on (0, cprime], extended linearly with matched
     slope beyond the junction; requires C0/cprime > e^(kappa+1) so the
     log branch is concave up to the junction.  The theory's bound M is
     normalized to 1 (only C*M, C0*M and cprime*M are identifiable).
     """
-    if t <= 0.0:
-        raise ParameterDomainError(f"index functions are defined on (0, inf), got t={t}")
+    t = np.asarray(t, dtype=float)
+    outside = t[~(t > 0.0)]
+    if outside.size:
+        raise ParameterDomainError(
+            f"index functions are defined on (0, inf), got t={outside.flat[0]}")
     if spec.C0 / spec.cprime <= math.exp(spec.kappa + 1.0):
         raise ParameterDomainError(
             f"need C0/cprime > e^(kappa+1) = {math.exp(spec.kappa + 1.0):.6g}, "
             f"got {spec.C0 / spec.cprime:.6g}"
         )
     junction = spec.cprime
-
-    def log_branch(x: float) -> float:
-        return spec.C / math.log(spec.C0 / x) ** spec.kappa
-
-    if t <= junction:
-        return log_branch(t)
-    log_j = math.log(spec.C0 / spec.cprime)
+    log_j = math.log(spec.C0 / junction)
     slope = spec.C * spec.kappa / (junction * log_j ** (spec.kappa + 1.0))
-    return log_branch(junction) + slope * (t - junction)
+    log_branch = spec.C / np.log(spec.C0 / np.minimum(t, junction)) ** spec.kappa
+    return np.where(t <= junction, log_branch,
+                    spec.C / log_j ** spec.kappa + slope * (t - junction))
 
 
-def psi_infimum(spec: IndexFunctionSpec, t: float, lambda_grid: np.ndarray) -> PsiValue:
-    """Psi(t) = min over the grid of g(lambda) Psi0(t) + f(lambda)^2."""
+def psi_infimum(spec: IndexFunctionSpec, t, lambda_grid: np.ndarray) -> np.ndarray:
+    """Psi(t) = min over the grid of g(lambda) Psi0(t) + f(lambda)^2, at every entry of t."""
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     if lambda_grid.size == 0:
         raise EmptyGridError("lambda grid is empty")
-    psi0 = psi0_eval(spec, t)
-    vals = spec.g(lambda_grid) * psi0 + spec.f(lambda_grid) ** 2
-    k = int(np.argmin(vals))
-    return PsiValue(float(vals[k]), float(lambda_grid[k]))
+    vals = np.multiply.outer(psi0_eval(spec, t), spec.g(lambda_grid)) + spec.f(lambda_grid) ** 2
+    return vals.min(axis=-1)
 
 
 def default_lambda_grid(basis: SpectralBasis) -> np.ndarray:
@@ -109,62 +100,18 @@ def default_lambda_grid(basis: SpectralBasis) -> np.ndarray:
     return np.geomspace(1.0, float(basis.eigenvalues[-1]) * 1e3, 400)
 
 
-@dataclass
-class ProjectorConditionRow:
-    lam: float
-    lhs: float
-    rhs: float
-    slack: float
-
-
-@dataclass
-class ProjectorConditionReport:
-    rows: list[ProjectorConditionRow]
-
-    @property
-    def min_slack(self) -> float:
-        return min(r.slack for r in self.rows)
-
-    @property
-    def ok(self) -> bool:
-        return self.min_slack >= -1e-12
-
-
-def check_projector_conditions(basis: SpectralBasis, q_dag: BoundaryVector, s: float,
-                               lambda_grid: np.ndarray) -> ProjectorConditionReport:
-    """Verify ||(I - P_lambda) qd|| <= lambda^-s ||qd||_{H^s} on the grid.
-
-    This is an exact discrete identity chain, so slacks are checked at
-    round-off tolerance (-1e-12).
-    """
-    c = analyze(basis, q_dag).values
-    lam_n = basis.eigenvalues
-    norm_s = float(np.sqrt((lam_n ** (2.0 * s) * c ** 2).sum()))
-    rows = []
-    for lam in np.asarray(lambda_grid, dtype=float):
-        tail = c[lam_n > lam]
-        lhs = float(np.sqrt((tail * tail).sum()))
-        rhs = lam ** (-s) * norm_s
-        rows.append(ProjectorConditionRow(float(lam), lhs, rhs, rhs - lhs))
-    return ProjectorConditionReport(rows)
-
-
-@dataclass
-class VscSampleRow:
-    sample_id: int
-    lhs: float
-    rhs: float
-    margin: float
-
-
-@dataclass
+@dataclass(eq=False)
 class VscReport:
-    rows: list[VscSampleRow]
+    """Both sides of the inequality and the margin RHS - LHS, one entry per sample."""
+
+    lhs: np.ndarray
+    rhs: np.ndarray
+    margin: np.ndarray
     scale: float
 
     @property
     def min_margin(self) -> float:
-        return min(r.margin for r in self.rows)
+        return float(self.margin.min())
 
     @property
     def holds_empirically(self) -> bool:
@@ -172,43 +119,45 @@ class VscReport:
 
     @property
     def fraction_nonnegative(self) -> float:
-        return sum(1 for r in self.rows if r.margin >= 0.0) / len(self.rows)
+        return int(np.count_nonzero(self.margin >= 0.0)) / self.margin.size
 
 
 def _sample_terms(op: AffineForwardOperator, basis: SpectralBasis, q_dag: BoundaryVector,
-                  samples: list[BoundaryVector], m0: float) -> list[tuple[float, float, float]]:
-    """(lhs, norm-difference part of rhs, misfit) per sample; each must be admissible."""
-    mesh = op.mesh
-    half_dag = 0.5 * boundary_l2_norm(mesh, q_dag) ** 2
-    k_dag = op.apply_linear(q_dag.values)
-    terms = []
-    for i, q in enumerate(samples):
-        if not admissibility_check(q, q_dag, basis, m0):
-            raise InadmissibleSampleError(f"sample {i} outside the admissible ball (m0={m0})")
-        diff = BoundaryVector(GAMMA_I, q.values - q_dag.values)
-        terms.append((0.25 * boundary_l2_norm(mesh, diff) ** 2,
-                      0.5 * boundary_l2_norm(mesh, q) ** 2 - half_dag,
-                      op.misfit_norm(op.apply_linear(q.values), k_dag)))
-    return terms
+                  fluxes: np.ndarray, m0: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lhs, norm-difference part of rhs, misfit) per flux column; each must be admissible."""
+    fluxes = np.asarray(fluxes, dtype=float)
+    if fluxes.ndim != 2 or fluxes.shape[0] != op.n_i:
+        raise DimensionMismatchError(f"flux matrix shape {fluxes.shape} needs {op.n_i} rows")
+    diff = fluxes - q_dag.values[:, None]
+    coeffs = basis.eigenvectors.T @ (basis.mass_diag[:, None] * diff)
+    half = np.sqrt(_column_sums(basis.eigenvalues[:, None] * coeffs ** 2))
+    outside = np.flatnonzero(~(half <= m0))
+    if outside.size:
+        raise InadmissibleSampleError(f"sample {outside[0]} outside the admissible ball (m0={m0})")
+    w_i = op.w_i[:, None]
+    half_dag = 0.5 * boundary_l2_norm(op.mesh, q_dag) ** 2
+    lhs = 0.25 * np.sqrt(_column_sums(w_i * diff * diff)) ** 2
+    rhs_norms = 0.5 * np.sqrt(_column_sums(w_i * fluxes * fluxes)) ** 2 - half_dag
+    # K (q - qd) rather than K q - K qd: exactly 0 at q = qd, no cancellation near it
+    k_diff = op.K @ diff
+    misfit = np.sqrt(_column_sums(op.w_a[:, None] * k_diff * k_diff))
+    return lhs, rhs_norms, misfit
 
 
 def check_vsc_inequality(op: AffineForwardOperator, basis: SpectralBasis,
                          q_dag: BoundaryVector, spec: IndexFunctionSpec,
-                         samples: list[BoundaryVector], m0: float = 10.0) -> VscReport:
+                         samples: np.ndarray, m0: float = 10.0) -> VscReport:
     """Per-sample margins RHS - LHS of the source-condition inequality.
 
-    Every sample must lie in the admissible ball; the misfit argument of
-    Psi is floored at T_FLOOR so the degenerate sample q = qd evaluates.
+    samples holds one flux per column.  Every sample must lie in the
+    admissible ball; the misfit argument of Psi is floored at T_FLOOR
+    so the degenerate sample q = qd evaluates.
     """
-    lambda_grid = default_lambda_grid(basis)
-    rows = []
-    scale = max(1.0, 0.5 * boundary_l2_norm(op.mesh, q_dag) ** 2)
-    for i, (lhs, rhs_norms, misfit) in enumerate(_sample_terms(op, basis, q_dag, samples, m0)):
-        psi = psi_infimum(spec, max(misfit, T_FLOOR), lambda_grid).value
-        rhs = rhs_norms + psi
-        rows.append(VscSampleRow(i, lhs, rhs, rhs - lhs))
-        scale = max(scale, abs(lhs), abs(rhs))
-    return VscReport(rows, scale)
+    lhs, rhs_norms, misfit = _sample_terms(op, basis, q_dag, samples, m0)
+    rhs = rhs_norms + psi_infimum(spec, np.maximum(misfit, T_FLOOR), default_lambda_grid(basis))
+    scale = np.max(np.abs(np.concatenate([lhs, rhs])),
+                   initial=max(1.0, 0.5 * boundary_l2_norm(op.mesh, q_dag) ** 2))
+    return VscReport(lhs, rhs, rhs - lhs, float(scale))
 
 
 def _shrink_t_max(basis: SpectralBasis, q_dag: BoundaryVector, m0: float) -> float:
@@ -217,7 +166,7 @@ def _shrink_t_max(basis: SpectralBasis, q_dag: BoundaryVector, m0: float) -> flo
 
 
 def fit_vsc_constants(op: AffineForwardOperator, basis: SpectralBasis,
-                      q_dag: BoundaryVector, calibration: list[BoundaryVector],
+                      q_dag: BoundaryVector, calibration: np.ndarray,
                       s: float, kappa: float, m0: float = 10.0) -> IndexFunctionSpec:
     """Fit the constants of Psi in closed form, validated on the fitted samples.
 
@@ -238,32 +187,29 @@ def fit_vsc_constants(op: AffineForwardOperator, basis: SpectralBasis,
     every kappa <= 2, so on the whole domain (0, 1) of kappa the anchor
     covers the ray.
     """
-    if not calibration:
+    if np.size(calibration) == 0:
         raise FitFailureError("empty calibration ensemble")
     terms = _sample_terms(op, basis, q_dag, calibration, m0)
-    if max(misfit for *_, misfit in terms) <= T_FLOOR:
+    if terms[2].max() <= T_FLOOR:
         raise FitFailureError("all calibration misfits are zero; forward operator degenerate")
 
-    anchor = BoundaryVector(GAMMA_I, (1.0 - _shrink_t_max(basis, q_dag, m0)) * q_dag.values)
-    terms += _sample_terms(op, basis, q_dag, [anchor], m0)
-    cprime = max(misfit for *_, misfit in terms)
+    anchor = (1.0 - _shrink_t_max(basis, q_dag, m0)) * q_dag.values[:, None]
+    lhs, rhs_norms, misfit = map(np.append, terms, _sample_terms(op, basis, q_dag, anchor, m0))
+    cprime = float(misfit.max())
     unit = IndexFunctionSpec(C=1.0, C0=cprime * math.exp(kappa + 1.0) * 1.01, kappa=kappa,
                              s=s, cprime=cprime, f_coeff=sobolev_norm(basis, s, q_dag))
     lam = default_lambda_grid(basis)
-    f2_term = unit.f(lam) ** 2
-    g_unit = unit.g(lam)
-    required = 0.0
-    for lhs, rhs_norms, misfit in terms:
-        deficit = lhs - rhs_norms
-        if deficit > 0.0:
-            need = (deficit - f2_term) / (g_unit * psi0_eval(unit, max(misfit, T_FLOOR)))
-            required = max(required, float(need.max()))
+    deficit = lhs - rhs_norms
+    pos = deficit > 0.0
+    need = ((deficit[pos, None] - unit.f(lam) ** 2)
+            / (unit.g(lam) * psi0_eval(unit, np.maximum(misfit[pos], T_FLOOR))[:, None]))
+    required = float(np.max(need, initial=0.0))
     if not required > 0.0:
         raise FitFailureError("no fitted sample has a positive deficit; nothing fixes C")
 
     fitted = replace(unit, C=required * (1.0 + 1e-9))
-    margin = min(rhs_norms + psi_infimum(fitted, max(misfit, T_FLOOR), lam).value - lhs
-                 for lhs, rhs_norms, misfit in terms)
+    margin = float((rhs_norms + psi_infimum(fitted, np.maximum(misfit, T_FLOOR), lam)
+                    - lhs).min())
     if margin < 0.0:
         raise FitFailureError(f"fitted constants leave a negative margin {margin:.3e}")
     logger.info("fitted VSC constants C0=%.4g C=%.4g cprime=%.4g",
@@ -272,20 +218,21 @@ def fit_vsc_constants(op: AffineForwardOperator, basis: SpectralBasis,
 
 
 def sample_admissible_fluxes(basis: SpectralBasis, q_dag: BoundaryVector, m0: float,
-                             n_samples: int, seed: int) -> list[BoundaryVector]:
+                             n_samples: int, seed: int) -> np.ndarray:
     """Random admissible perturbations of qd, diverse in spectral decay.
 
     Three interleaved families: rough random perturbations with random
     decay, shrinkages toward zero along qd (which stress the inequality
     hardest), and mixtures.  All are scaled into the H^(1/2) ball of
-    radius m0 around qd; deterministic per seed.
+    radius m0 around qd; deterministic per seed.  Returns the
+    (n_i x n_samples) flux matrix, one sample per column.
     """
     rng = np.random.default_rng(seed)
     lam = basis.eigenvalues
-    c_dag = analyze(basis, q_dag).values
+    c_dag = analyze(basis, q_dag)
     t_max = _shrink_t_max(basis, q_dag, m0)
-    out = []
-    for i in range(n_samples):
+    coeffs = np.empty((basis.n_modes, n_samples))
+    for i in range(n_samples):  # draws in sample order: the same samples for each seed
         family = i % 3
         if family == 0:
             d = rng.standard_normal(basis.n_modes) * lam ** (-rng.uniform(0.0, 1.5))
@@ -300,6 +247,5 @@ def sample_admissible_fluxes(basis: SpectralBasis, q_dag: BoundaryVector, m0: fl
         if half > 0.0:
             target = rng.uniform(0.05, 0.999) * m0 if family != 1 else min(half, 0.999 * m0)
             d = d * (target / half) if half > target else d
-        q = synthesize(basis, FluxCoefficients(c_dag + d))
-        out.append(q)
-    return out
+        coeffs[:, i] = c_dag + d
+    return basis.eigenvectors @ coeffs

@@ -1,10 +1,13 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from fluxrec import fem, geometry, inversion, spectral
-from fluxrec.errors import InvalidGeometryError
+from fluxrec import fem, geometry, inversion, spectral, vsc
+from fluxrec.errors import InadmissibleSampleError, InvalidGeometryError
 
 
 def discrete_trace_constant(mesh) -> float:
@@ -188,6 +191,71 @@ def loop_validate_mesh(mesh) -> None:
         loops[tag] = geometry._walk_loop(mesh, mesh.boundary_edges[sel])
     if set(loops[geometry.GAMMA_I]) & set(loops[geometry.GAMMA_A]):
         raise InvalidGeometryError("GammaI and GammaA loops share a vertex")
+
+
+def scalar_psi0(spec, t: float) -> float:
+    """One-t oracle of vsc.psi0_eval, with math.log."""
+    junction = spec.cprime
+    if t <= junction:
+        return spec.C / math.log(spec.C0 / t) ** spec.kappa
+    log_j = math.log(spec.C0 / spec.cprime)
+    slope = spec.C * spec.kappa / (junction * log_j ** (spec.kappa + 1.0))
+    return spec.C / log_j ** spec.kappa + slope * (t - junction)
+
+
+def scalar_psi_infimum(spec, t: float, lambda_grid) -> float:
+    """One-t oracle of vsc.psi_infimum: the minimum over one grid."""
+    return float((spec.g(lambda_grid) * scalar_psi0(spec, t) + spec.f(lambda_grid) ** 2).min())
+
+
+def loop_sample_terms(op, basis, q_dag, samples, m0) -> list[tuple[float, float, float]]:
+    """Per-sample oracle of vsc._sample_terms: one admissibility check and one K q per sample."""
+    mesh = op.mesh
+    half_dag = 0.5 * fem.boundary_l2_norm(mesh, q_dag) ** 2
+    k_dag = op.apply_linear(q_dag.values)
+    terms = []
+    for i, q in enumerate(samples):
+        if not inversion.admissibility_check(q, q_dag, basis, m0):
+            raise InadmissibleSampleError(f"sample {i} outside the admissible ball (m0={m0})")
+        diff = fem.BoundaryVector(geometry.GAMMA_I, q.values - q_dag.values)
+        terms.append((0.25 * fem.boundary_l2_norm(mesh, diff) ** 2,
+                      0.5 * fem.boundary_l2_norm(mesh, q) ** 2 - half_dag,
+                      op.misfit_norm(op.apply_linear(q.values), k_dag)))
+    return terms
+
+
+def loop_vsc_report(op, basis, q_dag, spec, samples, m0=10.0):
+    """Per-sample oracle of vsc.check_vsc_inequality: (lhs, rhs, margin) arrays and the scale."""
+    lambda_grid = vsc.default_lambda_grid(basis)
+    rows = []
+    scale = max(1.0, 0.5 * fem.boundary_l2_norm(op.mesh, q_dag) ** 2)
+    for lhs, rhs_norms, misfit in loop_sample_terms(op, basis, q_dag, samples, m0):
+        rhs = rhs_norms + scalar_psi_infimum(spec, max(misfit, vsc.T_FLOOR), lambda_grid)
+        rows.append((lhs, rhs, rhs - lhs))
+        scale = max(scale, abs(lhs), abs(rhs))
+    lhs, rhs, margin = np.array(rows).reshape(-1, 3).T
+    return lhs, rhs, margin, scale
+
+
+def loop_fit_vsc_constants(op, basis, q_dag, calibration, s, kappa, m0=10.0):
+    """Per-sample oracle of vsc.fit_vsc_constants (calibration is a list of fluxes)."""
+    terms = loop_sample_terms(op, basis, q_dag, calibration, m0)
+    anchor = fem.BoundaryVector(
+        geometry.GAMMA_I, (1.0 - vsc._shrink_t_max(basis, q_dag, m0)) * q_dag.values)
+    terms += loop_sample_terms(op, basis, q_dag, [anchor], m0)
+    cprime = max(misfit for *_, misfit in terms)
+    unit = vsc.IndexFunctionSpec(C=1.0, C0=cprime * math.exp(kappa + 1.0) * 1.01, kappa=kappa,
+                                 s=s, cprime=cprime,
+                                 f_coeff=spectral.sobolev_norm(basis, s, q_dag))
+    lam = vsc.default_lambda_grid(basis)
+    required = 0.0
+    for lhs, rhs_norms, misfit in terms:
+        deficit = lhs - rhs_norms
+        if deficit > 0.0:
+            need = (deficit - unit.f(lam) ** 2) / (
+                unit.g(lam) * scalar_psi0(unit, max(misfit, vsc.T_FLOOR)))
+            required = max(required, float(need.max()))
+    return replace(unit, C=required * (1.0 + 1e-9))
 
 
 @pytest.fixture(scope="session")

@@ -201,11 +201,16 @@ def test_parse_config_malformed(tmp_path):
 
 def test_resolve_field_file(tmp_path):
     path = tmp_path / "field.txt"
-    np.savetxt(path, np.arange(5, dtype=float))
+    np.savetxt(path, np.arange(1, 6, dtype=float))
     out = resolve_field(str(path), 5, "alpha")
-    np.testing.assert_allclose(out, np.arange(5))
+    np.testing.assert_allclose(out, np.arange(1, 6))
     with pytest.raises(SchemaError):
         resolve_field(str(path), 7, "alpha")
+    # alpha must be > 0 in a file as in a constant; f has no domain
+    np.savetxt(path, np.arange(5, dtype=float))
+    with pytest.raises(SchemaError, match="field file value 0.0 must be > 0"):
+        resolve_field(str(path), 5, "alpha")
+    np.testing.assert_allclose(resolve_field(str(path), 5, "f"), np.arange(5))
 
 
 def test_unknown_subcommand_exits_2(capsys):
@@ -369,6 +374,51 @@ def test_forward_with_field_file_config(workdir, tmp_path):
     assert run(["forward", "--mesh", str(workdir / "mesh.txt"),
                 "--config", str(cfg), "--flux", str(workdir / "flux.csv"),
                 "--out-trace", str(out)]) == 2
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("alpha", np.inf, "field file values must be finite"),
+    ("alpha", -1.0, "field file value -1.0 must be > 0"),
+    ("k", 0.0, "field file value 0.0 must be > 0"),
+    ("f", np.nan, "field file values must be finite"),
+    ("u_a", -np.inf, "field file values must be finite"),
+])
+def test_field_file_outside_its_domain_exits_2(workdir, tmp_path, capsys, key, value, message):
+    # a field file gets its key's domain, as a constant does
+    mesh = load_mesh(workdir / "mesh.txt")
+    n = mesh.n_vertices if key in ("alpha", "f") else len(boundary_map(mesh, GAMMA_A))
+    values = np.ones(n)
+    values[n // 2] = value
+    field = tmp_path / "field.txt"
+    np.savetxt(field, values)
+    cfg = tmp_path / "fw.cfg"
+    cfg.write_text(f"{key} = {field}\n")
+    assert run(["forward", "--mesh", str(workdir / "mesh.txt"), "--config", str(cfg),
+                "--flux", str(workdir / "flux.csv"), "--out-trace", str(tmp_path / "t.csv")]) == 2
+    assert capsys.readouterr().err == f"fluxrec: error: config key '{key}': {message}\n"
+    assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("content, message", [
+    ("inf", "field file values must be finite"),
+    ("empty", "field file has 0 values, expected {n}"),
+])
+def test_bad_field_file_prints_one_error_line(workdir, tmp_path, content, message):
+    # numpy warnings would reach stderr ahead of the error line
+    n = load_mesh(workdir / "mesh.txt").n_vertices
+    field = tmp_path / "alpha.txt"
+    field.write_text("inf\n" * n if content == "inf" else "")
+    cfg = tmp_path / "fw.cfg"
+    cfg.write_text(f"alpha = {field}\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-W", "default", "-m", "fluxrec.cli", "forward",
+                           "--mesh", str(workdir / "mesh.txt"), "--config", str(cfg),
+                           "--flux", str(workdir / "flux.csv"),
+                           "--out-trace", str(tmp_path / "t.csv")],
+                          capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 2
+    assert proc.stderr == f"fluxrec: error: config key 'alpha': {message.format(n=n)}\n"
 
 
 def test_spectrum_output(workdir):

@@ -176,6 +176,25 @@ def test_load_rejects_a_vertex_index_out_of_range(tmp_path, coarse_mesh, section
         load_mesh(path)
 
 
+@pytest.mark.parametrize("section, record", [("TRIANGLES", "0 1 99999999999999999999999"),
+                                             ("TRIANGLES", "0 1 999"),
+                                             ("BOUNDARY_EDGES", "-1 0 GammaI"),
+                                             ("BOUNDARY_EDGES", "0 1 GammaX")])
+def test_load_reports_the_line_of_the_bad_record(tmp_path, section, record):
+    # a record in the middle of its section, not the first or the last
+    path = tmp_path / "mesh.txt"
+    save_mesh(generate_annulus_mesh(0.5, 1.0, 0.3), path)
+    lines = path.read_text().splitlines()
+    header = next(i for i, line in enumerate(lines) if line.startswith(section))
+    bad = header + 1 + int(lines[header].split()[1]) // 2
+    lines[bad] = record
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MalformedFileError) as err:
+        load_mesh(path)
+    assert err.value.line_number == bad + 1
+    assert bad + 1 < len(lines)
+
+
 def _derived_data_of_a_dropped_mesh() -> weakref.ref:
     mesh = generate_annulus_mesh(0.5, 1.0, 0.2)
     boundary_map(mesh, GAMMA_I)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fluxrec import cli
-from fluxrec.config import SCHEMAS, parse_config
+from fluxrec.config import PROBLEM_KEYS, SCHEMAS, parse_config, resolve_field
 from fluxrec.errors import FluxRecError
 from fluxrec.fem import BoundaryVector
 from fluxrec.geometry import GAMMA_A, GAMMA_I, boundary_map, generate_annulus_mesh
@@ -152,3 +152,17 @@ def test_any_value_of_a_known_key_parses_valid_or_exits_2(tmp_path_factory, data
     name = data.draw(st.sampled_from(sorted(SCHEMAS[subcommand])))
     text = f"{name} = {data.draw(_CONFIG_TOKENS)}\n"
     _parse_or_reject(tmp_path_factory.mktemp("cfg") / "run.cfg", text, subcommand)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), key=st.sampled_from(["alpha", "k", "f", "u_a"]))
+def test_mutated_field_file_resolves_valid_or_exits_2(tmp_path_factory, data, key):
+    path = tmp_path_factory.mktemp("field") / "field.txt"
+    path.write_text(data.draw(_mutations(["1.5"] * 6, _NUMBERS, " ")), encoding="utf-8")
+    try:
+        values = resolve_field(str(path), 6, key)
+    except FluxRecError as exc:
+        assert exc.exit_code == 2, repr(exc)
+    else:
+        assert values.shape == (6,) and np.isfinite(values).all()
+        assert all(PROBLEM_KEYS[key].check(v) is None for v in values.tolist()), values

@@ -7,7 +7,7 @@ from fluxrec import fem, stability
 from fluxrec.errors import DegenerateEnsembleError
 from fluxrec.fem import BoundaryVector, FactorizedSystem, ProblemData
 from fluxrec.geometry import GAMMA_I, generate_annulus_mesh, refine_uniform
-from fluxrec.spectral import FluxCoefficients, build_spectral_basis, synthesize
+from fluxrec.spectral import build_spectral_basis, synthesize
 from fluxrec.stability import (
     evaluate_stability_bound,
     fit_stability_modulus,
@@ -72,7 +72,7 @@ def per_sample_ensemble(system, basis, n_samples, seed):
         else:
             p = rng.uniform(0.5, 2.0)
             c = rng.standard_normal(basis.n_modes) * basis.eigenvalues ** (-p)
-        s = sample_homogeneous_solution(system, basis, synthesize(basis, FluxCoefficients(c)))
+        s = sample_homogeneous_solution(system, basis, synthesize(basis, c))
         if s.m_proxy == 0.0:
             continue
         scale = 1.0 / s.m_proxy

@@ -3,19 +3,26 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import (
+    loop_fit_vsc_constants,
+    loop_vsc_report,
+    scalar_psi0,
+    scalar_psi_infimum,
+)
 
+from fluxrec import fem, inversion, spectral
 from fluxrec.errors import (
+    DimensionMismatchError,
     EmptyGridError,
     FitFailureError,
     InadmissibleSampleError,
     ParameterDomainError,
 )
 from fluxrec.fem import BoundaryVector
-from fluxrec.geometry import GAMMA_I
+from fluxrec.geometry import GAMMA_I, generate_annulus_mesh
 from fluxrec.spectral import sobolev_norm, synthesize_flux_with_smoothness
 from fluxrec.vsc import (
     IndexFunctionSpec,
-    check_projector_conditions,
     check_vsc_inequality,
     default_lambda_grid,
     fit_vsc_constants,
@@ -39,6 +46,18 @@ def fitted(forward_op, basis, q_dag):
     return spec, calibration
 
 
+@pytest.fixture(scope="module")
+def fine_op_and_basis():
+    mesh = generate_annulus_mesh(0.5, 1.0, 0.05)
+    op = inversion.build_forward_operator(mesh, fem.ProblemData.from_constants(mesh))
+    return op, spectral.build_spectral_basis(mesh)
+
+
+def as_list(fluxes):
+    """The columns of a flux matrix as boundary vectors, the oracle's input."""
+    return [BoundaryVector(GAMMA_I, col) for col in fluxes.T]
+
+
 def vsc_check_fit(forward_op, basis, seed):
     """q_dag, constants and holdout as `vsc-check --n-samples 200 --seed <seed>` builds them."""
     q_dag = synthesize_flux_with_smoothness(basis, 0.5, 0.01, seed)
@@ -48,10 +67,9 @@ def vsc_check_fit(forward_op, basis, seed):
 
 
 def shrinkage_ray(basis, q_dag, n_points):
-    """(1 - t) qd for t from 0 to the sampler's far end min(1, 0.99 m0 / ||qd||_(1/2)), m0 = 10."""
+    """Columns (1 - t) qd, t from 0 to the sampler's far end min(1, 0.99 m0 / ||qd||_(1/2))."""
     t_max = min(1.0, 0.99 * 10.0 / sobolev_norm(basis, 0.5, q_dag))
-    return [BoundaryVector(GAMMA_I, (1.0 - t) * q_dag.values)
-            for t in np.linspace(0.0, t_max, n_points)]
+    return np.outer(q_dag.values, 1.0 - np.linspace(0.0, t_max, n_points))
 
 
 def test_psi0_frozen_value():
@@ -67,8 +85,8 @@ def test_psi0_frozen_value():
 
 def test_psi0_vanishes_at_zero_monotonically():
     grid = np.geomspace(1e-12, 1e-2, 30)
-    vals = [psi0_eval(PSI0_SPEC, t) for t in grid]
-    assert all(b > a for a, b in zip(vals, vals[1:]))
+    vals = psi0_eval(PSI0_SPEC, grid)
+    assert (np.diff(vals) > 0.0).all()
     assert vals[0] <= 0.05
 
 
@@ -90,6 +108,23 @@ def test_psi0_domain_guard():
         psi0_eval(bad, 0.5)
     with pytest.raises(ParameterDomainError):
         psi0_eval(PSI0_SPEC, 0.0)
+    for bad_entry in (0.0, -1.0, np.nan):
+        with pytest.raises(ParameterDomainError):
+            psi0_eval(PSI0_SPEC, np.array([0.1, bad_entry, 2.0]))
+
+
+def test_psi_over_arrays_matches_scalar_oracle():
+    # both branches of Psi0 and t near T_FLOOR, one array evaluation against one t at a time
+    ts = np.concatenate([[1e-300, 1e-30], np.geomspace(1e-8, 0.5, 20), [1.0, 1.5, 40.0]])
+    lam_grid = np.geomspace(1.0, 1e8, 400)
+    spec = IndexFunctionSpec(C=1.3, C0=100.0, kappa=0.9, s=0.25, cprime=1.0, f_coeff=0.7)
+    psi0 = psi0_eval(spec, ts)
+    psi = psi_infimum(spec, ts, lam_grid)
+    assert psi0.shape == psi.shape == ts.shape
+    for t, p0, p in zip(ts, psi0, psi):
+        assert abs(p0 - scalar_psi0(spec, t)) <= 1e-15 * scalar_psi0(spec, t)
+        assert abs(p - scalar_psi_infimum(spec, t, lam_grid)) <= 1e-15 * p
+    assert psi_infimum(spec, ts[:0], lam_grid).shape == (0,)
 
 
 def test_index_function_axioms_all_kinds():
@@ -99,10 +134,10 @@ def test_index_function_axioms_all_kinds():
     inf_spec = IndexFunctionSpec(C=1.0, C0=100.0, kappa=0.9, s=0.25)
     for fn in (
         lambda t: psi0_eval(PSI0_SPEC, t),
-        lambda t: psi_infimum(inf_spec, t, lam_grid).value,
+        lambda t: psi_infimum(inf_spec, t, lam_grid),
     ):
-        vals = np.array([fn(t) for t in grid])
-        mids = np.array([fn(0.5 * (a + b)) for a, b in zip(grid[:-2], grid[2:])])
+        vals = fn(grid)
+        mids = fn(0.5 * (grid[:-2] + grid[2:]))
         assert vals.min() > 0.0
         assert np.diff(vals).min() >= -1e-12
         assert (mids - 0.5 * (vals[:-2] + vals[2:])).min() >= -1e-10
@@ -117,10 +152,10 @@ def test_psi_infimum_s_half_hits_largest_lambda():
     spec = IndexFunctionSpec(C=1.0, C0=100.0, kappa=0.9, s=0.5)
     grid = np.geomspace(1.0, 1e6, 200)
     out = psi_infimum(spec, 1e-3, grid)
-    assert out.lambda_star == grid[-1]
     # g is 1 for s = 1/2, so the value approaches psi0 from above
-    assert out.value >= psi0_eval(spec, 1e-3)
-    assert out.value <= psi0_eval(spec, 1e-3) + grid[-1] ** -1.0
+    assert out >= psi0_eval(spec, 1e-3)
+    assert out <= psi0_eval(spec, 1e-3) + grid[-1] ** -1.0
+    assert out == psi0_eval(spec, 1e-3) + spec.f(grid[-1]) ** 2
 
 
 def test_psi_infimum_monotone_and_grid_stable():
@@ -128,19 +163,17 @@ def test_psi_infimum_monotone_and_grid_stable():
     grid = np.geomspace(1.0, 1e8, 400)
     dense = np.geomspace(1.0, 1e8, 800)
     ts = np.geomspace(1e-8, 0.5, 25)
-    vals = [psi_infimum(spec, t, grid).value for t in ts]
-    assert all(b > a for a, b in zip(vals, vals[1:]))
-    for t in (1e-6, 1e-3, 0.3):
-        coarse_v = psi_infimum(spec, t, grid).value
-        dense_v = psi_infimum(spec, t, dense).value
-        assert abs(coarse_v - dense_v) <= 0.01 * coarse_v
+    assert (np.diff(psi_infimum(spec, ts, grid)) > 0.0).all()
+    coarse_v = psi_infimum(spec, [1e-6, 1e-3, 0.3], grid)
+    dense_v = psi_infimum(spec, [1e-6, 1e-3, 0.3], dense)
+    assert (abs(coarse_v - dense_v) <= 0.01 * coarse_v).all()
 
 
 def test_psi_infimum_pointwise_bound():
     spec = IndexFunctionSpec(C=1.0, C0=100.0, kappa=0.9, s=0.25)
     grid = np.geomspace(1.0, 1e8, 300)
     for t in (1e-5, 1e-2):
-        value = psi_infimum(spec, t, grid).value
+        value = psi_infimum(spec, t, grid)
         for lam in grid[::50]:
             bound = float(spec.g(lam)) * psi0_eval(spec, t) + float(spec.f(lam)) ** 2
             assert value <= bound + 1e-15
@@ -152,32 +185,11 @@ def test_decay_law_exponent(s, kappa):
     spec = IndexFunctionSpec(C=1.0, C0=20.0, kappa=kappa, s=s, cprime=1.0)
     grid = np.geomspace(1.0, 1e10, 3000)
     deltas = np.geomspace(1e-30, 1e-240, 12)
-    vals = np.array([psi_infimum(spec, d, grid).value for d in deltas])
+    vals = psi_infimum(spec, deltas, grid)
     x = np.log(np.log(1.0 / deltas))
     slope = np.linalg.lstsq(np.vstack([x, np.ones_like(x)]).T, np.log(vals), rcond=None)[0][0]
     p_theory = 4.0 * s * kappa / (1.0 + 2.0 * s)
     assert abs(-slope - p_theory) <= 0.1 * p_theory
-
-
-def test_projector_conditions_single_mode(basis):
-    n = 6
-    q = basis.mode(n)
-    lam_n = basis.eigenvalues[n]
-    s = 0.3
-    report = check_projector_conditions(basis, q, s, np.array([1.0, lam_n, 2.0 * lam_n]))
-    below, at, above = report.rows
-    assert abs(below.lhs - 1.0) <= 1e-10
-    assert below.rhs >= 1.0 - 1e-12
-    assert at.lhs <= 1e-12         # ties included in the projector
-    assert above.lhs <= 1e-12
-    assert report.ok
-
-
-def test_projector_conditions_random(basis):
-    q = synthesize_flux_with_smoothness(basis, 0.3, 0.01, seed=17)
-    grid = np.geomspace(1.0, basis.eigenvalues[-1] * 10.0, 50)
-    report = check_projector_conditions(basis, q, 0.3, grid)
-    assert report.min_slack >= -1e-12
 
 
 def test_fit_validates_calibration(fitted, forward_op, basis, q_dag):
@@ -224,26 +236,24 @@ def test_fit_covers_whole_shrinkage_ray(forward_op, basis, seed):
 def test_fit_is_tight(fitted, forward_op, basis, q_dag):
     # C is the smallest constant that covers calibration plus the ray's far end
     spec, calibration = fitted
-    anchor = shrinkage_ray(basis, q_dag, 2)[-1]
-    report = check_vsc_inequality(forward_op, basis, q_dag, spec, [*calibration, anchor])
+    anchor = shrinkage_ray(basis, q_dag, 2)[:, -1]
+    report = check_vsc_inequality(forward_op, basis, q_dag, spec,
+                                  np.column_stack([calibration, anchor]))
     assert 0.0 <= report.min_margin <= 1e-6 * report.scale
 
 
 def test_vsc_degenerate_sample(forward_op, basis, q_dag, fitted):
     spec, _ = fitted
-    report = check_vsc_inequality(forward_op, basis, q_dag, spec, [q_dag])
-    row = report.rows[0]
-    assert row.lhs == 0.0
-    assert row.rhs >= 0.0
-    assert row.margin >= 0.0
+    report = check_vsc_inequality(forward_op, basis, q_dag, spec, q_dag.values[:, None])
+    assert report.lhs[0] == 0.0
+    assert report.rhs[0] >= 0.0
+    assert report.margin[0] >= 0.0
 
 
 def test_vsc_epsilon_sweep_no_sign_flip(forward_op, basis, q_dag, fitted):
     spec, _ = fitted
-    samples = [BoundaryVector(GAMMA_I, (1.0 + e) * q_dag.values)
-               for e in np.linspace(-0.1, 0.1, 11)]
-    report = check_vsc_inequality(forward_op, basis, q_dag, spec, samples)
-    margins = np.array([r.margin for r in report.rows])
+    samples = np.outer(q_dag.values, 1.0 + np.linspace(-0.1, 0.1, 11))
+    margins = check_vsc_inequality(forward_op, basis, q_dag, spec, samples).margin
     assert (margins >= 0.0).all()
     # away from the degenerate midpoint the sweep varies smoothly
     off_center = np.delete(margins, 5)
@@ -256,7 +266,19 @@ def test_vsc_inadmissible_sample_rejected(forward_op, basis, q_dag, fitted):
     far = BoundaryVector(GAMMA_I, q_dag.values
                          + 100.0 * e1.values / sobolev_norm(basis, 0.5, e1))
     with pytest.raises(InadmissibleSampleError):
-        check_vsc_inequality(forward_op, basis, q_dag, spec, [far], m0=10.0)
+        check_vsc_inequality(forward_op, basis, q_dag, spec, far.values[:, None], m0=10.0)
+    # a NaN sample has no norm to compare, and is rejected as well
+    nan_flux = np.column_stack([q_dag.values, np.full(basis.n_modes, np.nan)])
+    with pytest.raises(InadmissibleSampleError, match="sample 1 outside"):
+        check_vsc_inequality(forward_op, basis, q_dag, spec, nan_flux, m0=10.0)
+
+
+@pytest.mark.parametrize("shape", ["vector", "extra row"])
+def test_vsc_rejects_a_flux_matrix_of_the_wrong_shape(forward_op, basis, q_dag, fitted, shape):
+    spec, calibration = fitted
+    bad = calibration[:, 0] if shape == "vector" else np.vstack([calibration, calibration[:1]])
+    with pytest.raises(DimensionMismatchError):
+        check_vsc_inequality(forward_op, basis, q_dag, spec, bad)
 
 
 def test_fit_rejects_inadmissible_calibration_sample(forward_op, basis, q_dag):
@@ -265,22 +287,24 @@ def test_fit_rejects_inadmissible_calibration_sample(forward_op, basis, q_dag):
     step = 100.0 * e1.values / sobolev_norm(basis, 0.5, e1)
     far = BoundaryVector(GAMMA_I, q_dag.values + step)
     with pytest.raises(InadmissibleSampleError, match="sample 30 outside"):
-        fit_vsc_constants(forward_op, basis, q_dag, [*calibration, far], s=0.5, kappa=0.9)
+        fit_vsc_constants(forward_op, basis, q_dag, np.column_stack([calibration, far.values]),
+                          s=0.5, kappa=0.9)
     # with qd = 0 no sample has a positive deficit; admissibility is still checked first
     zero = BoundaryVector(GAMMA_I, np.zeros(basis.n_modes))
     with pytest.raises(InadmissibleSampleError, match="sample 0 outside"):
-        fit_vsc_constants(forward_op, basis, zero, [BoundaryVector(GAMMA_I, step)],
-                          s=0.5, kappa=0.9)
+        fit_vsc_constants(forward_op, basis, zero, step[:, None], s=0.5, kappa=0.9)
 
 
 def test_fit_failure_on_degenerate_calibration(forward_op, basis, q_dag):
     from fluxrec.errors import FitFailureError
 
     with pytest.raises(FitFailureError):
-        fit_vsc_constants(forward_op, basis, q_dag, [], s=0.5, kappa=0.9)
+        fit_vsc_constants(forward_op, basis, q_dag, np.empty((basis.n_modes, 0)),
+                          s=0.5, kappa=0.9)
     with pytest.raises(FitFailureError):
         # all-identical samples carry zero misfit: nothing to fit against
-        fit_vsc_constants(forward_op, basis, q_dag, [q_dag, q_dag], s=0.5, kappa=0.9)
+        fit_vsc_constants(forward_op, basis, q_dag, np.column_stack([q_dag.values, q_dag.values]),
+                          s=0.5, kappa=0.9)
 
 
 def test_fit_failure_without_positive_deficit(forward_op, basis):
@@ -294,10 +318,10 @@ def test_fit_failure_without_positive_deficit(forward_op, basis):
 def test_samples_are_admissible_and_deterministic(basis, q_dag):
     a = sample_admissible_fluxes(basis, q_dag, 10.0, 30, seed=5)
     b = sample_admissible_fluxes(basis, q_dag, 10.0, 30, seed=5)
-    for qa, qb in zip(a, b):
-        assert (qa.values == qb.values).all()
-    for q in a:
-        diff = BoundaryVector(GAMMA_I, q.values - q_dag.values)
+    assert a.shape == (basis.n_modes, 30)
+    assert (a == b).all()
+    for q in a.T:
+        diff = BoundaryVector(GAMMA_I, q - q_dag.values)
         assert sobolev_norm(basis, 0.5, diff) <= 10.0 + 1e-9
 
 
@@ -306,3 +330,28 @@ def test_default_lambda_grid(basis):
     assert len(grid) == 400
     assert grid[0] == 1.0
     assert abs(grid[-1] - basis.eigenvalues[-1] * 1e3) <= 1e-6 * grid[-1]
+
+
+@pytest.mark.parametrize("h", [0.1, 0.05])
+@pytest.mark.parametrize("seed", [0, 42, 20031])
+def test_flux_matrix_path_matches_per_sample_oracle(forward_op, basis, fine_op_and_basis, h, seed):
+    # GEMM and GEMV round differently: the margins may move at round-off, no verdict may
+    op, basis = (forward_op, basis) if h == 0.1 else fine_op_and_basis
+    q_dag = synthesize_flux_with_smoothness(basis, 0.5, 0.01, seed)
+    calibration = sample_admissible_fluxes(basis, q_dag, 10.0, 100, seed + 1)
+    evaluation = sample_admissible_fluxes(basis, q_dag, 10.0, 200, seed + 2)
+
+    spec = fit_vsc_constants(op, basis, q_dag, calibration, s=0.5, kappa=0.9)
+    oracle_spec = loop_fit_vsc_constants(op, basis, q_dag, as_list(calibration), 0.5, 0.9)
+    for name in ("C", "C0", "cprime"):
+        new, old = getattr(spec, name), getattr(oracle_spec, name)
+        assert abs(new - old) <= 1e-12 * abs(old), name
+    assert spec.f_coeff == oracle_spec.f_coeff
+
+    report = check_vsc_inequality(op, basis, q_dag, spec, evaluation)
+    lhs, rhs, margin, scale = loop_vsc_report(op, basis, q_dag, oracle_spec, as_list(evaluation))
+    assert abs(report.scale - scale) <= 1e-12 * scale
+    for new, old in ((report.lhs, lhs), (report.rhs, rhs), (report.margin, margin)):
+        assert np.abs(new - old).max() <= 1e-12 * scale
+    assert report.fraction_nonnegative == sum(m >= 0.0 for m in margin) / len(margin)
+    assert report.holds_empirically == (min(margin) >= -1e-9 * scale)
