@@ -254,9 +254,9 @@ def cmd_stability_probe(args) -> int:
     report_path = os.path.join(args.out, "stability_report.csv")
     lines = ["sample_id,trace_norm,h1_norm,m_proxy,bound,slack"]
     bounds = stability_bound(samples, c_fit, c0_fit, kappa)
-    for i, (smp, bound) in enumerate(zip(samples, bounds)):
-        lines.append(",".join([str(i), _fmt(smp.trace_norm), _fmt(smp.h1_norm), _fmt(smp.m_proxy),
-                               _fmt(bound), _fmt(bound - smp.h1_norm)]))
+    for i, row in enumerate(zip(samples.trace_norm, samples.h1_norm, samples.m_proxy,
+                                bounds, bounds - samples.h1_norm)):
+        lines.append(",".join([str(i), *map(_fmt, row)]))
     _write_lines(report_path, lines)
     summary_path = os.path.join(args.out, "summary.txt")
     _write_lines(summary_path, [

@@ -87,9 +87,9 @@ class ProblemData:
         self.k = np.asarray(self.k, dtype=float)
         self.f = np.asarray(self.f, dtype=float)
         self.u_a = np.asarray(self.u_a, dtype=float)
-        if self.alpha.min() <= 0.0:
+        if not (self.alpha > 0.0).all():
             raise ValueError("alpha must be strictly positive")
-        if self.k.min() <= 0.0:
+        if not (self.k > 0.0).all():
             raise ValueError("k must be strictly positive")
 
     @classmethod

@@ -88,10 +88,8 @@ def build_spectral_basis(mesh: Mesh) -> SpectralBasis:
     vecs = inv_sqrt[:, None] * y
 
     # canonical sign: largest-magnitude component positive
-    for col in range(n):
-        k = int(np.argmax(np.abs(vecs[:, col])))
-        if vecs[k, col] < 0.0:
-            vecs[:, col] = -vecs[:, col]
+    peak = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(n)]
+    vecs = np.where(peak < 0.0, -vecs, vecs)
 
     lambdas = np.sqrt(1.0 + mu)
     gram = vecs.T @ (mass[:, None] * vecs)

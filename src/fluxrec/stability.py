@@ -22,64 +22,44 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateEnsembleError
-from .fem import (
-    BoundaryVector,
-    FactorizedSystem,
-    _column_sums,
-    _norm_matrices,
-    boundary_l2_norm,
-    flux_load_matrix,
-    norms,
-    trace,
-)
+from .fem import FactorizedSystem, _column_sums, _norm_matrices, flux_load_matrix
 from .geometry import GAMMA_A, boundary_map
 from .inversion import _K_BLOCK
-from .spectral import SpectralBasis, sobolev_norm
+from .spectral import SpectralBasis
 
 logger = logging.getLogger(__name__)
 
 TRACE_FLOOR = 1e-14
 
 
-@dataclass(eq=False)
-class StabilitySample:
-    """The norms of one homogeneous solve entering the modulus fit."""
+@dataclass(frozen=True, eq=False)
+class StabilityEnsemble:
+    """The norms of the homogeneous solves entering the modulus fit, one entry per sample."""
 
-    h1_norm: float
-    trace_norm: float
-    m_proxy: float
+    h1_norm: np.ndarray
+    trace_norm: np.ndarray
+    m_proxy: np.ndarray
 
     def __post_init__(self):
-        if min(self.h1_norm, self.trace_norm, self.m_proxy) < 0.0:
+        norms = (self.h1_norm, self.trace_norm, self.m_proxy)
+        if any(np.ndim(a) != 1 or len(a) != len(self.h1_norm) for a in norms):
+            raise ValueError("stability ensemble norms must be 1-D arrays of one length")
+        if not all((a >= 0.0).all() for a in norms):
             raise ValueError("stability sample norms must be non-negative")
 
-
-def sample_homogeneous_solution(system: FactorizedSystem, basis: SpectralBasis,
-                                q: BoundaryVector) -> StabilitySample:
-    """Solve the homogeneous problem for q and collect the norms.
-
-    The shared system must carry f = 0 and u_a = 0; the factorization
-    is reused across samples.
-    """
-    if np.any(system.data.f != 0.0) or np.any(system.data.u_a != 0.0):
-        raise ValueError("stability probe requires f = 0 and u_a = 0")
-    u = system.solve_flux(q)
-    _, h1 = norms(u)
-    tr = boundary_l2_norm(system.mesh, trace(u, GAMMA_A))
-    m_proxy = sobolev_norm(basis, 0.5, q) + h1
-    return StabilitySample(h1, tr, m_proxy)
+    def __len__(self) -> int:
+        return len(self.h1_norm)
 
 
 def generate_probe_ensemble(system: FactorizedSystem, basis: SpectralBasis,
-                            n_samples: int, seed: int) -> list[StabilitySample]:
+                            n_samples: int, seed: int) -> StabilityEnsemble:
     """Mixed-frequency ensemble normalized to m_proxy = 1.
 
     Alternates pure eigenmodes (index growing with the sample counter,
     which spreads trace norms over many decades) with random decaying
     mixtures.  Deterministic per seed; linearity makes the
     normalization exact.  The fluxes are the columns of one matrix,
-    solved _K_BLOCK at a time; sample_homogeneous_solution computes the
-    same norms one flux at a time.
+    solved _K_BLOCK at a time.
     """
     if np.any(system.data.f != 0.0) or np.any(system.data.u_a != 0.0):
         raise ValueError("stability probe requires f = 0 and u_a = 0")
@@ -112,26 +92,24 @@ def generate_probe_ensemble(system: FactorizedSystem, basis: SpectralBasis,
     m_proxy = half_norm + h1
     keep = m_proxy != 0.0
     scale = 1.0 / m_proxy[keep]
-    return [StabilitySample(h, t, 1.0)
-            for h, t in zip((h1[keep] * scale).tolist(), (tr[keep] * scale).tolist())]
+    return StabilityEnsemble(h1[keep] * scale, tr[keep] * scale, np.ones(len(scale)))
 
 
-def stability_bound(samples: list[StabilitySample], c: float, c0: float,
+def stability_bound(samples: StabilityEnsemble, c: float, c0: float,
                     kappa: float) -> np.ndarray:
     """Per-sample bound C * M / log(C0 * M / trace)^kappa.
 
     NaN where the trace is zero or the log argument is <= 1: the bound
     does not apply there.
     """
-    tr = np.array([s.trace_norm for s in samples])
-    m = np.array([s.m_proxy for s in samples])
+    tr, m = samples.trace_norm, samples.m_proxy
     with np.errstate(divide="ignore", invalid="ignore"):
         arg = c0 * m / tr
         bound = c * m / np.log(arg) ** kappa
     return np.where((tr > 0.0) & (arg > 1.0), bound, np.nan)
 
 
-def fit_stability_modulus(samples: list[StabilitySample], kappa: float,
+def fit_stability_modulus(samples: StabilityEnsemble, kappa: float,
                           min_samples: int = 50) -> tuple[float, float, float]:
     """Fit (C, C0) in closed form over the ensemble; returns max violation.
 
@@ -143,87 +121,37 @@ def fit_stability_modulus(samples: list[StabilitySample], kappa: float,
     (1 + 1e-9), the smallest constant covering every sample up to
     round-off.
     """
-    usable = [s for s in samples if s.trace_norm > TRACE_FLOOR]
-    if not usable:
+    usable = samples.trace_norm > TRACE_FLOOR
+    n_usable = int(usable.sum())
+    if not n_usable:
         raise DegenerateEnsembleError("all trace norms are zero")
-    if len(usable) < min_samples:
+    if n_usable < min_samples:
         raise DegenerateEnsembleError(
-            f"need >= {min_samples} samples with positive trace, got {len(usable)}"
+            f"need >= {min_samples} samples with positive trace, got {n_usable}"
         )
-    h1 = np.array([s.h1_norm for s in usable])
-    tr = np.array([s.trace_norm for s in usable])
-    m = np.array([s.m_proxy for s in usable])
+    h1, tr, m = samples.h1_norm[usable], samples.trace_norm[usable], samples.m_proxy[usable]
     c0 = math.exp(kappa + 1.0) * float((tr / m).max())
     req = float((h1 * np.log(c0 * m / tr) ** kappa / m).max())
     if not 0.0 < req < math.inf:
         raise DegenerateEnsembleError(f"required C {req:.3e} is not positive and finite")
     c_fit = req * (1.0 + 1e-9)
-    max_violation = float((h1 - stability_bound(usable, c_fit, c0, kappa)).max())
+    excess = samples.h1_norm - stability_bound(samples, c_fit, c0, kappa)
+    max_violation = float(excess[usable].max())
     logger.info("stability fit: C=%.4g C0=%.4g max_violation=%.3e",
                 c_fit, c0, max_violation)
     return c_fit, c0, max_violation
 
 
-def evaluate_stability_bound(samples: list[StabilitySample], c: float, c0: float,
+def evaluate_stability_bound(samples: StabilityEnsemble, c: float, c0: float,
                              kappa: float) -> tuple[int, float]:
     """(violation count, worst excess) of the bound on an ensemble.
 
-    Samples whose log argument falls to or below 1 count as violations:
+    Samples with trace <= TRACE_FLOOR are skipped.  Samples whose log
+    argument falls to or below 1 count as violations with excess inf:
     the bound does not apply there, which is a failure of the fitted
     domain guard rather than of the sample.
     """
-    violations = 0
-    worst = -np.inf
-    for s in samples:
-        if s.trace_norm <= TRACE_FLOOR:
-            continue
-        arg = c0 * s.m_proxy / s.trace_norm
-        if arg <= 1.0:
-            violations += 1
-            worst = max(worst, np.inf)
-            continue
-        bound = c * s.m_proxy / math.log(arg) ** kappa
-        excess = s.h1_norm - bound
-        worst = max(worst, excess)
-        if excess > 0.0:
-            violations += 1
-    return violations, float(worst)
-
-
-@dataclass
-class NearUniquenessReport:
-    """Sorted (trace, h1) pairs with a decade-binned upper envelope."""
-
-    trace_norms: np.ndarray
-    h1_norms: np.ndarray
-    envelope_traces: np.ndarray
-    envelope_h1: np.ndarray
-    n_excluded: int
-
-    @property
-    def envelope_nondecreasing(self) -> bool:
-        return bool((np.diff(self.envelope_h1) >= -1e-12).all())
-
-
-def near_uniqueness_check(samples: list[StabilitySample]) -> NearUniquenessReport:
-    """Sort samples by trace norm and bin the h1 upper envelope per decade.
-
-    Zero-trace samples are excluded (they cannot appear on log axes).
-    Small Cauchy data forcing small interior norm shows up as a
-    non-decreasing envelope.
-    """
-    usable = sorted((s for s in samples if s.trace_norm > TRACE_FLOOR),
-                    key=lambda s: s.trace_norm)
-    n_excluded = len(samples) - len(usable)
-    if not usable:
-        raise DegenerateEnsembleError("no samples with positive trace norm")
-    tr = np.array([s.trace_norm for s in usable])
-    h1 = np.array([s.h1_norm for s in usable])
-
-    decades = np.floor(np.log10(tr)).astype(int)
-    env_t, env_h = [], []
-    for d in np.unique(decades):
-        sel = decades == d
-        env_t.append(10.0 ** d)
-        env_h.append(float(h1[sel].max()))
-    return NearUniquenessReport(tr, h1, np.array(env_t), np.array(env_h), n_excluded)
+    excess = (samples.h1_norm - stability_bound(samples, c, c0, kappa))[
+        samples.trace_norm > TRACE_FLOOR]
+    excess[np.isnan(excess)] = np.inf
+    return int((excess > 0.0).sum()), float(excess.max(initial=-np.inf))

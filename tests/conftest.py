@@ -3,10 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from fluxrec import fem, geometry, inversion, spectral, vsc
+from fluxrec import fem, geometry, inversion, spectral, stability, vsc
 from fluxrec.errors import InadmissibleSampleError, InvalidGeometryError
 
 
@@ -256,6 +257,75 @@ def loop_fit_vsc_constants(op, basis, q_dag, calibration, s, kappa, m0=10.0):
                 unit.g(lam) * scalar_psi0(unit, max(misfit, vsc.T_FLOOR)))
             required = max(required, float(need.max()))
     return replace(unit, C=required * (1.0 + 1e-9))
+
+
+def sample_homogeneous_solution(system, basis, q) -> stability.StabilityEnsemble:
+    """Per-sample oracle of stability.generate_probe_ensemble: one solve, un-normalized.
+
+    The shared system must carry f = 0 and u_a = 0.
+    """
+    u = system.solve_flux(q)
+    _, h1 = fem.norms(u)
+    tr = fem.boundary_l2_norm(system.mesh, fem.trace(u, geometry.GAMMA_A))
+    m_proxy = spectral.sobolev_norm(basis, 0.5, q) + h1
+    return stability.StabilityEnsemble(np.array([h1]), np.array([tr]), np.array([m_proxy]))
+
+
+def stack_samples(samples) -> stability.StabilityEnsemble:
+    """One ensemble holding the samples of several ensembles, in order."""
+    return stability.StabilityEnsemble(*(
+        np.concatenate([getattr(s, name) for s in samples])
+        for name in ("h1_norm", "trace_norm", "m_proxy")))
+
+
+def loop_evaluate_stability_bound(samples, c, c0, kappa) -> tuple[int, float]:
+    """Per-sample oracle of stability.evaluate_stability_bound, with math.log."""
+    violations = 0
+    worst = -math.inf
+    for h1, tr, m in zip(samples.h1_norm, samples.trace_norm, samples.m_proxy):
+        if tr <= stability.TRACE_FLOOR:
+            continue
+        arg = c0 * m / tr
+        if arg <= 1.0:
+            violations += 1
+            worst = math.inf
+            continue
+        excess = h1 - c * m / math.log(arg) ** kappa
+        worst = max(worst, excess)
+        if excess > 0.0:
+            violations += 1
+    return violations, float(worst)
+
+
+def discrete_stability_frontier(system, basis) -> tuple[np.ndarray, np.ndarray]:
+    """Exact upper-left frontier (trace/M, h1/M) of the P1 homogeneous solutions.
+
+    On the flux coefficients c, h1^2, trace^2 and ||q||_{1/2}^2 are the
+    quadratic forms A1, At and diag(lambda).  On the sphere
+    c^T diag(lambda) c = 1 the joint range of (At, A1) is convex
+    (Polyak 1998), so its points of most h1 for their trace are the top
+    generalized eigenvectors of (A1 - mu At, diag(lambda)), mu >= 0.
+    Every bound ratio h1 * log(C0 * M / trace)^kappa / M grows with h1
+    and falls with trace, so its supremum over all fluxes lies on them.
+    """
+    mesh = system.mesh
+    u = system.solve_block(-fem.flux_load_matrix(mesh) @ basis.eigenvectors)
+    mass, stiffness = fem._norm_matrices(mesh)
+    a1 = u.T @ ((mass + stiffness) @ u)
+    bmap = geometry.boundary_map(mesh, geometry.GAMMA_A)
+    u_a = u[bmap.vertex_indices]
+    a_t = u_a.T @ (bmap.weights[:, None] * u_a)
+    half = np.diag(basis.eigenvalues)
+    n = basis.n_modes
+    tr, h1 = [], []
+    for mu in np.concatenate([[0.0], np.geomspace(1e-3, 1e18, 400)]):
+        _, vec = scipy.linalg.eigh(a1 - mu * a_t, half, subset_by_index=[n - 1, n - 1])
+        c = vec[:, 0]
+        h = math.sqrt(max(c @ a1 @ c, 0.0))
+        m = math.sqrt(c @ half @ c) + h
+        tr.append(math.sqrt(max(c @ a_t @ c, 0.0)) / m)
+        h1.append(h / m)
+    return np.array(tr), np.array(h1)
 
 
 @pytest.fixture(scope="session")

@@ -20,8 +20,14 @@ def run(argv):
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
+    """An h = 0.1 mesh, a smooth flux on its GammaI and the forward trace of that flux."""
     d = tmp_path_factory.mktemp("cliwork")
     assert run(["mesh-gen", "--h", "0.1", "--out", str(d / "mesh.txt")]) == 0
+    mesh = load_mesh(d / "mesh.txt")
+    flux = synthesize_flux_with_smoothness(build_spectral_basis(mesh), 0.5, 0.01, seed=42)
+    cli.write_boundary_csv(d / "flux.csv", mesh, flux)
+    assert run(["forward", "--mesh", str(d / "mesh.txt"), "--flux", str(d / "flux.csv"),
+                "--out-trace", str(d / "trace.csv")]) == 0
     return d
 
 
@@ -335,13 +341,7 @@ def test_non_positive_n_samples_exits_2(workdir, tmp_path, capsys, subcommand):
 
 def test_forward_and_invert_pipeline(workdir):
     mesh = load_mesh(workdir / "mesh.txt")
-    basis = build_spectral_basis(mesh)
-    flux = synthesize_flux_with_smoothness(basis, 0.5, 0.01, seed=42)
-    cli.write_boundary_csv(workdir / "flux.csv", mesh, flux)
-
-    assert run(["forward", "--mesh", str(workdir / "mesh.txt"),
-                "--flux", str(workdir / "flux.csv"),
-                "--out-trace", str(workdir / "trace.csv")]) == 0
+    flux = cli.read_boundary_csv(workdir / "flux.csv", mesh, GAMMA_I)
     back = cli.read_boundary_csv(workdir / "trace.csv", mesh, "GammaA")
     assert np.isfinite(back.values).all()
 
@@ -430,8 +430,11 @@ def test_spectrum_output(workdir):
     assert first == 1.0
 
 
-def test_manifest_contents(workdir):
-    manifest = json.loads((workdir / "inv" / "manifest.json").read_text())
+def test_manifest_contents(workdir, tmp_path):
+    assert run(["invert", "--mesh", str(workdir / "mesh.txt"),
+                "--data-trace", str(workdir / "trace.csv"),
+                "--delta", "1e-4", "--seed", "3", "--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["subcommand"] == "invert"
     assert manifest["seeds"] == [3]
     assert manifest["version"]

@@ -236,6 +236,13 @@ def test_singular_factorization_is_a_solver_failure(coarse_mesh, default_data):
         FactorizedSystem(coarse_mesh, data)
 
 
+@pytest.mark.parametrize("key", ["alpha", "k"])
+@pytest.mark.parametrize("value", [np.nan, 0.0, -1.0])
+def test_non_positive_or_nan_coefficient_is_rejected(coarse_mesh, key, value):
+    with pytest.raises(ValueError, match=f"{key} must be strictly positive"):
+        ProblemData.from_constants(coarse_mesh, **{key: value})
+
+
 def test_single_solve_is_a_one_column_block(coarse_mesh, default_data, rng):
     system = FactorizedSystem(coarse_mesh, default_data)
     rhs = rng.standard_normal(coarse_mesh.n_vertices)

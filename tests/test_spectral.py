@@ -33,6 +33,12 @@ def test_constant_mode(basis):
     assert np.abs(e1 - e1[0]).max() <= 1e-8 * abs(e1[0])
 
 
+@pytest.mark.parametrize("h", [0.1, 0.05])
+def test_canonical_sign_largest_entry_positive(h):
+    vecs = build_spectral_basis(generate_annulus_mesh(0.5, 1.0, h)).eigenvectors
+    assert (vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])] > 0.0).all()
+
+
 def test_orthonormality(basis):
     gram = basis.eigenvectors.T @ (basis.mass_diag[:, None] * basis.eigenvectors)
     assert np.abs(gram - np.eye(basis.n_modes)).max() <= 1e-10
