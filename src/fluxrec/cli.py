@@ -31,7 +31,7 @@ from .geometry import (
 from .inversion import add_noise, build_forward_operator, choose_rho_discrepancy, tikhonov_solve
 from .manifest import RunManifest
 from .rates import ExperimentConfig, _fmt, _write_lines, emit_report, run_rate_study
-from .spectral import build_spectral_basis, synthesize_flux_with_smoothness
+from .spectral import build_spectral_basis, loop_eigenvalues, synthesize_flux_with_smoothness
 from .stability import fit_stability_modulus, generate_probe_ensemble, stability_bound
 from .vsc import check_vsc_inequality, fit_vsc_constants, sample_admissible_fluxes
 
@@ -155,10 +155,9 @@ def cmd_forward(args) -> int:
 
 def cmd_spectrum(args) -> int:
     t0 = time.time()
-    mesh = load_mesh(args.mesh)
-    basis = build_spectral_basis(mesh)
+    lambdas = loop_eigenvalues(load_mesh(args.mesh))
     lines = ["n,lambda"]
-    lines.extend(f"{n + 1},{_fmt(lam)}" for n, lam in enumerate(basis.eigenvalues))
+    lines.extend(f"{n + 1},{_fmt(lam)}" for n, lam in enumerate(lambdas))
     _write_lines(args.out, lines)
     manifest = RunManifest("spectrum", {}, seeds=[])
     _finish_manifest(manifest, [args.mesh], [args.out], args.out + ".manifest.json", t0)

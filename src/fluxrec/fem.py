@@ -91,6 +91,9 @@ class ProblemData:
             raise ValueError("alpha must be strictly positive")
         if not (self.k > 0.0).all():
             raise ValueError("k must be strictly positive")
+        for name in ("alpha", "k", "f", "u_a"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
 
     @classmethod
     def from_constants(cls, mesh: Mesh, alpha: float = 1.0, k: float = 1.0,

@@ -324,6 +324,45 @@ def save_mesh(mesh: Mesh, path) -> None:
         fh.write(text)
 
 
+def _read_records(lines: list[str], width: int, dtype) -> np.ndarray | None:
+    """The lines as one (len(lines), width) array from one loadtxt call; None if one is bad."""
+    if not lines:
+        return np.empty((0, width), dtype)
+    if not lines[0].strip():
+        # loadtxt skips blank lines, and warns when it finds nothing else
+        return None
+    if dtype is not float and not "".join(lines).isascii():
+        # numpy 2.4.6's integer parser can segfault on non-ASCII characters (on U+52651
+        # in about 3 runs of 10), so it gets the same tokens with '?' for non-ASCII
+        lines = [" ".join(line.split()).encode("ascii", "replace").decode() for line in lines]
+    try:
+        arr = np.loadtxt(lines, dtype=dtype, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return arr if arr.shape == (len(lines), width) else None
+
+
+def _first_bad_record(lines: list[str], width: int, dtype) -> int:
+    """Bisect on prefixes of lines, which fail as a whole, for the first line that is no record."""
+    lo, hi = 0, len(lines)  # prefix lo parses, prefix hi does not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _read_records(lines[:mid], width, dtype) is None:
+            hi = mid
+        else:
+            lo = mid
+    return lo
+
+
+def _beyond_int64(line: str, width: int) -> bool:
+    """Whether line holds width integers that int() reads, one of them outside int64."""
+    try:
+        values = [int(p) for p in line.split()]
+    except ValueError:
+        return False
+    return len(values) == width and not all(-2**63 <= v < 2**63 for v in values)
+
+
 def load_mesh(path) -> Mesh:
     """Read and validate a mesh written by :func:`save_mesh`; round trip is bit-exact."""
     with open(path, encoding="utf-8") as fh:
@@ -345,28 +384,44 @@ def load_mesh(path) -> Mesh:
         pos += 1
         return count
 
-    def take(count: int, parser):
+    def section(count: int, width: int, dtype) -> np.ndarray:
+        """The count records after the header, read by one loadtxt call."""
         nonlocal pos
-        out = []
-        for _ in range(count):
-            if pos >= len(raw):
-                raise MalformedFileError("unexpected end of file", len(raw) + 1)
-            try:
-                out.append(parser(raw[pos].split()))
-            except (ValueError, IndexError):
-                raise MalformedFileError(f"malformed record {raw[pos]!r}", pos + 1) from None
-            pos += 1
-        return out
+        lines = raw[pos:pos + max(count, 0)]
+        records = _read_records(lines, width, dtype)
+        if records is None:
+            readable = lines
+            if dtype is not float:
+                # an index beyond int64 reads as -1, which the range check reports at its line
+                readable = [" -1" * width if _beyond_int64(line, width) else line
+                            for line in lines]
+                records = _read_records(readable, width, dtype)
+            if records is None:
+                bad = _first_bad_record(readable, width, dtype)
+                raise MalformedFileError(f"malformed record {lines[bad]!r}", pos + bad + 1)
+        if len(lines) < count:
+            raise MalformedFileError("unexpected end of file", len(raw) + 1)
+        pos += len(lines)
+        return records
 
     n_v = expect_header("VERTICES")
-    verts = take(n_v, lambda p: (float(p[0]), float(p[1])) if len(p) == 2 else _bad())
+    vertices = section(n_v, 2, float)
     n_t = expect_header("TRIANGLES")
     first_triangle_line = pos + 1
-    tris = take(n_t, lambda p: (int(p[0]), int(p[1]), int(p[2])) if len(p) == 3 else _bad())
+    tris = section(n_t, 3, np.int64)
     n_b = expect_header("BOUNDARY_EDGES")
     first_edge_line = pos + 1
 
-    records = take(n_b, lambda p: (int(p[0]), int(p[1]), p[2]) if len(p) == 3 else _bad())
+    records = []
+    for ln in range(pos, pos + n_b):
+        if ln >= len(raw):
+            raise MalformedFileError("unexpected end of file", len(raw) + 1)
+        try:
+            a, b, tag = raw[ln].split()
+            records.append((int(a), int(b), tag))
+        except ValueError:
+            raise MalformedFileError(f"malformed record {raw[ln]!r}", ln + 1) from None
+    pos += len(records)
     edges, tags = [], []
     for j, (a, b, tag) in enumerate(records):
         if tag not in VALID_TAGS:
@@ -389,7 +444,6 @@ def load_mesh(path) -> Mesh:
             raise MalformedFileError("vertex index out of range", first_line + int(bad[0]))
         return ids
 
-    vertices = np.asarray(verts).reshape(-1, 2)
     triangles = vertex_ids(tris, 3, first_triangle_line)
     boundary_edges = vertex_ids(edges, 2, first_edge_line)
     mesh = Mesh(vertices, triangles, boundary_edges, np.asarray(tags),
@@ -399,7 +453,3 @@ def load_mesh(path) -> Mesh:
     except InvalidGeometryError as exc:
         raise MalformedFileError(f"invalid mesh in {path}: {exc}") from None
     return mesh
-
-
-def _bad():
-    raise ValueError

@@ -54,12 +54,10 @@ class SpectralBasis:
         return BoundaryVector(GAMMA_I, self.eigenvectors[:, n].copy())
 
 
-@per_mesh
-def build_spectral_basis(mesh: Mesh) -> SpectralBasis:
-    """Full symmetric generalized eigendecomposition of the loop operator.
+def _loop_operator(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
+    """The symmetrized loop operator M_i^(-1/2) S_i M_i^(-1/2) and the lumped mass M_i.
 
-    Results are cached per mesh; the basis is immutable and safe to
-    share.  Requires at least 8 vertices on GammaI.
+    Requires at least 8 vertices on GammaI.
     """
     bmap = boundary_map(mesh, GAMMA_I)
     n = len(bmap)
@@ -78,20 +76,52 @@ def build_spectral_basis(mesh: Mesh) -> SpectralBasis:
     mass = bmap.weights
     inv_sqrt = 1.0 / np.sqrt(mass)
     sym = inv_sqrt[:, None] * stiff * inv_sqrt[None, :]
-    sym = 0.5 * (sym + sym.T)
+    return 0.5 * (sym + sym.T), mass
+
+
+def _lambdas(mu: np.ndarray) -> np.ndarray:
+    # the constant mode carries mu = 0 exactly; snap eigensolver dust
+    return np.sqrt(1.0 + np.where(mu < 1e-9, 0.0, mu))
+
+
+def loop_eigenvalues(mesh: Mesh) -> np.ndarray:
+    """The ascending lambda_n of the loop operator, without eigenvectors.
+
+    MRRR (LAPACK dstemr), the method eigh uses with vectors, on the
+    Householder tridiagonal form.  eigh(eigvals_only=True) takes dsterf
+    instead, whose relative error in the smallest nonzero lambda reaches
+    4e-12 on 11k-vertex annulus meshes, against 6e-13 for MRRR.
+    """
+    sym, _ = _loop_operator(mesh)
+    lwork, _ = scipy.linalg.lapack.dsytrd_lwork(len(sym), lower=1)
+    _, diag, off, _, _ = scipy.linalg.lapack.dsytrd(sym, lower=1, lwork=int(lwork))
+    try:
+        mu = scipy.linalg.eigvalsh_tridiagonal(diag, off, lapack_driver="stemr")
+    except scipy.linalg.LinAlgError as exc:
+        raise EigensolverFailureError(str(exc)) from exc
+    return _lambdas(mu)
+
+
+@per_mesh
+def build_spectral_basis(mesh: Mesh) -> SpectralBasis:
+    """Full symmetric generalized eigendecomposition of the loop operator.
+
+    Results are cached per mesh; the basis is immutable and safe to
+    share.  Requires at least 8 vertices on GammaI.
+    """
+    sym, mass = _loop_operator(mesh)
+    n = len(mass)
     try:
         mu, y = scipy.linalg.eigh(sym)
     except scipy.linalg.LinAlgError as exc:
         raise EigensolverFailureError(str(exc)) from exc
-    # the constant mode carries mu = 0 exactly; snap eigensolver dust
-    mu = np.where(mu < 1e-9, 0.0, mu)
-    vecs = inv_sqrt[:, None] * y
+    vecs = (1.0 / np.sqrt(mass))[:, None] * y
 
     # canonical sign: largest-magnitude component positive
     peak = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(n)]
     vecs = np.where(peak < 0.0, -vecs, vecs)
 
-    lambdas = np.sqrt(1.0 + mu)
+    lambdas = _lambdas(mu)
     gram = vecs.T @ (mass[:, None] * vecs)
     ortho_err = float(np.abs(gram - np.eye(n)).max())
     if ortho_err > 1e-10:

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from fluxrec import fem, geometry, inversion, spectral, stability, vsc
-from fluxrec.errors import InadmissibleSampleError, InvalidGeometryError
+from fluxrec.errors import InadmissibleSampleError, InvalidGeometryError, MalformedFileError
 
 
 def discrete_trace_constant(mesh) -> float:
@@ -257,6 +257,89 @@ def loop_fit_vsc_constants(op, basis, q_dag, calibration, s, kappa, m0=10.0):
                 unit.g(lam) * scalar_psi0(unit, max(misfit, vsc.T_FLOOR)))
             required = max(required, float(need.max()))
     return replace(unit, C=required * (1.0 + 1e-9))
+
+
+def loop_load_mesh(path) -> geometry.Mesh:
+    """Per-line oracle of geometry.load_mesh: float() and int() on each record."""
+    with open(path, encoding="utf-8") as fh:
+        raw = fh.read().splitlines()
+
+    pos = 0
+
+    def expect_header(name: str) -> int:
+        nonlocal pos
+        if pos >= len(raw):
+            raise MalformedFileError(f"missing {name} section", pos + 1)
+        parts = raw[pos].split()
+        if len(parts) != 2 or parts[0] != name:
+            raise MalformedFileError(f"expected '{name} <count>'", pos + 1)
+        try:
+            count = int(parts[1])
+        except ValueError:
+            raise MalformedFileError(f"bad {name} count {parts[1]!r}", pos + 1) from None
+        pos += 1
+        return count
+
+    def take(count: int, parser):
+        nonlocal pos
+        out = []
+        for _ in range(count):
+            if pos >= len(raw):
+                raise MalformedFileError("unexpected end of file", len(raw) + 1)
+            try:
+                out.append(parser(raw[pos].split()))
+            except (ValueError, IndexError):
+                raise MalformedFileError(f"malformed record {raw[pos]!r}", pos + 1) from None
+            pos += 1
+        return out
+
+    n_v = expect_header("VERTICES")
+    verts = take(n_v, lambda p: (float(p[0]), float(p[1])) if len(p) == 2 else _bad_record())
+    n_t = expect_header("TRIANGLES")
+    first_triangle_line = pos + 1
+    tris = take(n_t,
+                lambda p: (int(p[0]), int(p[1]), int(p[2])) if len(p) == 3 else _bad_record())
+    n_b = expect_header("BOUNDARY_EDGES")
+    first_edge_line = pos + 1
+
+    records = take(n_b, lambda p: (int(p[0]), int(p[1]), p[2]) if len(p) == 3 else _bad_record())
+    edges, tags = [], []
+    for j, (a, b, tag) in enumerate(records):
+        if tag not in geometry.VALID_TAGS:
+            raise MalformedFileError(f"unknown boundary tag {tag!r}", first_edge_line + j)
+        edges.append((a, b))
+        tags.append(tag)
+    for ln in range(pos, len(raw)):
+        if raw[ln].strip():
+            raise MalformedFileError(f"unexpected record {raw[ln]!r} after the boundary edges",
+                                     ln + 1)
+
+    def vertex_ids(records, width: int, first_line: int) -> np.ndarray:
+        """The records as an index array; the first naming no vertex is reported by its line."""
+        try:
+            ids = np.asarray(records, dtype=np.int64).reshape(-1, width)
+            bad = np.flatnonzero(((ids < 0) | (ids >= n_v)).any(axis=1))
+        except OverflowError:
+            bad = [i for i, rec in enumerate(records) if not all(0 <= v < n_v for v in rec)]
+        if len(bad):
+            raise MalformedFileError("vertex index out of range", first_line + int(bad[0]))
+        return ids
+
+    vertices = np.asarray(verts).reshape(-1, 2)
+    triangles = vertex_ids(tris, 3, first_triangle_line)
+    boundary_edges = vertex_ids(edges, 2, first_edge_line)
+    mesh = geometry.Mesh(vertices, triangles, boundary_edges, np.asarray(tags),
+                         geometry._max_edge_length(vertices, triangles))
+    try:
+        geometry.validate_mesh(mesh)
+    except InvalidGeometryError as exc:
+        raise MalformedFileError(f"invalid mesh in {path}: {exc}") from None
+    return mesh
+
+
+
+def _bad_record():
+    raise ValueError
 
 
 def sample_homogeneous_solution(system, basis, q) -> stability.StabilityEnsemble:

@@ -229,9 +229,9 @@ def test_solve_block_checks_every_column(coarse_mesh, default_data, rng):
 
 
 def test_singular_factorization_is_a_solver_failure(coarse_mesh, default_data):
-    alpha = default_data.alpha.copy()
-    alpha[0] = np.inf
-    data = ProblemData(alpha, default_data.k, default_data.f, default_data.u_a)
+    # no finite alpha is singular (1e308 factorizes), so alpha = inf is set after the checks
+    data = ProblemData(default_data.alpha.copy(), default_data.k, default_data.f, default_data.u_a)
+    data.alpha[0] = np.inf
     with pytest.raises(SolverFailureError, match="factorization failed"):
         FactorizedSystem(coarse_mesh, data)
 
@@ -240,6 +240,15 @@ def test_singular_factorization_is_a_solver_failure(coarse_mesh, default_data):
 @pytest.mark.parametrize("value", [np.nan, 0.0, -1.0])
 def test_non_positive_or_nan_coefficient_is_rejected(coarse_mesh, key, value):
     with pytest.raises(ValueError, match=f"{key} must be strictly positive"):
+        ProblemData.from_constants(coarse_mesh, **{key: value})
+
+
+@pytest.mark.parametrize("key", ["alpha", "k", "f", "u_a"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_non_finite_data_is_rejected(coarse_mesh, key, value):
+    # NaN, and -inf in alpha and k, fail the positivity check first
+    message = ("strictly positive" if key in ("alpha", "k") and not value > 0.0 else "finite")
+    with pytest.raises(ValueError, match=f"{key} must be {message}"):
         ProblemData.from_constants(coarse_mesh, **{key: value})
 
 

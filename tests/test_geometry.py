@@ -3,8 +3,8 @@ import weakref
 
 import numpy as np
 import pytest
-from conftest import loop_annulus_mesh, loop_refine_uniform, loop_validate_mesh
-from hypothesis import given, settings
+from conftest import loop_annulus_mesh, loop_load_mesh, loop_refine_uniform, loop_validate_mesh
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fluxrec import fem, geometry, inversion, spectral
@@ -434,3 +434,129 @@ def test_mutated_mesh_file_loads_valid_or_exits_2(small_mesh_file, data):
 @given(text=st.text())
 def test_arbitrary_mesh_text_loads_valid_or_exits_2(small_mesh_file, text):
     _load_or_reject(small_mesh_file.with_name("arbitrary.txt"), text)
+
+
+def _assert_same_outcome(path) -> None:
+    """load_mesh and its per-line oracle give one mesh, bitwise, or one FluxRecError."""
+    outcomes = []
+    for load in (load_mesh, loop_load_mesh):
+        try:
+            outcomes.append(load(path))
+        except FluxRecError as exc:
+            outcomes.append(exc)
+    new, oracle = outcomes
+    assert type(new) is type(oracle), (new, oracle)
+    if isinstance(oracle, FluxRecError):
+        assert (str(new), new.line_number) == (str(oracle), oracle.line_number)
+        return
+    for name in ("vertices", "triangles", "boundary_edges", "boundary_tags"):
+        a, b = getattr(new, name), getattr(oracle, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    assert new.h == oracle.h
+
+
+# every mesh the tests and the benchmark workloads write; the last three r_inner are
+# mesh-pipeline's draws 0.5 + 0.01 * U[0, 1) for op seeds 10000, 10001 and 20000
+_WRITTEN_MESHES = ([(0.5, h, 0) for h in (0.3, 0.2, 0.1, 0.05)] + [(0.5, 0.035, 1)]
+                   + [(0.5 + 0.01 * float(np.random.default_rng(seed).random()), 0.035, 1)
+                      for seed in (10000, 10001, 20000)])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("r_inner, h, refine", _WRITTEN_MESHES)
+def test_load_matches_the_per_line_oracle_bitwise(tmp_path, r_inner, h, refine):
+    mesh = generate_annulus_mesh(r_inner, 1.0, h)
+    for _ in range(refine):
+        mesh = refine_uniform(mesh)
+    path = tmp_path / "mesh.txt"
+    save_mesh(mesh, path)
+    _assert_same_outcome(path)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("edits", [
+    {"VERTICES": ""}, {"VERTICES": "  \t"}, {"TRIANGLES": ""}, {"VERTICES": "1.0"},
+    {"VERTICES": "1.0 2.0 3.0"}, {"VERTICES": "1e400 -1e400"}, {"VERTICES": "nan Infinity"},
+    {"TRIANGLES": "0 1 1.0"}, {"TRIANGLES": "0 1"}, {"TRIANGLES": "+0 -0 00"},
+    {"TRIANGLES": "0 1 9223372036854775807"}, {"TRIANGLES": "0 1 9223372036854775808"},
+    {"TRIANGLES": "0 1 -9223372036854775809 ", "BOUNDARY_EDGES": "0 1 GammaX"},
+    {"TRIANGLES": "0 1 99999999999999999999999", "BOUNDARY_EDGES": "0 1 2 GammaI"},
+    {"TRIANGLES": "0 1 99999999999999999999999 x"},
+    {"VERTICES": "0.0 0.0\u00a0", "TRIANGLES": "0\u20001\t2"},
+    # numpy 2.4.6's integer parser segfaulted, in some runs, on this unassigned code point
+    {"TRIANGLES": "\U00052651 29 15"}, {"TRIANGLES": "1 \u00e9 15"},
+])
+def test_load_matches_the_per_line_oracle_on_defects(tmp_path, edits):
+    # each edit replaces the record in the middle of its section; an index beyond int64
+    # in TRIANGLES must not hide a malformed record that the per-line parser meets first
+    path = tmp_path / "mesh.txt"
+    save_mesh(generate_annulus_mesh(0.5, 1.0, 0.3), path)
+    lines = path.read_text().splitlines()
+    for section, record in edits.items():
+        header = next(i for i, line in enumerate(lines) if line.startswith(section))
+        lines[header + 1 + int(lines[header].split()[1]) // 2] = record
+    path.write_text("\n".join(lines) + "\n")
+    _assert_same_outcome(path)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("section, record", [("VERTICES", "1_0 0.0"), ("VERTICES", "\uff13 0.0"),
+                                             ("TRIANGLES", "0 1 1_0"), ("TRIANGLES", "0 1 \u0663")])
+def test_load_rejects_underscores_and_non_ascii_digits_at_their_line(tmp_path, section, record):
+    # float() and int() read these, the section parser does not: junk now exits 2 at its line
+    path = tmp_path / "mesh.txt"
+    save_mesh(generate_annulus_mesh(0.5, 1.0, 0.3), path)
+    lines = path.read_text().splitlines()
+    bad = next(i for i, line in enumerate(lines) if line.startswith(section)) + 2
+    lines[bad] = record
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MalformedFileError, match="malformed record") as err:
+        load_mesh(path)
+    assert err.value.line_number == bad + 1
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("section", ["VERTICES", "TRIANGLES", "BOUNDARY_EDGES"])
+def test_load_reports_a_short_section_after_the_last_line(tmp_path, section):
+    path = tmp_path / "mesh.txt"
+    save_mesh(generate_annulus_mesh(0.5, 1.0, 0.3), path)
+    lines = path.read_text().splitlines()
+    header = next(i for i, line in enumerate(lines) if line.startswith(section))
+    path.write_text("\n".join(lines[:header + 3]) + "\n")
+    _assert_same_outcome(path)
+    with pytest.raises(MalformedFileError, match="unexpected end of file") as err:
+        load_mesh(path)
+    assert err.value.line_number == header + 4
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text, line", [("VERTICES 1\n\nTRIANGLES 0\nBOUNDARY_EDGES 0\n", 2),
+                                        ("VERTICES 0\nTRIANGLES 2\n \n\t\n", 3)])
+def test_load_reports_a_blank_record_without_warnings(tmp_path, text, line):
+    # loadtxt warns when every line it gets is blank
+    path = tmp_path / "mesh.txt"
+    path.write_text(text)
+    with pytest.raises(MalformedFileError, match="malformed record") as err:
+        load_mesh(path)
+    assert err.value.line_number == line
+
+
+def _read_by_float_only(token: str) -> bool:
+    """A number with underscores or non-ASCII digits: float() reads it, loadtxt does not."""
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return "_" in token or not token.isascii()
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_mesh_file_matches_the_per_line_oracle(small_mesh_file, data):
+    lines = small_mesh_file.read_text(encoding="utf-8").splitlines()
+    text = data.draw(_mutations(lines))
+    assume(not any(_read_by_float_only(token) for token in text.split()))
+    path = small_mesh_file.with_name("mutated_oracle.txt")
+    path.write_text(text, encoding="utf-8")
+    _assert_same_outcome(path)

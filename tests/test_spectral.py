@@ -4,10 +4,11 @@ import pytest
 from fluxrec import spectral
 from fluxrec.errors import DimensionMismatchError, InvalidGeometryError
 from fluxrec.fem import BoundaryVector, boundary_l2_norm
-from fluxrec.geometry import GAMMA_I, generate_annulus_mesh, refine_uniform
+from fluxrec.geometry import GAMMA_I, boundary_map, generate_annulus_mesh, refine_uniform
 from fluxrec.spectral import (
     analyze,
     build_spectral_basis,
+    loop_eigenvalues,
     sobolev_norm,
     synthesize,
     synthesize_flux_with_smoothness,
@@ -21,6 +22,48 @@ def circle_lambdas(n_pairs, radius=0.5):
     for n in range(1, n_pairs + 1):
         out.extend([np.sqrt(1.0 + (n / radius) ** 2)] * 2)
     return np.array(out)
+
+
+def regular_loop_lambdas(n, radius=0.5):
+    """Exact discrete spectrum of a regular n-gon loop: mu_k = (2 - 2 cos(2 pi k / n)) / L^2."""
+    edge = 2.0 * radius * np.sin(np.pi / n)
+    mu = (2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n) / n)) / edge ** 2
+    return np.sort(np.sqrt(1.0 + mu))
+
+
+_LOOP_MESHES = [(0.1, 0), (0.05, 0), (0.035, 1), (0.025, 0)]
+
+
+def _loop_mesh(h, refine):
+    mesh = generate_annulus_mesh(0.5, 1.0, h)
+    return refine_uniform(mesh) if refine else mesh
+
+
+@pytest.mark.parametrize("h, refine", _LOOP_MESHES)
+def test_eigenvalues_only_match_the_basis(h, refine):
+    mesh = _loop_mesh(h, refine)
+    lam, basis_lam = loop_eigenvalues(mesh), build_spectral_basis(mesh).eigenvalues
+    assert lam[0] == 1.0
+    assert (np.abs(lam - basis_lam) / basis_lam).max() <= 1e-11
+
+
+@pytest.mark.parametrize("h, refine", _LOOP_MESHES)
+def test_loop_spectrum_matches_the_regular_polygon_exactly(h, refine):
+    # the inner loop is a regular n-gon, whose discrete spectrum has a closed form
+    mesh = _loop_mesh(h, refine)
+    exact = regular_loop_lambdas(len(boundary_map(mesh, GAMMA_I)))
+    for lam in (loop_eigenvalues(mesh), build_spectral_basis(mesh).eigenvalues):
+        assert (np.abs(lam - exact) / exact).max() <= 5e-12
+
+
+@pytest.mark.parametrize("seed", [10000, 10001, 20000])
+def test_eigenvalues_only_keep_mrrr_accuracy_on_the_benchmark_meshes(seed):
+    # mesh-pipeline's r_inner for this op seed; eigh(eigvals_only=True), which takes dsterf,
+    # misses the smallest nonzero lambda here by up to 4.2e-12, MRRR by at most 5.5e-13
+    radius = 0.5 + 0.01 * float(np.random.default_rng(seed).random())
+    mesh = refine_uniform(generate_annulus_mesh(radius, 1.0, 0.035))
+    exact = regular_loop_lambdas(len(boundary_map(mesh, GAMMA_I)), radius)
+    assert (np.abs(loop_eigenvalues(mesh) - exact) / exact).max() <= 2e-12
 
 
 def test_eigenvalue_floor_and_ordering(basis):
