@@ -79,14 +79,18 @@ def read_boundary_csv(path, mesh, tag) -> BoundaryVector:
     return BoundaryVector(tag, values)
 
 
-def _positive_int(text: str) -> int:
-    try:
+def _int_from(low: int):
+    """Argument type for an integer flag whose values start at low, 0 or 1."""
+    kind = {0: "non-negative", 1: "positive"}[low]
+
+    def parse(text: str) -> int:
         value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse reports a ValueError as "invalid int value"
+    return parse
 
 
 def _config_value(name: str):
@@ -295,7 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-inner", type=float, default=0.5)
     p.add_argument("--r-outer", type=float, default=1.0)
     p.add_argument("--h", type=float, required=True)
-    p.add_argument("--refine", type=int, default=0, help="uniform refinements after generation")
+    p.add_argument("--refine", type=_int_from(0), default=0,
+                   help="uniform refinements after generation")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_mesh_gen)
 
@@ -318,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--rho", type=float, default=None,
                    help="fixed regularization weight (default: discrepancy principle)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_from(0), default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_invert)
 
@@ -327,8 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
     p.add_argument("--s", type=_config_value("s"), default=None)
     p.add_argument("--kappa", type=_config_value("kappa"), default=None)
-    p.add_argument("--n-samples", type=_positive_int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n-samples", type=_int_from(1), default=200)
+    p.add_argument("--seed", type=_int_from(0), default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_vsc_check)
 
@@ -336,8 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mesh", required=True)
     p.add_argument("--config", default=None)
     p.add_argument("--kappa", type=_config_value("kappa"), default=None)
-    p.add_argument("--n-samples", type=_positive_int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n-samples", type=_int_from(1), default=100)
+    p.add_argument("--seed", type=_int_from(0), default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_stability_probe)
 

@@ -104,8 +104,8 @@ RATES_KEYS: dict[str, Key] = {
     "refine_level": Key(_int, 1, lambda v: None if v >= 1 else "must be >= 1"),
     "delta_grid": Key(_float_list, DEFAULT_DELTA_GRID, _decreasing),
     "seeds_per_delta": Key(_int, 5, _positive),
-    "base_seed": Key(_int, 0),
-    "flux_seed": Key(_int, 42),
+    "base_seed": Key(_int, 0, lambda v: None if v >= 0 else "must be >= 0"),
+    "flux_seed": Key(_int, 42, lambda v: None if v >= 0 else "must be >= 0"),
     "rho_rule": Key(str, "discrepancy", _rho_rule),
     "fixed_rho_schedule": Key(_float_list, (), _positive_entries),
 }

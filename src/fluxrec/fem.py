@@ -10,11 +10,12 @@ i.e.  a(u, v) = int alpha grad u . grad v + int_GammaA k u v  against
 rhs(v) = int f v - int_GammaI q v + int_GammaA k u_a v.
 
 Volume terms use exact integration of the piecewise-polynomial
-integrands; boundary terms use two-point Gauss quadrature per edge,
-exact for products of P1 traces up to degree 3.  Boundary L2 inner
-products everywhere in the package use the lumped arc-length weights of
-the BoundaryIndexMap, so that spectral Parseval identities hold exactly
-in the discrete norms.
+integrands; every boundary datum enters through one of two sparse
+matrices, exact for P1 traces: the Robin matrix R_k of int_GammaA k u v
+(for k and for u_a) and the flux-load matrix B_i of int_GammaI q v.
+Boundary L2 inner products everywhere in the package use the lumped
+arc-length weights of the BoundaryIndexMap, so that spectral Parseval
+identities hold exactly in the discrete norms.
 """
 
 from __future__ import annotations
@@ -35,10 +36,7 @@ from .geometry import GAMMA_A, GAMMA_I, Mesh, boundary_map, per_mesh, triangle_a
 
 _AREA_FLOOR = 1e-14
 _RESIDUAL_COLUMNS = 16
-
-# 2-point Gauss-Legendre on [0, 1]
-_GAUSS_T = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
-_GAUSS_W = np.array([0.5, 0.5])
+_FLUX_BLOCK = 64  # flux columns per block solve: bounds the load block at n_v x 64
 
 
 @dataclass(eq=False)
@@ -154,7 +152,7 @@ def _tagged_edges(mesh: Mesh, tag: str):
 def flux_load_matrix(mesh: Mesh) -> sp.csc_matrix:
     """B_i (n_v x n_i): int_GammaI q v = B_i q, so a flux's load is -B_i q."""
     a, b, length, ia, ib = _tagged_edges(mesh, GAMMA_I)
-    # assemble_rhs's flux terms for unit q (2 L / 6 rounds exactly as L / 3 does)
+    # int_e phi_a phi_b per edge: L / 3 on the diagonal, L / 6 off it
     vals = _edge_major(length / 3.0, length / 6.0, length / 6.0, length / 3.0)
     return sp.csc_matrix((vals, (_edge_major(a, a, b, b), _edge_major(ia, ib, ia, ib))),
                          shape=(mesh.n_vertices, len(length)))
@@ -197,7 +195,7 @@ def assemble_system(mesh: Mesh, data: ProblemData) -> sp.csr_matrix:
 
 
 def assemble_rhs(mesh: Mesh, data: ProblemData, q: BoundaryVector | None) -> np.ndarray:
-    """Load vector: int f v - int_GammaI q v + int_GammaA k u_a v.
+    """Load vector M f + R_k u_a - B_i q: int f v + int_GammaA k u_a v - int_GammaI q v.
 
     The strong form fixes the +k u_a sign (u == u_a solves the problem
     when f = 0 and q = 0).
@@ -205,26 +203,15 @@ def assemble_rhs(mesh: Mesh, data: ProblemData, q: BoundaryVector | None) -> np.
     if q is not None and q.tag != GAMMA_I:
         raise TagMismatchError(f"flux must be tagged {GAMMA_I}, got {q.tag}")
     mass, _ = _norm_matrices(mesh)
-    rhs = mass @ data.f
-
-    # ufunc.at updates each vertex in edge order, as a loop over the edges would
+    u_a = np.zeros(mesh.n_vertices)
+    u_a[boundary_map(mesh, GAMMA_A).vertex_indices] = data.u_a
+    rhs = mass @ data.f + _edge_robin_matrix(mesh, data.k) @ u_a
     if q is not None:
-        a, b, length, ia, ib = _tagged_edges(mesh, GAMMA_I)
-        if q.values.shape != length.shape:  # one edge per vertex on the closed loop
+        flux_load = flux_load_matrix(mesh)
+        if q.values.shape != (flux_load.shape[1],):
             raise DimensionMismatchError(
-                f"flux has {q.values.shape} values for {len(length)} GammaI vertices")
-        qa, qb = q.values[ia], q.values[ib]
-        # int_e q phi with q, phi linear on the edge
-        np.subtract.at(rhs, _edge_major(a, b), _edge_major(length * (2.0 * qa + qb) / 6.0,
-                                                           length * (qa + 2.0 * qb) / 6.0))
-
-    a, b, length, ia, ib = _tagged_edges(mesh, GAMMA_A)
-    t = _GAUSS_T[None, :]
-    kt = data.k[ia][:, None] * (1.0 - t) + data.k[ib][:, None] * t
-    ut = data.u_a[ia][:, None] * (1.0 - t) + data.u_a[ib][:, None] * t
-    np.add.at(rhs, _edge_major(a, b),
-              _edge_major(length * (_GAUSS_W * kt * ut * (1.0 - t)).sum(axis=1),
-                          length * (_GAUSS_W * kt * ut * t).sum(axis=1)))
+                f"flux has {q.values.shape} values for {flux_load.shape[1]} GammaI vertices")
+        rhs -= flux_load @ q.values
     return rhs
 
 
@@ -284,6 +271,21 @@ class FactorizedSystem:
 
     def solve_flux(self, q: BoundaryVector | None) -> ScalarField:
         return self.solve(assemble_rhs(self.mesh, self.data, q))
+
+    def flux_fields(self, fluxes: np.ndarray):
+        """Yield (cols, u): the checked fields of zero f and u_a for the flux columns cols.
+
+        The fluxes are the columns of an n_i x m matrix in GammaI map order.
+        """
+        flux_load = flux_load_matrix(self.mesh)
+        fluxes = np.asarray(fluxes, dtype=float)
+        if fluxes.ndim != 2 or fluxes.shape[0] != flux_load.shape[1]:
+            raise DimensionMismatchError(
+                f"fluxes of shape {fluxes.shape} for {flux_load.shape[1]} GammaI vertices")
+        for start in range(0, fluxes.shape[1], _FLUX_BLOCK):
+            cols = slice(start, start + _FLUX_BLOCK)
+            # the load of flux q is -B_i q; 0 - B_i q keeps its zero entries +0.0
+            yield cols, self.solve_block(0.0 - flux_load @ fluxes[:, cols])
 
 
 def _column_norms(x: np.ndarray) -> np.ndarray:

@@ -2,8 +2,8 @@
 
 The measurement map q -> trace of the solution on GammaA is affine,
 A(q) = K q + b, with b the response to zero flux (carrying f and u_a).
-K is dense, assembled from unit nodal fluxes solved _K_BLOCK columns
-at a time against one sparse LU factorization.
+K is dense: its columns are the traces of the unit nodal fluxes, solved
+in blocks against one sparse LU factorization.
 
 All boundary inner products are the lumped arc-weight L2 products.  The
 minimizer of the objective
@@ -44,7 +44,6 @@ from .fem import (
     FactorizedSystem,
     ProblemData,
     boundary_l2_norm,
-    flux_load_matrix,
     trace,
 )
 from .geometry import GAMMA_A, GAMMA_I, Mesh, boundary_map
@@ -52,9 +51,6 @@ from .spectral import SpectralBasis, sobolev_norm
 
 logger = logging.getLogger(__name__)
 
-# unit-flux columns per multi-right-hand-side solve; bounds the transient
-# load block at n_v x _K_BLOCK instead of n_v x n_i
-_K_BLOCK = 64
 RHO_BRACKET = (1e-14, 1e6)
 
 
@@ -129,12 +125,9 @@ def build_forward_operator(mesh: Mesh, data: ProblemData) -> AffineForwardOperat
     system = FactorizedSystem(mesh, data)
     bmap_i, bmap_a = boundary_map(mesh, GAMMA_I), boundary_map(mesh, GAMMA_A)
     b = trace(system.solve_flux(None), GAMMA_A).values
-    # the load of unit flux e_j is column j of -B_i; 0 - B_i keeps its zero entries +0.0
-    flux_load = flux_load_matrix(mesh)
-    K = np.empty((len(bmap_a), flux_load.shape[1]))
-    for start in range(0, flux_load.shape[1], _K_BLOCK):
-        loads = 0.0 - flux_load[:, start:start + _K_BLOCK].toarray()
-        K[:, start:start + _K_BLOCK] = system.solve_block(loads)[bmap_a.vertex_indices, :]
+    K = np.empty((len(bmap_a), len(bmap_i)))
+    for cols, u in system.flux_fields(np.eye(len(bmap_i))):
+        K[:, cols] = u[bmap_a.vertex_indices]
     return AffineForwardOperator(mesh, data, K, b, bmap_a.weights, bmap_i.weights)
 
 

@@ -22,9 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateEnsembleError
-from .fem import FactorizedSystem, _column_sums, _norm_matrices, flux_load_matrix
+from .fem import FactorizedSystem, _column_sums, _norm_matrices
 from .geometry import GAMMA_A, boundary_map
-from .inversion import _K_BLOCK
 from .spectral import SpectralBasis
 
 logger = logging.getLogger(__name__)
@@ -59,7 +58,7 @@ def generate_probe_ensemble(system: FactorizedSystem, basis: SpectralBasis,
     which spreads trace norms over many decades) with random decaying
     mixtures.  Deterministic per seed; linearity makes the
     normalization exact.  The fluxes are the columns of one matrix,
-    solved _K_BLOCK at a time.
+    solved in blocks by FactorizedSystem.flux_fields.
     """
     if np.any(system.data.f != 0.0) or np.any(system.data.u_a != 0.0):
         raise ValueError("stability probe requires f = 0 and u_a = 0")
@@ -79,13 +78,10 @@ def generate_probe_ensemble(system: FactorizedSystem, basis: SpectralBasis,
     mesh = system.mesh
     mass, stiffness = _norm_matrices(mesh)
     h1_matrix = mass + stiffness
-    flux_load = flux_load_matrix(mesh)
     bmap_a = boundary_map(mesh, GAMMA_A)
     h1 = np.empty(n_samples)
     tr = np.empty(n_samples)
-    for start in range(0, n_samples, _K_BLOCK):
-        cols = slice(start, start + _K_BLOCK)
-        u = system.solve_block(0.0 - flux_load @ fluxes[:, cols])
+    for cols, u in system.flux_fields(fluxes):
         h1[cols] = np.sqrt(np.maximum(_column_sums(u * (h1_matrix @ u)), 0.0))
         u_a = u[bmap_a.vertex_indices]
         tr[cols] = np.sqrt(_column_sums(bmap_a.weights[:, None] * u_a * u_a))

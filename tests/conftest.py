@@ -42,7 +42,11 @@ def discrete_trace_constant(mesh) -> float:
 
 
 def loop_assemble_rhs(mesh, data, q) -> np.ndarray:
-    """Edge-by-edge oracle of fem.assemble_rhs: the loops the vectorized code must match bitwise."""
+    """Edge-by-edge exact-quadrature reference of fem.assemble_rhs.
+
+    The flux terms are the per-edge integrals of q phi; k u_a phi is cubic
+    on an edge, so its two-point Gauss rule is exact.
+    """
     mass, _ = fem._norm_matrices(mesh)
     rhs = mass @ data.f
     gauss_t = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
@@ -87,6 +91,21 @@ def loop_robin_matrix(mesh, k) -> sp.csr_matrix:
         vals.extend((length * (3.0 * ka + kb) / 12.0, m_ab, m_ab, length * (ka + 3.0 * kb) / 12.0))
     n = mesh.n_vertices
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+def loop_flux_load_matrix(mesh) -> sp.csc_matrix:
+    """Edge-by-edge oracle of fem.flux_load_matrix, with its COO entry order."""
+    pos = {int(v): i for i, v in
+           enumerate(geometry.boundary_map(mesh, geometry.GAMMA_I).vertex_indices)}
+    rows, cols, vals = [], [], []
+    for (a, b), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
+        if tag != geometry.GAMMA_I:
+            continue
+        length = float(np.linalg.norm(mesh.vertices[b] - mesh.vertices[a]))
+        rows.extend((a, a, b, b))
+        cols.extend((pos[int(a)], pos[int(b)], pos[int(a)], pos[int(b)]))
+        vals.extend((length / 3.0, length / 6.0, length / 6.0, length / 3.0))
+    return sp.csc_matrix((vals, (rows, cols)), shape=(mesh.n_vertices, len(pos)))
 
 
 def loop_annulus_mesh(r_inner, r_outer, h_target):

@@ -339,6 +339,36 @@ def test_non_positive_n_samples_exits_2(workdir, tmp_path, capsys, subcommand):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("subcommand", ["invert", "vsc-check", "stability-probe"])
+def test_negative_seed_exits_2(workdir, tmp_path, capsys, subcommand):
+    # rejected by the parser, before the mesh, the basis or K is built
+    argv = [subcommand, "--mesh", str(workdir / "mesh.txt"), "--seed", "-1",
+            "--out", str(tmp_path / "out")]
+    if subcommand == "invert":
+        argv += ["--data-trace", str(workdir / "trace.csv"), "--delta", "1e-4"]
+    assert run(argv) == 2
+    assert "argument --seed: must be a non-negative integer, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("line", ["base_seed = -5", "flux_seed = -1"])
+def test_negative_rates_seed_exits_2(tmp_path, capsys, line):
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text(line + "\n")
+    assert run(["rates", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    key = line.split(" = ")[0]
+    assert f"config key '{key}': must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_refine_exits_2(tmp_path, capsys):
+    out = tmp_path / "mesh.txt"
+    assert run(["mesh-gen", "--h", "0.2", "--refine", "-1", "--out", str(out)]) == 2
+    assert "argument --refine: must be a non-negative integer, got -1" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_forward_and_invert_pipeline(workdir):
     mesh = load_mesh(workdir / "mesh.txt")
     flux = cli.read_boundary_csv(workdir / "flux.csv", mesh, GAMMA_I)

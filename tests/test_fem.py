@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import loop_assemble_rhs, loop_robin_matrix
+from conftest import loop_assemble_rhs, loop_flux_load_matrix, loop_robin_matrix
 
 from fluxrec import fem, geometry, inversion
 from fluxrec.errors import (
@@ -177,11 +177,24 @@ def random_problem(request):
     return mesh, data, BoundaryVector(GAMMA_I, rng.standard_normal(n_i))
 
 
+def _u_a_full(mesh, data):
+    """data.u_a scattered onto the GammaA vertices of a field, zero elsewhere."""
+    u_a = np.zeros(mesh.n_vertices)
+    u_a[boundary_map(mesh, GAMMA_A).vertex_indices] = data.u_a
+    return u_a
+
+
 def test_rhs_matches_edge_loop_bitwise(random_problem):
     mesh, data, q = random_problem
+    mass, _ = fem._norm_matrices(mesh)
+    no_flux = mass @ data.f + loop_robin_matrix(mesh, data.k) @ _u_a_full(mesh, data)
+    assert assemble_rhs(mesh, data, None).tobytes() == no_flux.tobytes()
+    with_flux = no_flux - loop_flux_load_matrix(mesh) @ q.values
+    assert assemble_rhs(mesh, data, q).tobytes() == with_flux.tobytes()
+    # against the exact-quadrature edge loop: both are exact integrals, rounded differently
     for flux in (q, None):
-        assert assemble_rhs(mesh, data, flux).tobytes() \
-            == loop_assemble_rhs(mesh, data, flux).tobytes()
+        want = loop_assemble_rhs(mesh, data, flux)
+        assert np.abs(assemble_rhs(mesh, data, flux) - want).max() <= 1e-15 * np.abs(want).max()
 
 
 def test_system_matches_edge_loop_bitwise(random_problem, monkeypatch):
@@ -202,10 +215,12 @@ def test_forward_operator_matches_column_loop_bitwise(random_problem):
     loads = np.column_stack([loop_assemble_rhs(mesh, zero_data, BoundaryVector(GAMMA_I, e))
                              for e in np.eye(op.n_i)])
     idx = boundary_map(mesh, GAMMA_A).vertex_indices
-    block = inversion._K_BLOCK
+    block = fem._FLUX_BLOCK
     K = np.hstack([system._lu.solve(np.ascontiguousarray(loads[:, start:start + block]))[idx]
                    for start in range(0, op.n_i, block)])
-    b = system.solve(loop_assemble_rhs(mesh, data, None)).values[idx]
+    mass, _ = fem._norm_matrices(mesh)
+    b = system.solve(mass @ data.f
+                     + loop_robin_matrix(mesh, data.k) @ _u_a_full(mesh, data)).values[idx]
     assert op.K.tobytes() == K.tobytes()
     assert op.b.tobytes() == b.tobytes()
 
@@ -226,6 +241,14 @@ def test_solve_block_checks_every_column(coarse_mesh, default_data, rng):
             system.solve_block(loads)
     with pytest.raises(DimensionMismatchError):
         system.solve_block(loads[:-1])
+
+
+def test_flux_fields_rejects_a_wrong_row_count(coarse_mesh, default_data):
+    system = FactorizedSystem(coarse_mesh, default_data)
+    n_i = len(boundary_map(coarse_mesh, GAMMA_I))
+    for fluxes in (np.eye(n_i)[:-1], np.ones(n_i)):
+        with pytest.raises(DimensionMismatchError, match="GammaI vertices"):
+            next(system.flux_fields(fluxes))
 
 
 def test_singular_factorization_is_a_solver_failure(coarse_mesh, default_data):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fluxrec import inversion
+from fluxrec import fem, inversion
 from fluxrec.errors import (
     BracketFailureError,
     DimensionMismatchError,
@@ -59,8 +59,8 @@ def test_singular_value_decay(forward_op, op_h005):
 
 
 def test_k_matches_direct_solve_across_blocks(op_h005):
-    # n_i = 126 > _K_BLOCK, so K is built from two multi-right-hand-side solves
-    assert op_h005.n_i > inversion._K_BLOCK
+    # n_i = 126 > _FLUX_BLOCK, so K is built from two multi-right-hand-side solves
+    assert op_h005.n_i > fem._FLUX_BLOCK
     q = BoundaryVector(GAMMA_I, np.random.default_rng(5).standard_normal(op_h005.n_i))
     via_solve = trace(FactorizedSystem(op_h005.mesh, op_h005.data).solve_flux(q), GAMMA_A).values
     gap = np.linalg.norm(op_h005.apply_linear(q.values) - via_solve)

@@ -96,7 +96,7 @@ def probe_problem(request):
 @pytest.mark.parametrize("seed", [0, 5, 20031])
 def test_block_ensemble_matches_per_sample_oracle(probe_problem, seed):
     system, basis = probe_problem
-    n_samples = 150  # more than two blocks of inversion._K_BLOCK columns
+    n_samples = 150  # more than two blocks of fem._FLUX_BLOCK columns
     block = generate_probe_ensemble(system, basis, n_samples, seed)
     oracle = per_sample_ensemble(system, basis, n_samples, seed)
     assert len(block) == len(oracle) == n_samples
