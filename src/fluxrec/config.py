@@ -65,10 +65,11 @@ def _tau(v) -> str | None:
     return None if v > 1.0 else "must be > 1"
 
 
-def _decreasing(v) -> str | None:
+def _noise_levels(v) -> str | None:
     if len(v) == 0 or not all(b < a for a, b in zip(v, v[1:])):
         return "must be a non-empty strictly decreasing list"
-    return None
+    # an infinite entry is reported as "must be finite" by parse_config
+    return None if v[-1] > 0.0 else "entries must be positive"
 
 
 def _positive_entries(v) -> str | None:
@@ -102,7 +103,7 @@ RATES_KEYS: dict[str, Key] = {
     "f": Key(_float, 0.0),
     "u_a": Key(_float, 0.0),
     "refine_level": Key(_int, 1, lambda v: None if v >= 1 else "must be >= 1"),
-    "delta_grid": Key(_float_list, DEFAULT_DELTA_GRID, _decreasing),
+    "delta_grid": Key(_float_list, DEFAULT_DELTA_GRID, _noise_levels),
     "seeds_per_delta": Key(_int, 5, _positive),
     "base_seed": Key(_int, 0, lambda v: None if v >= 0 else "must be >= 0"),
     "flux_seed": Key(_int, 42, lambda v: None if v >= 0 else "must be >= 0"),

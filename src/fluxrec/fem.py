@@ -32,7 +32,7 @@ from .errors import (
     SolverFailureError,
     TagMismatchError,
 )
-from .geometry import GAMMA_A, GAMMA_I, Mesh, boundary_map, per_mesh, triangle_areas
+from .geometry import GAMMA_A, GAMMA_I, Mesh, _row_norms, boundary_map, per_mesh, triangle_areas
 
 _AREA_FLOOR = 1e-14
 _RESIDUAL_COLUMNS = 16
@@ -136,11 +136,11 @@ def _norm_matrices(mesh: Mesh):
 def _tagged_edges(mesh: Mesh, tag: str):
     """Per-edge (a, b, length, ia, ib) of one tagged loop, in mesh order, read-only.
 
-    ia, ib index the loop's BoundaryIndexMap.  Lengths are per-edge
-    np.linalg.norm calls; the vectorized norm differs in the last bit.
+    ia, ib index the loop's BoundaryIndexMap.  Lengths are bitwise those
+    of per-edge np.linalg.norm calls (see ``geometry._row_norms``).
     """
     edges = mesh.boundary_edges[mesh.boundary_tags == tag]
-    length = np.array([float(np.linalg.norm(vb - va)) for va, vb in mesh.vertices[edges]])
+    length = _row_norms(mesh.vertices[edges[:, 1]] - mesh.vertices[edges[:, 0]])
     pos = np.empty(mesh.n_vertices, dtype=np.int64)
     pos[boundary_map(mesh, tag).vertex_indices] = np.arange(len(edges))
     table = (*edges.T, length, *pos[edges].T)
@@ -149,13 +149,17 @@ def _tagged_edges(mesh: Mesh, tag: str):
     return table
 
 
+@per_mesh
 def flux_load_matrix(mesh: Mesh) -> sp.csc_matrix:
-    """B_i (n_v x n_i): int_GammaI q v = B_i q, so a flux's load is -B_i q."""
+    """B_i (n_v x n_i): int_GammaI q v = B_i q, so a flux's load is -B_i q; read-only."""
     a, b, length, ia, ib = _tagged_edges(mesh, GAMMA_I)
     # int_e phi_a phi_b per edge: L / 3 on the diagonal, L / 6 off it
     vals = _edge_major(length / 3.0, length / 6.0, length / 6.0, length / 3.0)
-    return sp.csc_matrix((vals, (_edge_major(a, a, b, b), _edge_major(ia, ib, ia, ib))),
-                         shape=(mesh.n_vertices, len(length)))
+    matrix = sp.csc_matrix((vals, (_edge_major(a, a, b, b), _edge_major(ia, ib, ia, ib))),
+                           shape=(mesh.n_vertices, len(length)))
+    for arr in (matrix.data, matrix.indices, matrix.indptr):
+        arr.flags.writeable = False
+    return matrix
 
 
 def _edge_major(*per_edge: np.ndarray) -> np.ndarray:

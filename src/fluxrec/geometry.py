@@ -131,9 +131,12 @@ def triangle_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
 
 
 def _max_edge_length(vertices: np.ndarray, triangles: np.ndarray) -> float:
+    ends = np.roll(triangles, -1, axis=1)
+    x, y = vertices[:, 0], vertices[:, 1]
     with np.errstate(over="ignore", invalid="ignore"):  # as in triangle_areas
-        d = vertices[triangles] - vertices[np.roll(triangles, -1, axis=1)]
-        return float(np.sqrt((d * d).sum(axis=-1)).max(initial=0.0))
+        dx, dy = x[triangles] - x[ends], y[triangles] - y[ends]
+        # sqrt is monotone, so the root of the largest square is the largest length
+        return float(np.sqrt((dx * dx + dy * dy).max(initial=0.0)))
 
 
 def generate_annulus_mesh(r_inner: float, r_outer: float, h_target: float) -> Mesh:
@@ -189,9 +192,10 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     v, n_v = mesh.vertices, mesh.n_vertices
     edges, side_edge, _, boundary_edge = _edge_table(mesh.triangles, mesh.boundary_edges)
     midpoints = 0.5 * (v[edges[:, 0]] + v[edges[:, 1]])
-    for e, (a, b) in zip(boundary_edge.tolist(), mesh.boundary_edges.tolist()):
-        r = 0.5 * (np.linalg.norm(v[a]) + np.linalg.norm(v[b]))
-        midpoints[e] = midpoints[e] * (r / np.linalg.norm(midpoints[e]))
+    radius = _row_norms(v)
+    r = 0.5 * (radius[mesh.boundary_edges[:, 0]] + radius[mesh.boundary_edges[:, 1]])
+    on_loop = midpoints[boundary_edge]
+    midpoints[boundary_edge] = on_loop * (r / _row_norms(on_loop))[:, None]
 
     (a, b, c), (mab, mbc, mca) = mesh.triangles.T, (n_v + side_edge).T
     triangles = np.stack((a, mab, mca, mab, b, mbc, mca, mbc, c, mab, mbc, mca),
@@ -204,6 +208,11 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     return refined
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, bitwise equal to np.linalg.norm of that row (both ddot)."""
+    return np.sqrt(np.vecdot(x, x))
+
+
 def _edge_table(triangles: np.ndarray, pairs: np.ndarray):
     """Edges of a triangulation and of extra vertex pairs, numbered in first-encounter order.
 
@@ -212,7 +221,8 @@ def _edge_table(triangles: np.ndarray, pairs: np.ndarray):
     count and the edge of each pair.
     """
     sides = triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-    keys = np.sort(np.concatenate((sides, pairs.reshape(-1, 2))), axis=1)
+    a, b = np.concatenate((sides, pairs.reshape(-1, 2))).T
+    keys = np.stack((np.minimum(a, b), np.maximum(a, b)), axis=1)
     base = int(keys.max(initial=0)) + 1
     _, first, inverse = np.unique(keys[:, 0] * base + keys[:, 1],
                                   return_index=True, return_inverse=True)
@@ -261,9 +271,9 @@ def validate_mesh(mesh: Mesh) -> None:
 def _walk_loop(mesh: Mesh, edges: np.ndarray) -> list[int]:
     """Traverse tagged edges as a single closed loop; raise if they are not one."""
     adj: dict[int, list[int]] = {}
-    for a, b in edges:
-        adj.setdefault(int(a), []).append(int(b))
-        adj.setdefault(int(b), []).append(int(a))
+    for a, b in edges.tolist():
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
     for v, nbrs in adj.items():
         if len(nbrs) != 2:
             raise InvalidGeometryError(f"boundary vertex {v} has {len(nbrs)} tagged neighbours")

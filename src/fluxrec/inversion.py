@@ -17,8 +17,11 @@ d = M_a^(1/2) (u_delta - b) and lambda = rho/2 it is the filter solution
     q = M_i^(-1/2) V diag(s / (s^2 + lambda)) U^T d,
 
 and its residual has a closed form in rho, which the discrepancy search
-bisects without a solve.  Neither path forms K^T M_a K, whose condition
-number is the square of the whitened operator's.
+bisects without a solve.  The search takes R projected data at once and
+bisects them in lock step, one array operation per step for all rows
+still open; a single datum is the one-row case.  Neither path forms
+K^T M_a K, whose condition number is the square of the whitened
+operator's.
 """
 
 from __future__ import annotations
@@ -193,72 +196,100 @@ def tikhonov_solve(op: AffineForwardOperator, u_delta: BoundaryVector,
     return TikhonovResult(q_rec, float(rho), residual_norm, solution_norm)
 
 
-def closed_form_residual(op: AffineForwardOperator,
-                         u_delta: BoundaryVector) -> Callable[[float], float]:
-    """rho -> Tikhonov residual ||K q_rho + b - u_delta||_a, without a solve.
+def _residuals(s_sq: np.ndarray, c: np.ndarray, perp_sq: np.ndarray,
+               rho: np.ndarray) -> np.ndarray:
+    """Tikhonov residuals ||K q_rho + b - u_delta||_a of R rows, without a solve.
 
-    With the data projected once onto the whitened SVD, c = U^T d and
-    perp^2 = ||d - U c||^2, the residual at lambda = rho/2 is
+    Row r holds data projected onto the whitened SVD, c[r] = U^T d and
+    perp_sq[r] = ||d - U c[r]||^2; at lambda = rho[r]/2 its residual is
     sqrt(sum_j (lambda / (s_j^2 + lambda))^2 c_j^2 + perp^2)
     (the complements of the Tikhonov filter factors s^2 / (s^2 + lambda)).
     """
+    lam = 0.5 * rho[:, None]
+    return np.sqrt(np.sum((lam / (s_sq + lam) * c) ** 2, axis=1) + perp_sq)
+
+
+def closed_form_residual(op: AffineForwardOperator,
+                         u_delta: BoundaryVector) -> Callable[[float], float]:
+    """rho -> Tikhonov residual ||K q_rho + b - u_delta||_a, without a solve."""
     c, perp_sq = _project(op, u_delta)
     s_sq = op.whitened_svd[1] ** 2
+    return lambda rho: float(_residuals(s_sq, c[None], np.array([perp_sq]), np.array([rho]))[0])
 
-    def residual(rho: float) -> float:
-        lam = 0.5 * rho
-        return float(np.sqrt(np.sum((lam / (s_sq + lam) * c) ** 2) + perp_sq))
 
-    return residual
+def discrepancy_search(op: AffineForwardOperator, c: np.ndarray, perp_sq: np.ndarray,
+                       deltas: np.ndarray, tau_d: float = 1.5) -> tuple[list[float], list[str]]:
+    """Morozov choice for R projected data (rows of c and perp_sq, see ``_project``) at once.
+
+    Each row is bisected on log rho, all in lock step, towards the largest
+    rho whose closed-form residual (non-decreasing in rho) stays at or
+    below tau_d * delta, so that it sits in [delta, tau_d*delta] near the
+    upper edge; a row leaves the loop when its own stopping test holds.
+    Returns (rho, failure) per row: a failed row gets NaN and the
+    diagnosis of which side failed, a successful row the failure "".
+    """
+    deltas = np.asarray(deltas, dtype=float)
+    for delta in deltas.tolist():
+        if not delta > 0.0:
+            raise ValueError(f"delta must be positive, got {delta}")
+    if not tau_d > 1.0:
+        raise ValueError(f"tau_d must be > 1, got {tau_d}")
+
+    s_sq = op.whitened_svd[1] ** 2
+    upper = tau_d * deltas
+    lo, hi = RHO_BRACKET
+    r_lo = _residuals(s_sq, c, perp_sq, np.full(len(deltas), lo))
+    r_hi = _residuals(s_sq, c, perp_sq, np.full(len(deltas), hi))
+    under = r_lo > upper
+    over = ~under & (r_hi < deltas)
+    failures = [""] * len(deltas)
+    for row in np.flatnonzero(under).tolist():
+        failures[row] = (
+            f"residual {r_lo[row]:.3e} at rho={lo:.1e} exceeds tau_d*delta={upper[row]:.3e}; "
+            "the mesh cannot fit the data this closely (under-resolved mesh)")
+    for row in np.flatnonzero(over).tolist():
+        failures[row] = (
+            f"residual {r_hi[row]:.3e} at rho={hi:.1e} is below delta={deltas[row]:.3e}; "
+            "delta lies above the data scale (q = 0 already over-fits)")
+    at_hi = ~under & ~over & (r_hi <= upper)
+    rho = np.where(at_hi, hi, np.nan)
+
+    # the rows still open; best is NaN until a mid lands in the band
+    active = np.flatnonzero(~(under | over | at_hi))
+    c, perp_sq, deltas, upper = c[active], perp_sq[active], deltas[active], upper[active]
+    best = np.where(r_lo[active] >= deltas, lo, np.nan)
+    log_lo = np.full(active.size, np.log10(lo))
+    log_hi = np.full(active.size, np.log10(hi))
+    for _ in range(200):
+        if not active.size:
+            break
+        # Python's float power is libm pow; numpy's array power differs in the last bit
+        mid = np.array([10.0 ** x for x in (0.5 * (log_lo + log_hi)).tolist()])
+        r_mid = _residuals(s_sq, c, perp_sq, mid)
+        above = r_mid > upper
+        log_mid = np.log10(mid)
+        log_lo = np.where(above, log_lo, log_mid)
+        log_hi = np.where(above, log_mid, log_hi)
+        best = np.where(~above & (r_mid >= deltas), mid, best)
+        done = (log_hi - log_lo < 1e-3) & ~np.isnan(best)
+        rho[active[done]] = best[done]
+        keep = ~done
+        active, best, log_lo, log_hi = active[keep], best[keep], log_lo[keep], log_hi[keep]
+        c, perp_sq, deltas, upper = c[keep], perp_sq[keep], deltas[keep], upper[keep]
+    for row in active.tolist():
+        failures[row] = "bisection exhausted its iteration budget"
+    return rho.tolist(), failures
 
 
 def choose_rho_discrepancy(op: AffineForwardOperator, u_delta: BoundaryVector,
                            delta: float, tau_d: float = 1.5) -> float:
-    """Morozov choice by bisection on log rho.
-
-    Converges on the largest rho whose residual stays at or below
-    tau_d * delta, so the returned residual sits in [delta, tau_d*delta]
-    near its upper edge (the classical "residual matches the noise
-    level" rule).  Every residual is taken in closed form, which is
-    non-decreasing in rho by construction; failure to bracket raises
-    BracketFailureError with a diagnosis of which side failed.
-    """
-    if not delta > 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    if not tau_d > 1.0:
-        raise ValueError(f"tau_d must be > 1, got {tau_d}")
-
-    lo, hi = RHO_BRACKET
-    residual = closed_form_residual(op, u_delta)
-    r_lo = residual(lo)
-    if r_lo > tau_d * delta:
-        raise BracketFailureError(
-            f"residual {r_lo:.3e} at rho={lo:.1e} exceeds tau_d*delta={tau_d * delta:.3e}; "
-            "the mesh cannot fit the data this closely (under-resolved mesh)"
-        )
-    r_hi = residual(hi)
-    if r_hi < delta:
-        raise BracketFailureError(
-            f"residual {r_hi:.3e} at rho={hi:.1e} is below delta={delta:.3e}; "
-            "delta lies above the data scale (q = 0 already over-fits)"
-        )
-    if r_hi <= tau_d * delta:
-        return hi
-
-    best_in_band = lo if r_lo >= delta else None
-    log_lo, log_hi = np.log10(lo), np.log10(hi)
-    for _ in range(200):
-        mid = 10.0 ** (0.5 * (log_lo + log_hi))
-        r_mid = residual(mid)
-        if r_mid > tau_d * delta:
-            log_hi = np.log10(mid)
-        else:
-            log_lo = np.log10(mid)
-            if r_mid >= delta:
-                best_in_band = mid
-        if log_hi - log_lo < 1e-3 and best_in_band is not None:
-            return best_in_band
-    raise BracketFailureError("bisection exhausted its iteration budget")
+    """Morozov choice for one datum, the one-row ``discrepancy_search``; raises its failure."""
+    c, perp_sq = _project(op, u_delta)
+    (rho,), (failure,) = discrepancy_search(op, c[None], np.array([perp_sq]),
+                                            np.array([delta]), tau_d)
+    if failure:
+        raise BracketFailureError(failure)
+    return rho
 
 
 def admissibility_check(q_rec: BoundaryVector, q_dag: BoundaryVector,

@@ -3,11 +3,14 @@
 For a synthesized true flux of prescribed smoothness s, exact data is
 generated on a uniformly refined mesh (inverse-crime guard), transferred
 to the inversion boundary by arc-length interpolation, perturbed at a
-grid of noise levels, and inverted; the per-level median errors are then
-regressed against log(1/delta) on log-log axes.  The theoretical error
-exponent is p* = 2 s kappa / (1 + 2 s); the fitted exponent is checked
-for upper-bound consistency (faster decay is compatible with an upper
-rate bound).
+grid of noise levels, and inverted.  Every row's noise is drawn first;
+one lock-step discrepancy search then picks every row's rho at once
+(``inversion.discrepancy_search``), and each row is solved at its rho.
+The per-level median errors are regressed against log(1/delta) on
+log-log axes.  The theoretical error exponent is
+p* = 2 s kappa / (1 + 2 s); the fitted exponent is checked for
+upper-bound consistency (faster decay is compatible with an upper rate
+bound).
 """
 
 from __future__ import annotations
@@ -18,14 +21,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BracketFailureError, InsufficientDataError, SchemaError
+from .errors import InsufficientDataError, SchemaError
 from .fem import BoundaryVector, FactorizedSystem, ProblemData, boundary_l2_norm, trace
 from .geometry import GAMMA_A, GAMMA_I, Mesh, boundary_map, generate_annulus_mesh, refine_uniform
 from .inversion import (
+    _project,
     add_noise,
     admissibility_check,
     build_forward_operator,
-    choose_rho_discrepancy,
+    discrepancy_search,
     tikhonov_solve,
 )
 from .spectral import build_spectral_basis, synthesize_flux_with_smoothness
@@ -65,6 +69,10 @@ class ExperimentConfig:
         grid = np.asarray(self.delta_grid, dtype=float)
         if grid.size == 0 or not (np.diff(grid) < 0.0).all():
             raise ValueError("delta_grid must be non-empty and strictly decreasing")
+        if not 0.0 < grid[-1] <= grid[0] < math.inf:
+            raise ValueError("delta_grid entries must be positive and finite")
+        if self.seeds_per_delta < 1:
+            raise ValueError("seeds_per_delta must be >= 1")
         if self.refine_level < 1 and not self.allow_inverse_crime:
             raise ValueError("refine_level must be >= 1 (inverse-crime guard)")
         if self.rho_rule not in ("discrepancy", "fixed"):
@@ -142,29 +150,33 @@ def run_rate_study(config: ExperimentConfig) -> RateReport:
     op = build_forward_operator(
         coarse, ProblemData.from_constants(coarse, config.alpha, config.k,
                                            config.f, config.u_a))
-    q_dag_norm = boundary_l2_norm(coarse, q_dag)
+
+    # every row's noise first, then one lock-step discrepancy search for the whole sweep
+    sweep = [(float(delta), config.base_seed + 1000 * i + j)
+             for i, delta in enumerate(config.delta_grid) for j in range(config.seeds_per_delta)]
+    data = [add_noise(coarse, u_exact, delta, seed) for delta, seed in sweep]
+    if config.rho_rule == "discrepancy":
+        c, perp_sq = zip(*(_project(op, u_delta) for u_delta in data))
+        rhos, failures = discrepancy_search(op, np.array(c), np.array(perp_sq),
+                                            np.array([delta for delta, _ in sweep]), config.tau_d)
+    else:
+        rhos = [float(rho) for rho in config.fixed_rho_schedule
+                for _ in range(config.seeds_per_delta)]
+        failures = [""] * len(sweep)
 
     rows: list[RateRow] = []
-    for i, delta in enumerate(config.delta_grid):
-        for j in range(config.seeds_per_delta):
-            seed = config.base_seed + 1000 * i + j
-            u_delta = add_noise(coarse, u_exact, float(delta), seed)
-            try:
-                if config.rho_rule == "discrepancy":
-                    rho = choose_rho_discrepancy(op, u_delta, float(delta), config.tau_d)
-                else:
-                    rho = float(config.fixed_rho_schedule[i])
-                result = tikhonov_solve(op, u_delta, rho)
-            except BracketFailureError as exc:
-                logger.warning("delta=%.3e seed=%d failed: %s", delta, seed, exc)
-                rows.append(RateRow(float(delta), seed, float("nan"), float("nan"),
-                                    float("nan"), False, True))
-                continue
-            err = boundary_l2_norm(coarse, BoundaryVector(
-                GAMMA_I, result.q_rec.values - q_dag.values))
-            admissible = admissibility_check(result.q_rec, q_dag, basis, config.m0)
-            rows.append(RateRow(float(delta), seed, result.rho, err,
-                                result.residual_norm, admissible, False))
+    for (delta, seed), u_delta, rho, failure in zip(sweep, data, rhos, failures):
+        if failure:
+            logger.warning("delta=%.3e seed=%d failed: %s", delta, seed, failure)
+            rows.append(RateRow(delta, seed, float("nan"), float("nan"),
+                                float("nan"), False, True))
+            continue
+        result = tikhonov_solve(op, u_delta, rho)
+        err = boundary_l2_norm(coarse, BoundaryVector(
+            GAMMA_I, result.q_rec.values - q_dag.values))
+        admissible = admissibility_check(result.q_rec, q_dag, basis, config.m0)
+        rows.append(RateRow(delta, seed, result.rho, err,
+                            result.residual_norm, admissible, False))
 
     try:
         p_hat, r_squared = fit_log_rate(rows)

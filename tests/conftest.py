@@ -7,8 +7,13 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from fluxrec import fem, geometry, inversion, spectral, stability, vsc
-from fluxrec.errors import InadmissibleSampleError, InvalidGeometryError, MalformedFileError
+from fluxrec import fem, geometry, inversion, rates, spectral, stability, vsc
+from fluxrec.errors import (
+    BracketFailureError,
+    InadmissibleSampleError,
+    InvalidGeometryError,
+    MalformedFileError,
+)
 
 
 def discrete_trace_constant(mesh) -> float:
@@ -359,6 +364,98 @@ def loop_load_mesh(path) -> geometry.Mesh:
 
 def _bad_record():
     raise ValueError
+
+
+def scalar_residual(op, u_delta):
+    """One-rho oracle of inversion._residuals: rho -> residual for one datum."""
+    c, perp_sq = inversion._project(op, u_delta)
+    s_sq = op.whitened_svd[1] ** 2
+
+    def residual(rho: float) -> float:
+        lam = 0.5 * rho
+        return float(np.sqrt(np.sum((lam / (s_sq + lam) * c) ** 2) + perp_sq))
+
+    return residual
+
+
+def scalar_choose_rho_discrepancy(op, u_delta, delta, tau_d=1.5):
+    """One-datum oracle of inversion.discrepancy_search: the scalar bisection on log rho."""
+    if not delta > 0.0:
+        raise ValueError(f"delta must be positive, got {delta}")
+    if not tau_d > 1.0:
+        raise ValueError(f"tau_d must be > 1, got {tau_d}")
+
+    lo, hi = inversion.RHO_BRACKET
+    residual = scalar_residual(op, u_delta)
+    r_lo = residual(lo)
+    if r_lo > tau_d * delta:
+        raise BracketFailureError(
+            f"residual {r_lo:.3e} at rho={lo:.1e} exceeds tau_d*delta={tau_d * delta:.3e}; "
+            "the mesh cannot fit the data this closely (under-resolved mesh)"
+        )
+    r_hi = residual(hi)
+    if r_hi < delta:
+        raise BracketFailureError(
+            f"residual {r_hi:.3e} at rho={hi:.1e} is below delta={delta:.3e}; "
+            "delta lies above the data scale (q = 0 already over-fits)"
+        )
+    if r_hi <= tau_d * delta:
+        return hi
+
+    best_in_band = lo if r_lo >= delta else None
+    log_lo, log_hi = np.log10(lo), np.log10(hi)
+    for _ in range(200):
+        mid = 10.0 ** (0.5 * (log_lo + log_hi))
+        r_mid = residual(mid)
+        if r_mid > tau_d * delta:
+            log_hi = np.log10(mid)
+        else:
+            log_lo = np.log10(mid)
+            if r_mid >= delta:
+                best_in_band = mid
+        if log_hi - log_lo < 1e-3 and best_in_band is not None:
+            return best_in_band
+    raise BracketFailureError("bisection exhausted its iteration budget")
+
+
+def loop_rate_rows(config) -> tuple[list, list[str]]:
+    """Per-row oracle of rates.run_rate_study: (rows, failure warnings), one scalar search per row."""
+    coarse = geometry.generate_annulus_mesh(config.r_inner, config.r_outer, config.h)
+    fine = coarse
+    for _ in range(config.refine_level):
+        fine = geometry.refine_uniform(fine)
+    basis = spectral.build_spectral_basis(coarse)
+    q_dag = spectral.synthesize_flux_with_smoothness(basis, config.s, config.eps,
+                                                     config.flux_seed)
+    q_fine = fem.BoundaryVector(geometry.GAMMA_I, rates.transfer_boundary_values(
+        coarse, fine, geometry.GAMMA_I, q_dag.values))
+    data_fine = fem.ProblemData.from_constants(fine, config.alpha, config.k, config.f, config.u_a)
+    u_fine = fem.trace(fem.FactorizedSystem(fine, data_fine).solve_flux(q_fine), geometry.GAMMA_A)
+    u_exact = fem.BoundaryVector(geometry.GAMMA_A, rates.transfer_boundary_values(
+        fine, coarse, geometry.GAMMA_A, u_fine.values))
+    op = inversion.build_forward_operator(coarse, fem.ProblemData.from_constants(
+        coarse, config.alpha, config.k, config.f, config.u_a))
+    rows, warnings = [], []
+    for i, delta in enumerate(config.delta_grid):
+        for j in range(config.seeds_per_delta):
+            seed = config.base_seed + 1000 * i + j
+            u_delta = inversion.add_noise(coarse, u_exact, float(delta), seed)
+            try:
+                rho = (scalar_choose_rho_discrepancy(op, u_delta, float(delta), config.tau_d)
+                       if config.rho_rule == "discrepancy" else
+                       float(config.fixed_rho_schedule[i]))
+            except BracketFailureError as exc:
+                warnings.append(f"delta={delta:.3e} seed={seed} failed: {exc}")
+                rows.append(rates.RateRow(float(delta), seed, math.nan, math.nan, math.nan,
+                                          False, True))
+                continue
+            result = inversion.tikhonov_solve(op, u_delta, rho)
+            err = fem.boundary_l2_norm(coarse, fem.BoundaryVector(
+                geometry.GAMMA_I, result.q_rec.values - q_dag.values))
+            rows.append(rates.RateRow(float(delta), seed, result.rho, err, result.residual_norm,
+                                      inversion.admissibility_check(result.q_rec, q_dag, basis,
+                                                                    config.m0), False))
+    return rows, warnings
 
 
 def sample_homogeneous_solution(system, basis, q) -> stability.StabilityEnsemble:

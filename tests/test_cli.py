@@ -351,6 +351,16 @@ def test_negative_seed_exits_2(workdir, tmp_path, capsys, subcommand):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("grid", ["1e-2, 1e-3, 0", "1e-2, 1e-3, -1e-4"])
+def test_non_positive_delta_grid_exits_2(tmp_path, capsys, grid):
+    # checked at parse time, before the fine solve, K and every earlier row
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(f"delta_grid = {grid}\n")
+    assert run(["rates", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "config key 'delta_grid': entries must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("line", ["base_seed = -5", "flux_seed = -1"])
 def test_negative_rates_seed_exits_2(tmp_path, capsys, line):
     cfg = tmp_path / "seed.cfg"

@@ -197,6 +197,18 @@ def test_rhs_matches_edge_loop_bitwise(random_problem):
         assert np.abs(assemble_rhs(mesh, data, flux) - want).max() <= 1e-15 * np.abs(want).max()
 
 
+def test_flux_load_matrix_is_built_once_per_mesh_and_read_only(random_problem):
+    mesh, data, q = random_problem
+    flux_load = fem.flux_load_matrix(mesh)
+    assemble_rhs(mesh, data, q)
+    system = FactorizedSystem(mesh, data)
+    next(system.flux_fields(np.eye(len(q.values))[:, :2]))
+    assert fem.flux_load_matrix(mesh) is flux_load
+    for arr in (flux_load.data, flux_load.indices, flux_load.indptr):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[0]
+
+
 def test_system_matches_edge_loop_bitwise(random_problem, monkeypatch):
     mesh, data, _ = random_problem
     system = assemble_system(mesh, data)

@@ -224,6 +224,7 @@ def test_derived_data_dies_with_its_mesh():
     (fem._norm_matrices, ()),
     (spectral.build_spectral_basis, ()),
     (fem._tagged_edges, (GAMMA_A,)),
+    (fem.flux_load_matrix, ()),
 ])
 def test_memo_returns_the_same_object_and_counts(fn, args):
     gc.disable()
@@ -268,6 +269,27 @@ def test_refine_matches_dict_oracle_bitwise(h, times):
     for _ in range(times):
         mesh, oracle = refine_uniform(mesh), loop_refine_uniform(oracle)
         _assert_same_mesh(mesh, oracle)
+
+
+@pytest.mark.parametrize("r_inner, h, refine", [
+    (0.5, 0.1, 0), (0.5, 0.05, 0), (0.5, 0.035, 0), (0.5, 0.025, 0),
+    (0.5, 0.1, 1), (0.5, 0.05, 1), (0.5, 0.1, 2), (0.5, 0.025, 1),
+    (0.3, 0.1, 0), (0.3, 0.05, 1), (0.7, 0.1, 0), (0.7, 0.035, 1),
+])
+def test_vectorized_lengths_match_per_row_norms_bitwise(r_inner, h, refine):
+    mesh = generate_annulus_mesh(r_inner, 1.0, h)
+    for _ in range(refine):
+        mesh = refine_uniform(mesh)
+    v = mesh.vertices
+    radius = geometry._row_norms(v)
+    assert radius.tobytes() == np.array([np.linalg.norm(p) for p in v]).tobytes()
+    for tag in (GAMMA_I, GAMMA_A):
+        a, b, length, _, _ = fem._tagged_edges(mesh, tag)
+        oracle = np.array([float(np.linalg.norm(v[j] - v[i])) for i, j in zip(a, b)])
+        assert length.tobytes() == oracle.tobytes()
+    # the old per-side formula: the largest root of the summed squares
+    d = v[mesh.triangles] - v[np.roll(mesh.triangles, -1, axis=1)]
+    assert mesh.h == float(np.sqrt((d * d).sum(axis=-1)).max())
 
 
 def _mesh(vertices, triangles, boundary_edges, boundary_tags) -> geometry.Mesh:

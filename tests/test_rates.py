@@ -1,5 +1,8 @@
+import logging
+
 import numpy as np
 import pytest
+from conftest import loop_rate_rows
 
 from fluxrec.errors import InsufficientDataError, SchemaError
 from fluxrec.geometry import GAMMA_A, GAMMA_I, boundary_map
@@ -31,6 +34,8 @@ def test_config_validation():
     ExperimentConfig(refine_level=0, allow_inverse_crime=True)  # labeled escape hatch
     with pytest.raises(ValueError):
         ExperimentConfig(rho_rule="magic")
+    with pytest.raises(ValueError, match="seeds_per_delta must be >= 1"):
+        ExperimentConfig(seeds_per_delta=0)
     with pytest.raises(SchemaError, match="'fixed_rho_schedule': has 1 entries, delta_grid has 9"):
         ExperimentConfig(rho_rule="fixed", fixed_rho_schedule=(1.0,))
 
@@ -40,6 +45,12 @@ def test_config_rejects_non_positive_fixed_rho(bad):
     with pytest.raises(ValueError, match="positive and finite"):
         ExperimentConfig(delta_grid=(1e-2, 1e-3), rho_rule="fixed",
                          fixed_rho_schedule=(bad, 1e-5))
+
+
+@pytest.mark.parametrize("grid", [(1e-2, 1e-3, 0.0), (1e-2, 1e-3, -1e-4), (float("inf"), 1e-2)])
+def test_config_rejects_non_positive_or_infinite_deltas(grid):
+    with pytest.raises(ValueError, match="delta_grid entries must be positive and finite"):
+        ExperimentConfig(delta_grid=grid)
 
 
 def test_p_star():
@@ -174,3 +185,26 @@ def test_inverse_crime_config_recovers_better():
     honest_best = min(e for _, e in honest.median_errors)
     crime_best = min(e for _, e in crime.median_errors)
     assert crime_best <= honest_best
+
+
+def _row_bits(row):
+    return (row.delta.hex(), row.seed, row.rho.hex(), row.error.hex(), row.residual.hex(),
+            row.admissible, row.failed)
+
+
+@pytest.mark.parametrize("config", [
+    # the rates-sweep benchmark op: h = 0.1, one refinement, 10 seeds per delta
+    ExperimentConfig(h=0.1, refine_level=1, seeds_per_delta=10, base_seed=0),
+    ExperimentConfig(h=0.1, refine_level=1, seeds_per_delta=10, base_seed=10_007),
+    # the finest mesh fails its smallest deltas as under-resolved
+    ExperimentConfig(h=0.025, delta_grid=(1e-3, 1e-7, 1e-8, 1e-9), seeds_per_delta=6),
+    ExperimentConfig(delta_grid=(1e-2, 1e-4), seeds_per_delta=2, rho_rule="fixed",
+                     fixed_rho_schedule=(1e-3, 1e-7)),
+], ids=["sweep-0", "sweep-10007", "failures", "fixed"])
+def test_rows_match_the_per_row_oracle_bitwise(config, caplog):
+    with caplog.at_level(logging.WARNING, logger="fluxrec.rates"):
+        report = run_rate_study(config)
+    rows, warnings = loop_rate_rows(config)
+    assert [_row_bits(r) for r in report.rows] == [_row_bits(r) for r in rows]
+    assert [rec.getMessage() for rec in caplog.records] == warnings
+    assert any(r.failed for r in rows) == (config.h == 0.025)
