@@ -9,6 +9,7 @@ output is byte-stable for fixed inputs and seeds.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -287,6 +288,7 @@ def cmd_rates(args) -> int:
     return 0
 
 
+@functools.cache   # parsing leaves the parser unchanged, so one per process serves every dispatch
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fluxrec",

@@ -68,8 +68,10 @@ def _tau(v) -> str | None:
 def _noise_levels(v) -> str | None:
     if len(v) == 0 or not all(b < a for a, b in zip(v, v[1:])):
         return "must be a non-empty strictly decreasing list"
-    # an infinite entry is reported as "must be finite" by parse_config
-    return None if v[-1] > 0.0 else "entries must be positive"
+    if not v[-1] > 0.0:
+        return "entries must be positive"
+    # the rate fit's log(log(1/delta)) needs delta < 1; parse_config reports inf as not finite
+    return "entries must be below 1" if 1.0 <= v[0] < math.inf else None
 
 
 def _positive_entries(v) -> str | None:

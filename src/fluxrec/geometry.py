@@ -263,13 +263,15 @@ def validate_mesh(mesh: Mesh) -> None:
         sel = mesh.boundary_tags == tag
         if not sel.any():
             raise InvalidGeometryError(f"missing boundary tag {tag}")
-        loops[tag] = _walk_loop(mesh, mesh.boundary_edges[sel])
+        loops[tag] = _walk_loop(mesh, tag)
     if set(loops[GAMMA_I]) & set(loops[GAMMA_A]):
         raise InvalidGeometryError("GammaI and GammaA loops share a vertex")
 
 
-def _walk_loop(mesh: Mesh, edges: np.ndarray) -> list[int]:
-    """Traverse tagged edges as a single closed loop; raise if they are not one."""
+@per_mesh
+def _walk_loop(mesh: Mesh, tag: str) -> tuple[int, ...]:
+    """Walk the edges tagged ``tag`` as one closed loop, once per mesh; raise if they are not one."""
+    edges = mesh.boundary_edges[mesh.boundary_tags == tag]
     adj: dict[int, list[int]] = {}
     for a, b in edges.tolist():
         adj.setdefault(a, []).append(b)
@@ -292,7 +294,7 @@ def _walk_loop(mesh: Mesh, edges: np.ndarray) -> list[int]:
             raise InvalidGeometryError("tagged edges do not close into a single loop")
     if len(order) != len(edges):
         raise InvalidGeometryError("tagged edges form more than one loop")
-    return order
+    return tuple(order)
 
 
 @per_mesh
@@ -308,7 +310,7 @@ def boundary_map(mesh: Mesh, tag: str) -> BoundaryIndexMap:
     if not sel.any():
         raise MissingTagError(f"mesh has no edges tagged {tag}")
 
-    order = _walk_loop(mesh, mesh.boundary_edges[sel])
+    order = list(_walk_loop(mesh, tag))
     pts = mesh.vertices[order]
     signed_area = 0.5 * float(_cross_z(pts, np.roll(pts, -1, axis=0)).sum())
     if signed_area < 0.0:

@@ -17,11 +17,15 @@ d = M_a^(1/2) (u_delta - b) and lambda = rho/2 it is the filter solution
     q = M_i^(-1/2) V diag(s / (s^2 + lambda)) U^T d,
 
 and its residual has a closed form in rho, which the discrepancy search
-bisects without a solve.  The search takes R projected data at once and
-bisects them in lock step, one array operation per step for all rows
-still open; a single datum is the one-row case.  Neither path forms
-K^T M_a K, whose condition number is the square of the whitened
-operator's.
+bisects without a solve, in lock step for all rows still open.  Neither
+path forms K^T M_a K, whose condition number is the square of the
+whitened operator's.
+
+Every step takes R data rows at once: noise (``noisy_rows``), projection
+(``project_rows``), rho (``discrepancy_search``), solve (``tikhonov_rows``)
+and the H^(1/2) ball test (``admissible_rows``); each per-datum function
+is the one-row call of its batched form.  Products over rows are stacked
+matrix-vector products, bitwise equal to the one-row products.
 """
 
 from __future__ import annotations
@@ -46,11 +50,10 @@ from .fem import (
     BoundaryVector,
     FactorizedSystem,
     ProblemData,
-    boundary_l2_norm,
     trace,
 )
 from .geometry import GAMMA_A, GAMMA_I, Mesh, boundary_map
-from .spectral import SpectralBasis, sobolev_norm
+from .spectral import SpectralBasis
 
 logger = logging.getLogger(__name__)
 
@@ -108,10 +111,6 @@ class AffineForwardOperator:
             raise DimensionMismatchError(f"trace length {w_values.shape} != {self.n_a}")
         return (self.K.T @ (self.w_a * w_values)) / self.w_i
 
-    def misfit_norm(self, trace_values: np.ndarray, u_delta: np.ndarray) -> float:
-        d = trace_values - u_delta
-        return float(np.sqrt((self.w_a * d * d).sum()))
-
 
 @dataclass(eq=False)
 class TikhonovResult:
@@ -141,21 +140,37 @@ def adjoint_apply(op: AffineForwardOperator, w: BoundaryVector) -> BoundaryVecto
     return BoundaryVector(GAMMA_I, op.apply_adjoint(w.values))
 
 
-def add_noise(mesh: Mesh, u_exact: BoundaryVector, delta: float, seed: int) -> BoundaryVector:
-    """Gaussian perturbation scaled to exact L2(GammaA) norm delta."""
+def noisy_rows(mesh: Mesh, u_exact: BoundaryVector, deltas, seeds) -> np.ndarray:
+    """R x n_a data: u_exact plus noise of L2(GammaA) norm deltas[r] drawn by default_rng(seeds[r])."""
     if u_exact.tag != GAMMA_A:
         raise TagMismatchError(f"data trace must be tagged {GAMMA_A}, got {u_exact.tag}")
-    if not 0.0 <= delta < math.inf:
-        raise ValueError(f"delta must be finite and >= 0, got {delta}")
-    if delta == 0.0:
-        return BoundaryVector(GAMMA_A, u_exact.values.copy())
-    rng = np.random.default_rng(seed)
-    for _ in range(2):
-        xi = rng.standard_normal(len(u_exact.values))
-        nrm = boundary_l2_norm(mesh, BoundaryVector(GAMMA_A, xi))
-        if nrm > 0.0:
-            return BoundaryVector(GAMMA_A, u_exact.values + delta * xi / nrm)
-    raise SolverFailureError("degenerate zero noise draw twice in a row")
+    deltas = np.asarray(deltas, dtype=float)
+    for delta in deltas.tolist():
+        if not 0.0 <= delta < math.inf:
+            raise ValueError(f"delta must be finite and >= 0, got {delta}")
+    u = u_exact.values
+    out = np.tile(u, (len(deltas), 1))      # a delta = 0 row is the exact trace
+    noisy = np.flatnonzero(deltas > 0.0)
+    if not noisy.size:
+        return out
+    w = boundary_map(mesh, GAMMA_A).weights
+    if u.shape != w.shape:
+        raise DimensionMismatchError(f"boundary vector has {u.shape} values for {w.shape} weights")
+    rngs = [np.random.default_rng(seeds[row]) for row in noisy.tolist()]
+    xi = np.array([rng.standard_normal(len(u)) for rng in rngs])
+    nrm = np.sqrt((w * xi * xi).sum(axis=1))
+    for k in np.flatnonzero(~(nrm > 0.0)).tolist():     # a zero draw is drawn once more
+        xi[k] = rngs[k].standard_normal(len(u))
+        nrm[k] = np.sqrt((w * xi[k] * xi[k]).sum())
+        if not nrm[k] > 0.0:
+            raise SolverFailureError("degenerate zero noise draw twice in a row")
+    out[noisy] = u + deltas[noisy, None] * xi / nrm[:, None]
+    return out
+
+
+def add_noise(mesh: Mesh, u_exact: BoundaryVector, delta: float, seed: int) -> BoundaryVector:
+    """Gaussian perturbation scaled to exact L2(GammaA) norm delta, the one-row ``noisy_rows``."""
+    return BoundaryVector(GAMMA_A, noisy_rows(mesh, u_exact, [delta], [seed])[0])
 
 
 def tikhonov_objective(op: AffineForwardOperator, q_values: np.ndarray,
@@ -167,33 +182,54 @@ def tikhonov_objective(op: AffineForwardOperator, q_values: np.ndarray,
     return misfit / rho + 0.5 * penalty
 
 
-def _project(op: AffineForwardOperator, u_delta: BoundaryVector) -> tuple[np.ndarray, float]:
-    """Project d = M_a^(1/2) (u_delta - b) onto the whitened SVD: (c = U^T d, ||d - U c||^2)."""
-    if u_delta.tag != GAMMA_A:
-        raise TagMismatchError(f"data must be tagged {GAMMA_A}, got {u_delta.tag}")
-    if u_delta.values.shape != (op.n_a,):
-        raise DimensionMismatchError(f"data trace length {u_delta.values.shape} != {op.n_a}")
-    if not np.isfinite(u_delta.values).all():
+def _matvecs(A: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """A x for every row x of X, bitwise the one-row A @ x (X @ A.T, a gemm, is not)."""
+    return np.matmul(A, X[:, :, None])[..., 0]
+
+
+def project_rows(op: AffineForwardOperator, data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Project the rows d = M_a^(1/2) (u_delta - b) on the whitened SVD: (U^T d, ||d - U U^T d||^2)."""
+    if data.shape[1:] != (op.n_a,):
+        raise DimensionMismatchError(f"data trace length {data.shape[1:]} != {op.n_a}")
+    if not np.isfinite(data).all():
         raise ParameterDomainError("data trace u_delta has non-finite values")
     U = op.whitened_svd[0]
-    d = np.sqrt(op.w_a) * (u_delta.values - op.b)
-    c = U.T @ d
-    return c, float(np.sum((d - U @ c) ** 2))
+    d = np.sqrt(op.w_a) * (data - op.b)
+    c = _matvecs(U.T, d)
+    return c, np.sum((d - _matvecs(U, c)) ** 2, axis=1)
+
+
+def _project(op: AffineForwardOperator, u_delta: BoundaryVector) -> tuple[np.ndarray, float]:
+    """(c = U^T d, ||d - U c||^2) of one datum, the one-row ``project_rows``."""
+    if u_delta.tag != GAMMA_A:
+        raise TagMismatchError(f"data must be tagged {GAMMA_A}, got {u_delta.tag}")
+    c, perp_sq = project_rows(op, u_delta.values[None])
+    return c[0], float(perp_sq[0])
+
+
+def tikhonov_rows(op: AffineForwardOperator, data: np.ndarray, c: np.ndarray,
+                  rhos) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fluxes q (R x n_i), ||K q + b - u_delta||_a and ||q||_i at rhos; c is project_rows(...)[0]."""
+    rhos = np.asarray(rhos, dtype=float)
+    for rho in rhos.tolist():
+        if not 0.0 < rho < math.inf:
+            raise ValueError(f"rho must be positive and finite, got {rho}")
+    _, s, Vt = op.whitened_svd
+    q = _matvecs(Vt.T, s / (s * s + 0.5 * rhos[:, None]) * c) / np.sqrt(op.w_i)
+    r = _matvecs(op.K, q) + op.b - data
+    return (q, np.sqrt((op.w_a * r * r).sum(axis=1)),
+            np.sqrt((op.w_i * q * q).sum(axis=1)))
 
 
 def tikhonov_solve(op: AffineForwardOperator, u_delta: BoundaryVector,
                    rho: float) -> TikhonovResult:
-    """Minimizer of the Tikhonov objective as the SVD filter solution."""
+    """Minimizer of the Tikhonov objective, the one-row ``tikhonov_rows``."""
     if not 0.0 < rho < math.inf:
         raise ValueError(f"rho must be positive and finite, got {rho}")
     c, _ = _project(op, u_delta)
-    _, s, Vt = op.whitened_svd
-    q = (Vt.T @ (s / (s * s + 0.5 * rho) * c)) / np.sqrt(op.w_i)
-
-    q_rec = BoundaryVector(GAMMA_I, q)
-    residual_norm = op.misfit_norm(op.apply_linear(q) + op.b, u_delta.values)
-    solution_norm = float(np.sqrt((op.w_i * q * q).sum()))
-    return TikhonovResult(q_rec, float(rho), residual_norm, solution_norm)
+    q, residual, norm = tikhonov_rows(op, u_delta.values[None], c[None], [rho])
+    return TikhonovResult(BoundaryVector(GAMMA_I, q[0]), float(rho),
+                          float(residual[0]), float(norm[0]))
 
 
 def _residuals(s_sq: np.ndarray, c: np.ndarray, perp_sq: np.ndarray,
@@ -292,8 +328,19 @@ def choose_rho_discrepancy(op: AffineForwardOperator, u_delta: BoundaryVector,
     return rho
 
 
+def admissible_rows(fluxes: np.ndarray, q_dag: BoundaryVector, basis: SpectralBasis,
+                    m0: float) -> np.ndarray:
+    """Closed-ball test ||q - q_dag||_(1/2, GammaI) <= m0 for every row q of fluxes (R x n_i)."""
+    diff = fluxes - q_dag.values
+    if diff.shape[1:] != (basis.n_modes,):
+        raise DimensionMismatchError(
+            f"expected {basis.n_modes} boundary values, got {diff.shape[1:]}")
+    c = _matvecs(basis.eigenvectors.T, basis.mass_diag * diff)
+    # spectral.sobolev_norm's weights lambda^(2s) are lambda at s = 1/2
+    return np.sqrt((basis.eigenvalues * c ** 2).sum(axis=1)) <= m0
+
+
 def admissibility_check(q_rec: BoundaryVector, q_dag: BoundaryVector,
                         basis: SpectralBasis, m0: float) -> bool:
-    """Closed-ball test ||q_rec - q_dag||_(1/2, GammaI) <= m0."""
-    diff = BoundaryVector(GAMMA_I, q_rec.values - q_dag.values)
-    return sobolev_norm(basis, 0.5, diff) <= m0
+    """Closed-ball test ||q_rec - q_dag||_(1/2, GammaI) <= m0, the one-row ``admissible_rows``."""
+    return bool(admissible_rows(q_rec.values[None], q_dag, basis, m0)[0])

@@ -3,9 +3,10 @@
 For a synthesized true flux of prescribed smoothness s, exact data is
 generated on a uniformly refined mesh (inverse-crime guard), transferred
 to the inversion boundary by arc-length interpolation, perturbed at a
-grid of noise levels, and inverted.  Every row's noise is drawn first;
-one lock-step discrepancy search then picks every row's rho at once
-(``inversion.discrepancy_search``), and each row is solved at its rho.
+grid of noise levels, and inverted.  The whole sweep goes through each
+step at once, one array pass per step: noise, projection, one lock-step
+discrepancy search for every rho, the Tikhonov solves, and the L2 error
+and admissibility of every row (the batched forms of ``inversion``).
 The per-level median errors are regressed against log(1/delta) on
 log-log axes.  The theoretical error exponent is
 p* = 2 s kappa / (1 + 2 s); the fitted exponent is checked for
@@ -22,15 +23,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientDataError, SchemaError
-from .fem import BoundaryVector, FactorizedSystem, ProblemData, boundary_l2_norm, trace
+from .fem import BoundaryVector, FactorizedSystem, ProblemData, trace
 from .geometry import GAMMA_A, GAMMA_I, Mesh, boundary_map, generate_annulus_mesh, refine_uniform
 from .inversion import (
-    _project,
-    add_noise,
-    admissibility_check,
+    admissible_rows,
     build_forward_operator,
     discrepancy_search,
-    tikhonov_solve,
+    noisy_rows,
+    project_rows,
+    tikhonov_rows,
 )
 from .spectral import build_spectral_basis, synthesize_flux_with_smoothness
 
@@ -69,8 +70,8 @@ class ExperimentConfig:
         grid = np.asarray(self.delta_grid, dtype=float)
         if grid.size == 0 or not (np.diff(grid) < 0.0).all():
             raise ValueError("delta_grid must be non-empty and strictly decreasing")
-        if not 0.0 < grid[-1] <= grid[0] < math.inf:
-            raise ValueError("delta_grid entries must be positive and finite")
+        if not 0.0 < grid[-1] <= grid[0] < 1.0:   # the rate model log(log(1/delta)) needs delta < 1
+            raise ValueError("delta_grid entries must be positive and finite, and below 1")
         if self.seeds_per_delta < 1:
             raise ValueError("seeds_per_delta must be >= 1")
         if self.refine_level < 1 and not self.allow_inverse_crime:
@@ -151,32 +152,32 @@ def run_rate_study(config: ExperimentConfig) -> RateReport:
         coarse, ProblemData.from_constants(coarse, config.alpha, config.k,
                                            config.f, config.u_a))
 
-    # every row's noise first, then one lock-step discrepancy search for the whole sweep
+    # every step takes the whole sweep at once: noise, projection, rho, solve and scoring
     sweep = [(float(delta), config.base_seed + 1000 * i + j)
              for i, delta in enumerate(config.delta_grid) for j in range(config.seeds_per_delta)]
-    data = [add_noise(coarse, u_exact, delta, seed) for delta, seed in sweep]
+    deltas = np.array([delta for delta, _ in sweep])
+    data = noisy_rows(coarse, u_exact, deltas, [seed for _, seed in sweep])
+    c, perp_sq = project_rows(op, data)
     if config.rho_rule == "discrepancy":
-        c, perp_sq = zip(*(_project(op, u_delta) for u_delta in data))
-        rhos, failures = discrepancy_search(op, np.array(c), np.array(perp_sq),
-                                            np.array([delta for delta, _ in sweep]), config.tau_d)
+        rhos, failures = discrepancy_search(op, c, perp_sq, deltas, config.tau_d)
     else:
         rhos = [float(rho) for rho in config.fixed_rho_schedule
                 for _ in range(config.seeds_per_delta)]
         failures = [""] * len(sweep)
 
-    rows: list[RateRow] = []
-    for (delta, seed), u_delta, rho, failure in zip(sweep, data, rhos, failures):
+    for (delta, seed), failure in zip(sweep, failures):
         if failure:
             logger.warning("delta=%.3e seed=%d failed: %s", delta, seed, failure)
-            rows.append(RateRow(delta, seed, float("nan"), float("nan"),
-                                float("nan"), False, True))
-            continue
-        result = tikhonov_solve(op, u_delta, rho)
-        err = boundary_l2_norm(coarse, BoundaryVector(
-            GAMMA_I, result.q_rec.values - q_dag.values))
-        admissible = admissibility_check(result.q_rec, q_dag, basis, config.m0)
-        rows.append(RateRow(delta, seed, result.rho, err,
-                            result.residual_norm, admissible, False))
+    solved = [row for row, failure in enumerate(failures) if not failure]
+    q, residuals, _ = tikhonov_rows(op, data[solved], c[solved], [rhos[row] for row in solved])
+    diff = q - q_dag.values
+    errors = np.sqrt((op.w_i * diff * diff).sum(axis=1))   # the lumped L2(GammaI) error
+    admissible = admissible_rows(q, q_dag, basis, config.m0)
+    rows = [RateRow(delta, seed, float("nan"), float("nan"), float("nan"), False, True)
+            for delta, seed in sweep]
+    for row, err, residual, ok in zip(solved, errors.tolist(), residuals.tolist(),
+                                      admissible.tolist()):
+        rows[row] = RateRow(*sweep[row], rhos[row], err, residual, ok, False)
 
     try:
         p_hat, r_squared = fit_log_rate(rows)

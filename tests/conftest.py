@@ -10,9 +10,13 @@ import scipy.sparse.linalg as spla
 from fluxrec import fem, geometry, inversion, rates, spectral, stability, vsc
 from fluxrec.errors import (
     BracketFailureError,
+    DimensionMismatchError,
     InadmissibleSampleError,
     InvalidGeometryError,
     MalformedFileError,
+    ParameterDomainError,
+    SolverFailureError,
+    TagMismatchError,
 )
 
 
@@ -213,7 +217,7 @@ def loop_validate_mesh(mesh) -> None:
         sel = mesh.boundary_tags == tag
         if not sel.any():
             raise InvalidGeometryError(f"missing boundary tag {tag}")
-        loops[tag] = geometry._walk_loop(mesh, mesh.boundary_edges[sel])
+        loops[tag] = geometry._walk_loop.__wrapped__(mesh, tag)
     if set(loops[geometry.GAMMA_I]) & set(loops[geometry.GAMMA_A]):
         raise InvalidGeometryError("GammaI and GammaA loops share a vertex")
 
@@ -233,6 +237,12 @@ def scalar_psi_infimum(spec, t: float, lambda_grid) -> float:
     return float((spec.g(lambda_grid) * scalar_psi0(spec, t) + spec.f(lambda_grid) ** 2).min())
 
 
+def misfit_norm(op, trace_values, u_delta) -> float:
+    """||trace_values - u_delta||_a in the lumped GammaA norm."""
+    d = trace_values - u_delta
+    return float(np.sqrt((op.w_a * d * d).sum()))
+
+
 def loop_sample_terms(op, basis, q_dag, samples, m0) -> list[tuple[float, float, float]]:
     """Per-sample oracle of vsc._sample_terms: one admissibility check and one K q per sample."""
     mesh = op.mesh
@@ -245,7 +255,7 @@ def loop_sample_terms(op, basis, q_dag, samples, m0) -> list[tuple[float, float,
         diff = fem.BoundaryVector(geometry.GAMMA_I, q.values - q_dag.values)
         terms.append((0.25 * fem.boundary_l2_norm(mesh, diff) ** 2,
                       0.5 * fem.boundary_l2_norm(mesh, q) ** 2 - half_dag,
-                      op.misfit_norm(op.apply_linear(q.values), k_dag)))
+                      misfit_norm(op, op.apply_linear(q.values), k_dag)))
     return terms
 
 
@@ -366,9 +376,59 @@ def _bad_record():
     raise ValueError
 
 
+def scalar_add_noise(mesh, u_exact, delta, seed):
+    """Per-row oracle of inversion.noisy_rows: Gaussian noise of exact L2(GammaA) norm delta."""
+    if u_exact.tag != geometry.GAMMA_A:
+        raise TagMismatchError(f"data trace must be tagged {geometry.GAMMA_A}, got {u_exact.tag}")
+    if not 0.0 <= delta < math.inf:
+        raise ValueError(f"delta must be finite and >= 0, got {delta}")
+    if delta == 0.0:
+        return fem.BoundaryVector(geometry.GAMMA_A, u_exact.values.copy())
+    rng = np.random.default_rng(seed)
+    for _ in range(2):
+        xi = rng.standard_normal(len(u_exact.values))
+        nrm = fem.boundary_l2_norm(mesh, fem.BoundaryVector(geometry.GAMMA_A, xi))
+        if nrm > 0.0:
+            return fem.BoundaryVector(geometry.GAMMA_A, u_exact.values + delta * xi / nrm)
+    raise SolverFailureError("degenerate zero noise draw twice in a row")
+
+
+def scalar_project(op, u_delta):
+    """Per-row oracle of inversion.project_rows: (c = U^T d, ||d - U c||^2) for one datum."""
+    if u_delta.tag != geometry.GAMMA_A:
+        raise TagMismatchError(f"data must be tagged {geometry.GAMMA_A}, got {u_delta.tag}")
+    if u_delta.values.shape != (op.n_a,):
+        raise DimensionMismatchError(f"data trace length {u_delta.values.shape} != {op.n_a}")
+    if not np.isfinite(u_delta.values).all():
+        raise ParameterDomainError("data trace u_delta has non-finite values")
+    U = op.whitened_svd[0]
+    d = np.sqrt(op.w_a) * (u_delta.values - op.b)
+    c = U.T @ d
+    return c, float(np.sum((d - U @ c) ** 2))
+
+
+def scalar_tikhonov_solve(op, u_delta, rho):
+    """Per-row oracle of inversion.tikhonov_rows: the SVD filter solution for one datum."""
+    if not 0.0 < rho < math.inf:
+        raise ValueError(f"rho must be positive and finite, got {rho}")
+    c, _ = scalar_project(op, u_delta)
+    _, s, Vt = op.whitened_svd
+    q = (Vt.T @ (s / (s * s + 0.5 * rho) * c)) / np.sqrt(op.w_i)
+    residual_norm = misfit_norm(op, op.apply_linear(q) + op.b, u_delta.values)
+    solution_norm = float(np.sqrt((op.w_i * q * q).sum()))
+    return inversion.TikhonovResult(fem.BoundaryVector(geometry.GAMMA_I, q), float(rho),
+                                    residual_norm, solution_norm)
+
+
+def scalar_admissibility_check(q_rec, q_dag, basis, m0):
+    """Per-row oracle of inversion.admissible_rows: ||q_rec - q_dag||_(1/2, GammaI) <= m0."""
+    diff = fem.BoundaryVector(geometry.GAMMA_I, q_rec.values - q_dag.values)
+    return spectral.sobolev_norm(basis, 0.5, diff) <= m0
+
+
 def scalar_residual(op, u_delta):
     """One-rho oracle of inversion._residuals: rho -> residual for one datum."""
-    c, perp_sq = inversion._project(op, u_delta)
+    c, perp_sq = scalar_project(op, u_delta)
     s_sq = op.whitened_svd[1] ** 2
 
     def residual(rho: float) -> float:
@@ -439,7 +499,7 @@ def loop_rate_rows(config) -> tuple[list, list[str]]:
     for i, delta in enumerate(config.delta_grid):
         for j in range(config.seeds_per_delta):
             seed = config.base_seed + 1000 * i + j
-            u_delta = inversion.add_noise(coarse, u_exact, float(delta), seed)
+            u_delta = scalar_add_noise(coarse, u_exact, float(delta), seed)
             try:
                 rho = (scalar_choose_rho_discrepancy(op, u_delta, float(delta), config.tau_d)
                        if config.rho_rule == "discrepancy" else
@@ -449,12 +509,12 @@ def loop_rate_rows(config) -> tuple[list, list[str]]:
                 rows.append(rates.RateRow(float(delta), seed, math.nan, math.nan, math.nan,
                                           False, True))
                 continue
-            result = inversion.tikhonov_solve(op, u_delta, rho)
+            result = scalar_tikhonov_solve(op, u_delta, rho)
             err = fem.boundary_l2_norm(coarse, fem.BoundaryVector(
                 geometry.GAMMA_I, result.q_rec.values - q_dag.values))
             rows.append(rates.RateRow(float(delta), seed, result.rho, err, result.residual_norm,
-                                      inversion.admissibility_check(result.q_rec, q_dag, basis,
-                                                                    config.m0), False))
+                                      scalar_admissibility_check(result.q_rec, q_dag, basis,
+                                                                 config.m0), False))
     return rows, warnings
 
 

@@ -361,6 +361,45 @@ def test_non_positive_delta_grid_exits_2(tmp_path, capsys, grid):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("grid", ["2, 1e-2, 1e-3, 1e-4", "1, 1e-2, 1e-3"])
+def test_delta_grid_at_or_above_1_exits_2(tmp_path, capsys, grid):
+    # the rate model log(log(1/delta)) is undefined there; rejected before any solve
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(f"delta_grid = {grid}\n")
+    assert run(["rates", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "fluxrec: error: config key 'delta_grid': entries must be below 1\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_infinite_delta_grid_entry_is_reported_as_not_finite(tmp_path):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("delta_grid = inf, 1e-2\n")
+    with pytest.raises(SchemaError, match="'delta_grid': must be finite"):
+        parse_config(str(cfg), SCHEMAS["rates"])
+
+
+def test_one_parser_serves_every_dispatch(tmp_path, capsys):
+    # the parser is built once per process; each dispatch must behave as with a fresh one
+    def fresh(argv):
+        try:
+            cli.build_parser.__wrapped__().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0), capsys.readouterr()
+
+    assert cli.build_parser() is cli.build_parser()
+    usage_error = ["spectrum", "--mesh", "m.txt", "--out", "o.csv", "--bogus"]
+    expected = fresh(usage_error)
+    assert expected[0] == 2 and "unrecognized arguments: --bogus" in expected[1].err
+    assert (run(usage_error), capsys.readouterr()) == expected
+    mesh = tmp_path / "m.txt"
+    assert run(["mesh-gen", "--h", "0.3", "--out", str(mesh)]) == 0
+    assert load_mesh(mesh).n_vertices > 0
+    capsys.readouterr()
+    for argv in (["--version"], usage_error, ["rates"]):
+        expected = fresh(argv)
+        assert (run(argv), capsys.readouterr()) == expected
+
+
 @pytest.mark.parametrize("line", ["base_seed = -5", "flux_seed = -1"])
 def test_negative_rates_seed_exits_2(tmp_path, capsys, line):
     cfg = tmp_path / "seed.cfg"

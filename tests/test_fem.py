@@ -197,6 +197,23 @@ def test_rhs_matches_edge_loop_bitwise(random_problem):
         assert np.abs(assemble_rhs(mesh, data, flux) - want).max() <= 1e-15 * np.abs(want).max()
 
 
+def test_rhs_of_zero_f_builds_no_mass_matrix():
+    fresh = generate_annulus_mesh(0.5, 1.0, 0.2)
+    zero_f = ProblemData.from_constants(fresh, k=2.0, u_a=0.5)
+    before = fem._norm_matrices.cache_info().misses
+    rhs = assemble_rhs(fresh, zero_f, fem.constant_flux(fresh, 1.0))
+    assert fem._norm_matrices.cache_info().misses == before
+    # the same bits, signs of zeros included, as adding M f = +0.0
+    mass, _ = fem._norm_matrices(fresh)
+    full = (mass @ zero_f.f + fem._edge_robin_matrix(fresh, zero_f.k) @ _u_a_full(fresh, zero_f)
+            - fem.flux_load_matrix(fresh) @ fem.constant_flux(fresh, 1.0).values)
+    assert rhs.tobytes() == full.tobytes()
+    nonzero_f = ProblemData.from_constants(fresh, f=1.0)
+    before = fem._norm_matrices.cache_info()
+    assemble_rhs(fresh, nonzero_f, None)
+    assert fem._norm_matrices.cache_info().hits == before.hits + 1
+
+
 def test_flux_load_matrix_is_built_once_per_mesh_and_read_only(random_problem):
     mesh, data, q = random_problem
     flux_load = fem.flux_load_matrix(mesh)

@@ -209,6 +209,18 @@ def _derived_data_of_a_dropped_mesh() -> weakref.ref:
     return weakref.ref(mesh)
 
 
+def test_each_loop_is_walked_once_per_mesh():
+    walks = geometry._walk_loop.cache_info().misses
+    mesh = generate_annulus_mesh(0.5, 1.0, 0.2)  # validate_mesh walks both loops
+    assert geometry._walk_loop.cache_info().misses == walks + 2
+    for tag in (GAMMA_I, GAMMA_A):
+        assert set(boundary_map(mesh, tag).vertex_indices.tolist()) \
+            == set(geometry._walk_loop.__wrapped__(mesh, tag))
+    validate_mesh(mesh)
+    refine_uniform(mesh)                        # a new mesh: its own two walks
+    assert geometry._walk_loop.cache_info().misses == walks + 4
+
+
 def test_derived_data_dies_with_its_mesh():
     # reference counting alone must free the mesh: no memoized value may
     # keep it alive or point back at it

@@ -53,6 +53,15 @@ def test_config_rejects_non_positive_or_infinite_deltas(grid):
         ExperimentConfig(delta_grid=grid)
 
 
+@pytest.mark.parametrize("grid", [(2.0, 1e-2, 1e-3, 1e-4), (1.0, 1e-2, 1e-3)])
+def test_config_rejects_deltas_at_or_above_1(grid):
+    # log(log(1/delta)) of the rate fit is -inf at delta = 1 and NaN above
+    with pytest.raises(ValueError, match="delta_grid entries must be positive and finite, "
+                                         "and below 1"):
+        ExperimentConfig(delta_grid=grid)
+    ExperimentConfig(delta_grid=(np.nextafter(1.0, 0.0), 1e-2))
+
+
 def test_p_star():
     cfg = ExperimentConfig()
     assert abs(cfg.p_star - 0.45) <= 1e-15
