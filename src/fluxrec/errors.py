@@ -47,10 +47,6 @@ class ParameterDomainError(FluxRecError):
     """A parameter or a data value lies outside its domain (e.g. non-finite data)."""
 
 
-class EmptyGridError(FluxRecError):
-    """An evaluation grid was empty."""
-
-
 class InadmissibleSampleError(FluxRecError):
     """A sample violates the admissible-set constraint."""
 

@@ -5,17 +5,18 @@ on GammaA, is
 
     (1/4) ||q - qd||^2  <=  (1/2) ||q||^2 - (1/2) ||qd||^2 + Psi(||A(qd) - A(q)||)
 
-over the admissible ball ||q - qd||_(1/2) <= m0.  Psi is built as the
-infimum over a spectral cutoff lambda of
+over the admissible ball ||q - qd||_(1/2) <= m0.  Psi is the infimum
+over a spectral cutoff lambda > 0 of
 
     g(lambda) Psi0(t) + f(lambda)^2,
-    f(lambda) = ||qd||_{H^s} * lambda^(-s),   g(lambda) = lambda^(1/2 - s),
+    f(lambda) = F lambda^(-s),   g(lambda) = lambda^(1/2 - s),   F = ||qd||_{H^s},
 
-with Psi0 a logarithmic index function.  The weight 1/(2 (1 - beta)) on
-f^2 is 1 at beta = 1/2, and a factor on g would enter Psi only through
-its product with C, so neither is a parameter.  The constants are
-non-constructive in the underlying theory: fit_vsc_constants determines
-C in closed form, and a holdout validates it.
+with Psi0 a logarithmic index function; in closed form Psi = k Psi0^p
+(_psi_power).  The weight 1/(2 (1 - beta)) on f^2 is 1 at beta = 1/2, and
+a factor on g would enter Psi only through its product with C, so neither
+is a parameter.  The constants are non-constructive in the underlying
+theory: fit_vsc_constants determines C in closed form, and a holdout
+validates it.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
-    EmptyGridError,
     FitFailureError,
     InadmissibleSampleError,
     ParameterDomainError,
@@ -51,13 +51,7 @@ class IndexFunctionSpec:
     kappa: float
     s: float = 0.5
     cprime: float = 1.0
-    f_coeff: float = 1.0    # ||qd||_{H^s}, the coefficient of f(lambda)
-
-    def f(self, lam) -> np.ndarray | float:
-        return self.f_coeff * np.asarray(lam, dtype=float) ** (-self.s)
-
-    def g(self, lam) -> np.ndarray | float:
-        return np.asarray(lam, dtype=float) ** (0.5 - self.s)
+    f_coeff: float = 1.0    # F = ||qd||_{H^s}, the coefficient of f(lambda)
 
 
 def psi0_eval(spec: IndexFunctionSpec, t) -> np.ndarray:
@@ -86,18 +80,24 @@ def psi0_eval(spec: IndexFunctionSpec, t) -> np.ndarray:
                     spec.C / log_j ** spec.kappa + slope * (t - junction))
 
 
-def psi_infimum(spec: IndexFunctionSpec, t, lambda_grid: np.ndarray) -> np.ndarray:
-    """Psi(t) = min over the grid of g(lambda) Psi0(t) + f(lambda)^2, at every entry of t."""
-    lambda_grid = np.asarray(lambda_grid, dtype=float)
-    if lambda_grid.size == 0:
-        raise EmptyGridError("lambda grid is empty")
-    vals = np.multiply.outer(psi0_eval(spec, t), spec.g(lambda_grid)) + spec.f(lambda_grid) ** 2
-    return vals.min(axis=-1)
+def _psi_power(spec: IndexFunctionSpec) -> tuple[float, float]:
+    """(k, p) with Psi = k Psi0^p, the infimum over lambda > 0 in closed form.
+
+    For s < 1/2 it sits where (1/2 - s) g Psi0 = 2s f^2; at s = 1/2, g = 1
+    and f^2 -> 0, so Psi = Psi0 (the general k would divide by 1 - 2s = 0).
+    """
+    s = spec.s
+    if s == 0.5:
+        return 1.0, 1.0
+    e = (1.0 - 2.0 * s) / (1.0 + 2.0 * s)
+    k = (1.0 + 2.0 * s) / (4.0 * s) * (4.0 * s / (1.0 - 2.0 * s)) ** e * spec.f_coeff ** (2.0 * e)
+    return k, 4.0 * s / (1.0 + 2.0 * s)
 
 
-def default_lambda_grid(basis: SpectralBasis) -> np.ndarray:
-    """Log grid of 400 points from lambda_1 to lambda_max * 1e3 (infimum search)."""
-    return np.geomspace(1.0, float(basis.eigenvalues[-1]) * 1e3, 400)
+def psi_infimum(spec: IndexFunctionSpec, t) -> np.ndarray:
+    """Psi(t) = inf over lambda > 0 of g(lambda) Psi0(t) + f(lambda)^2, at every entry of t."""
+    k, p = _psi_power(spec)
+    return k * psi0_eval(spec, t) ** p
 
 
 @dataclass(eq=False)
@@ -154,7 +154,7 @@ def check_vsc_inequality(op: AffineForwardOperator, basis: SpectralBasis,
     so the degenerate sample q = qd evaluates.
     """
     lhs, rhs_norms, misfit = _sample_terms(op, basis, q_dag, samples, m0)
-    rhs = rhs_norms + psi_infimum(spec, np.maximum(misfit, T_FLOOR), default_lambda_grid(basis))
+    rhs = rhs_norms + psi_infimum(spec, np.maximum(misfit, T_FLOOR))
     scale = np.max(np.abs(np.concatenate([lhs, rhs])),
                    initial=max(1.0, 0.5 * boundary_l2_norm(op.mesh, q_dag) ** 2))
     return VscReport(lhs, rhs, rhs - lhs, float(scale))
@@ -173,10 +173,10 @@ def fit_vsc_constants(op: AffineForwardOperator, basis: SpectralBasis,
     The theory guarantees existence but not values.  Every fitted sample
     must be admissible.  cprime is the largest fitted misfit and C0 sits
     on its floor 1.01 e^(kappa+1) cprime.  A sample with deficit
-    D = lhs - (norm part of rhs) > 0 then holds iff
-    C >= max over lambda of (D - f(lambda)^2) / (g(lambda) Psi0_1(t)),
-    with Psi0_1 the index function at C = 1; C is the largest of these
-    bounds times (1 + 1e-9), and one check of the margins guards it.
+    D = lhs - (norm part of rhs) > 0 then holds iff k (C Psi0_1(t))^p >= D,
+    i.e. C >= (D/k)^(1/p) / Psi0_1(t), with Psi0_1 the index function at
+    C = 1; C is the largest of these bounds times (1 + 1e-9), one check of
+    the margins guards it, and a bound that leaves float64 fails the fit.
 
     The fitted terms are the calibration samples plus one anchor, the
     far end (1 - t_max) qd of the shrinkage ray that
@@ -185,7 +185,7 @@ def fit_vsc_constants(op: AffineForwardOperator, basis: SpectralBasis,
     t ||K qd|| <= cprime (the anchor enforces this) and
     kappa / log(C0 / (t ||K qd||)) <= (1 - t/2) / (1 - t/4), true for
     every kappa <= 2, so on the whole domain (0, 1) of kappa the anchor
-    covers the ray.
+    covers the ray (for s < 1/2 the exponent 1/p > 1 only steepens D).
     """
     if np.size(calibration) == 0:
         raise FitFailureError("empty calibration ensemble")
@@ -198,18 +198,19 @@ def fit_vsc_constants(op: AffineForwardOperator, basis: SpectralBasis,
     cprime = float(misfit.max())
     unit = IndexFunctionSpec(C=1.0, C0=cprime * math.exp(kappa + 1.0) * 1.01, kappa=kappa,
                              s=s, cprime=cprime, f_coeff=sobolev_norm(basis, s, q_dag))
-    lam = default_lambda_grid(basis)
+    k, p = _psi_power(unit)
     deficit = lhs - rhs_norms
     pos = deficit > 0.0
-    need = ((deficit[pos, None] - unit.f(lam) ** 2)
-            / (unit.g(lam) * psi0_eval(unit, np.maximum(misfit[pos], T_FLOOR))[:, None]))
-    required = float(np.max(need, initial=0.0))
-    if not required > 0.0:
+    if not pos.any():
         raise FitFailureError("no fitted sample has a positive deficit; nothing fixes C")
+    need = (deficit[pos] / k) ** (1.0 / p) / psi0_eval(unit, np.maximum(misfit[pos], T_FLOOR))
+    required = float(need.max())
+    if not 0.0 < required < math.inf:
+        raise FitFailureError(f"at s={s:g} the C that covers the fitted samples is not "
+                              f"representable in float64 (it evaluates to {required:g})")
 
     fitted = replace(unit, C=required * (1.0 + 1e-9))
-    margin = float((rhs_norms + psi_infimum(fitted, np.maximum(misfit, T_FLOOR), lam)
-                    - lhs).min())
+    margin = float((rhs_norms + psi_infimum(fitted, np.maximum(misfit, T_FLOOR)) - lhs).min())
     if margin < 0.0:
         raise FitFailureError(f"fitted constants leave a negative margin {margin:.3e}")
     logger.info("fitted VSC constants C0=%.4g C=%.4g cprime=%.4g",

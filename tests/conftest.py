@@ -232,9 +232,35 @@ def scalar_psi0(spec, t: float) -> float:
     return spec.C / log_j ** spec.kappa + slope * (t - junction)
 
 
-def scalar_psi_infimum(spec, t: float, lambda_grid) -> float:
-    """One-t oracle of vsc.psi_infimum: the minimum over one grid."""
-    return float((spec.g(lambda_grid) * scalar_psi0(spec, t) + spec.f(lambda_grid) ** 2).min())
+def psi_f(spec, lam):
+    """f(lambda) = F lambda^(-s) of the infimum construction, F = spec.f_coeff."""
+    return spec.f_coeff * np.asarray(lam, dtype=float) ** (-spec.s)
+
+
+def psi_g(spec, lam):
+    """g(lambda) = lambda^(1/2 - s) of the infimum construction."""
+    return np.asarray(lam, dtype=float) ** (0.5 - spec.s)
+
+
+def gridded_psi_infimum(spec, t: float, lambda_grid) -> float:
+    """Brute-force oracle of vsc.psi_infimum: the minimum of g Psi0(t) + f^2 over one grid."""
+    return float((psi_g(spec, lambda_grid) * scalar_psi0(spec, t)
+                  + psi_f(spec, lambda_grid) ** 2).min())
+
+
+def psi_cutoff(spec, t: float) -> float:
+    """The cutoff lambda* where g Psi0(t) + f^2 is stationary, for s < 1/2."""
+    s = spec.s
+    return (4.0 * s * spec.f_coeff ** 2 / ((1.0 - 2.0 * s) * scalar_psi0(spec, t))) \
+        ** (2.0 / (1.0 + 2.0 * s))
+
+
+def scalar_psi_infimum(spec, t: float) -> float:
+    """One-t oracle of vsc.psi_infimum: g Psi0(t) + f^2 at lambda* (Psi0 itself at s = 1/2)."""
+    if spec.s == 0.5:  # g = 1 and f^2 -> 0 as lambda -> inf
+        return scalar_psi0(spec, t)
+    lam = psi_cutoff(spec, t)
+    return float(psi_g(spec, lam) * scalar_psi0(spec, t) + psi_f(spec, lam) ** 2)
 
 
 def misfit_norm(op, trace_values, u_delta) -> float:
@@ -261,11 +287,10 @@ def loop_sample_terms(op, basis, q_dag, samples, m0) -> list[tuple[float, float,
 
 def loop_vsc_report(op, basis, q_dag, spec, samples, m0=10.0):
     """Per-sample oracle of vsc.check_vsc_inequality: (lhs, rhs, margin) arrays and the scale."""
-    lambda_grid = vsc.default_lambda_grid(basis)
     rows = []
     scale = max(1.0, 0.5 * fem.boundary_l2_norm(op.mesh, q_dag) ** 2)
     for lhs, rhs_norms, misfit in loop_sample_terms(op, basis, q_dag, samples, m0):
-        rhs = rhs_norms + scalar_psi_infimum(spec, max(misfit, vsc.T_FLOOR), lambda_grid)
+        rhs = rhs_norms + scalar_psi_infimum(spec, max(misfit, vsc.T_FLOOR))
         rows.append((lhs, rhs, rhs - lhs))
         scale = max(scale, abs(lhs), abs(rhs))
     lhs, rhs, margin = np.array(rows).reshape(-1, 3).T
@@ -282,14 +307,13 @@ def loop_fit_vsc_constants(op, basis, q_dag, calibration, s, kappa, m0=10.0):
     unit = vsc.IndexFunctionSpec(C=1.0, C0=cprime * math.exp(kappa + 1.0) * 1.01, kappa=kappa,
                                  s=s, cprime=cprime,
                                  f_coeff=spectral.sobolev_norm(basis, s, q_dag))
-    lam = vsc.default_lambda_grid(basis)
+    # Psi is C^p times its value at C = 1, p = 4s / (1 + 2s) (1 at s = 1/2)
     required = 0.0
     for lhs, rhs_norms, misfit in terms:
         deficit = lhs - rhs_norms
         if deficit > 0.0:
-            need = (deficit - unit.f(lam) ** 2) / (
-                unit.g(lam) * scalar_psi0(unit, max(misfit, vsc.T_FLOOR)))
-            required = max(required, float(need.max()))
+            unit_psi = scalar_psi_infimum(unit, max(misfit, vsc.T_FLOOR))
+            required = max(required, (deficit / unit_psi) ** ((1.0 + 2.0 * s) / (4.0 * s)))
     return replace(unit, C=required * (1.0 + 1e-9))
 
 

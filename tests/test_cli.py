@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -581,3 +582,22 @@ def test_vsc_and_stability_subcommands(workdir):
     assert lines[0] == "sample_id,trace_norm,h1_norm,m_proxy,bound,slack"
     summary = (workdir / "stab" / "summary.txt").read_text()
     assert "C_fit" in summary and "max_violation" in summary
+
+
+def test_vsc_check_small_s_fits(workdir, tmp_path):
+    # at small s every positive deficit still fixes a finite C
+    out = tmp_path / "vsc"
+    assert run(["vsc-check", "--mesh", str(workdir / "mesh.txt"), "--n-samples", "200",
+                "--seed", "0", "--s", "0.01", "--out", str(out)]) == 0
+    summary = dict(line.split(" = ") for line in (out / "summary.txt").read_text().splitlines())
+    assert 0.0 < float(summary["C"]) < math.inf
+    assert float(summary["fraction_nonnegative"]) == 1.0
+
+
+def test_vsc_check_unrepresentable_c_exits_1(workdir, tmp_path, capsys):
+    # at s = 1e-6 the required C = (D/k)^(1/p) / Psi0_1 underflows float64 to 0
+    assert run(["vsc-check", "--mesh", str(workdir / "mesh.txt"), "--n-samples", "200",
+                "--seed", "0", "--s", "1e-6", "--out", str(tmp_path / "vsc")]) == 1
+    err = capsys.readouterr().err
+    assert "at s=1e-06" in err and "not representable" in err
+    assert "positive deficit" not in err

@@ -4,8 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import (
+    gridded_psi_infimum,
     loop_fit_vsc_constants,
     loop_vsc_report,
+    psi_cutoff,
+    psi_f,
+    psi_g,
     scalar_psi0,
     scalar_psi_infimum,
 )
@@ -13,18 +17,17 @@ from conftest import (
 from fluxrec import fem, inversion, spectral
 from fluxrec.errors import (
     DimensionMismatchError,
-    EmptyGridError,
     FitFailureError,
     InadmissibleSampleError,
     ParameterDomainError,
 )
 from fluxrec.fem import BoundaryVector
 from fluxrec.geometry import GAMMA_I, generate_annulus_mesh
+from fluxrec.rates import ExperimentConfig
 from fluxrec.spectral import sobolev_norm, synthesize_flux_with_smoothness
 from fluxrec.vsc import (
     IndexFunctionSpec,
     check_vsc_inequality,
-    default_lambda_grid,
     fit_vsc_constants,
     psi0_eval,
     psi_infimum,
@@ -116,25 +119,23 @@ def test_psi0_domain_guard():
 def test_psi_over_arrays_matches_scalar_oracle():
     # both branches of Psi0 and t near T_FLOOR, one array evaluation against one t at a time
     ts = np.concatenate([[1e-300, 1e-30], np.geomspace(1e-8, 0.5, 20), [1.0, 1.5, 40.0]])
-    lam_grid = np.geomspace(1.0, 1e8, 400)
     spec = IndexFunctionSpec(C=1.3, C0=100.0, kappa=0.9, s=0.25, cprime=1.0, f_coeff=0.7)
     psi0 = psi0_eval(spec, ts)
-    psi = psi_infimum(spec, ts, lam_grid)
+    psi = psi_infimum(spec, ts)
     assert psi0.shape == psi.shape == ts.shape
     for t, p0, p in zip(ts, psi0, psi):
         assert abs(p0 - scalar_psi0(spec, t)) <= 1e-15 * scalar_psi0(spec, t)
-        assert abs(p - scalar_psi_infimum(spec, t, lam_grid)) <= 1e-15 * p
-    assert psi_infimum(spec, ts[:0], lam_grid).shape == (0,)
+        assert abs(p - scalar_psi_infimum(spec, t)) <= 1e-15 * p
+    assert psi_infimum(spec, ts[:0]).shape == (0,)
 
 
 def test_index_function_axioms_all_kinds():
     # positivity, monotonicity and midpoint concavity of Psi0 and Psi on a grid
     grid = np.geomspace(1e-10, 50.0, 250)
-    lam_grid = np.geomspace(1.0, 1e8, 500)
     inf_spec = IndexFunctionSpec(C=1.0, C0=100.0, kappa=0.9, s=0.25)
     for fn in (
         lambda t: psi0_eval(PSI0_SPEC, t),
-        lambda t: psi_infimum(inf_spec, t, lam_grid),
+        lambda t: psi_infimum(inf_spec, t),
     ):
         vals = fn(grid)
         mids = fn(0.5 * (grid[:-2] + grid[2:]))
@@ -143,19 +144,24 @@ def test_index_function_axioms_all_kinds():
         assert (mids - 0.5 * (vals[:-2] + vals[2:])).min() >= -1e-10
 
 
-def test_psi_infimum_empty_grid():
-    with pytest.raises(EmptyGridError):
-        psi_infimum(PSI0_SPEC, 0.1, np.array([]))
+@pytest.mark.parametrize("s", [0.1, 0.25, 0.4, 0.5])
+@pytest.mark.parametrize("f_coeff", [0.7, 3.0])
+def test_psi_infimum_matches_brute_force_minimum(s, f_coeff):
+    # the closed form is the exact infimum: a dense grid may only lie above it, and barely
+    spec = IndexFunctionSpec(C=1.0, C0=100.0, kappa=0.9, s=s, cprime=1.0, f_coeff=f_coeff)
+    grid = np.geomspace(1e-12, 1e16, 200_001)
+    ts = [1e-300, 1e-100, 1e-30, 1e-8, 1e-3, 0.3, 1.0, 1.5, 40.0]  # both branches of Psi0
+    for t, closed in zip(ts, psi_infimum(spec, ts)):
+        rel = (gridded_psi_infimum(spec, t, grid) - closed) / closed
+        assert 0.0 <= rel <= 1e-8, (t, rel)
 
 
-def test_psi_infimum_s_half_hits_largest_lambda():
-    spec = IndexFunctionSpec(C=1.0, C0=100.0, kappa=0.9, s=0.5)
-    grid = np.geomspace(1.0, 1e6, 200)
-    out = psi_infimum(spec, 1e-3, grid)
-    # g is 1 for s = 1/2, so the value approaches psi0 from above
-    assert out >= psi0_eval(spec, 1e-3)
-    assert out <= psi0_eval(spec, 1e-3) + grid[-1] ** -1.0
-    assert out == psi0_eval(spec, 1e-3) + spec.f(grid[-1]) ** 2
+def test_psi_infimum_s_half_is_psi0():
+    # g is 1 for s = 1/2 and f^2 -> 0 as lambda -> inf, so the infimum is psi0 itself
+    spec = IndexFunctionSpec(C=1.0, C0=100.0, kappa=0.9, s=0.5, f_coeff=1.7)
+    ts = np.concatenate([[1e-300], np.geomspace(1e-8, 0.5, 20), [1.0, 40.0]])
+    assert (psi_infimum(spec, ts) == psi0_eval(spec, ts)).all()
+    assert psi_infimum(spec, 1e-3) == psi0_eval(spec, 1e-3)
 
 
 def test_psi_infimum_monotone_and_grid_stable():
@@ -163,33 +169,39 @@ def test_psi_infimum_monotone_and_grid_stable():
     grid = np.geomspace(1.0, 1e8, 400)
     dense = np.geomspace(1.0, 1e8, 800)
     ts = np.geomspace(1e-8, 0.5, 25)
-    assert (np.diff(psi_infimum(spec, ts, grid)) > 0.0).all()
-    coarse_v = psi_infimum(spec, [1e-6, 1e-3, 0.3], grid)
-    dense_v = psi_infimum(spec, [1e-6, 1e-3, 0.3], dense)
-    assert (abs(coarse_v - dense_v) <= 0.01 * coarse_v).all()
+    assert (np.diff(psi_infimum(spec, ts)) > 0.0).all()
+    exact = psi_infimum(spec, [1e-6, 1e-3, 0.3])
+    for lam in (grid, dense):
+        gridded = np.array([gridded_psi_infimum(spec, t, lam) for t in (1e-6, 1e-3, 0.3)])
+        assert (gridded >= exact).all() and (gridded - exact <= 0.01 * exact).all()
+    # no additive floor: Psi vanishes with C Psi0, as an index function must at 0+
+    assert psi_infimum(replace(spec, C=1e-200), 1e-3) < 1e-100
 
 
 def test_psi_infimum_pointwise_bound():
-    spec = IndexFunctionSpec(C=1.0, C0=100.0, kappa=0.9, s=0.25)
-    grid = np.geomspace(1.0, 1e8, 300)
-    for t in (1e-5, 1e-2):
-        value = psi_infimum(spec, t, grid)
-        for lam in grid[::50]:
-            bound = float(spec.g(lam)) * psi0_eval(spec, t) + float(spec.f(lam)) ** 2
-            assert value <= bound + 1e-15
+    # Psi is the lower envelope of g(lambda) Psi0 + f(lambda)^2, touching it at lambda*
+    grid = np.geomspace(1e-6, 1e8, 300)
+    for s in (0.1, 0.25, 0.4):
+        spec = IndexFunctionSpec(C=1.0, C0=100.0, kappa=0.9, s=s)
+        for t in (1e-5, 1e-2, 3.0):
+            value = psi_infimum(spec, t)
+            for lam in [*grid[::50], psi_cutoff(spec, t)]:
+                bound = float(psi_g(spec, lam)) * psi0_eval(spec, t) \
+                    + float(psi_f(spec, lam)) ** 2
+                assert value <= bound + 1e-15
+            assert abs(bound - value) <= 1e-14 * value  # equality at lambda*
 
 
 @pytest.mark.parametrize("s", [0.1, 0.25, 0.5])
 @pytest.mark.parametrize("kappa", [0.5, 0.9])
 def test_decay_law_exponent(s, kappa):
+    # Psi = k Psi0^p exactly, so log Psi is linear in log log(C0/t) with slope -2 p*
     spec = IndexFunctionSpec(C=1.0, C0=20.0, kappa=kappa, s=s, cprime=1.0)
-    grid = np.geomspace(1.0, 1e10, 3000)
     deltas = np.geomspace(1e-30, 1e-240, 12)
-    vals = psi_infimum(spec, deltas, grid)
-    x = np.log(np.log(1.0 / deltas))
+    vals = psi_infimum(spec, deltas)
+    x = np.log(np.log(spec.C0 / deltas))
     slope = np.linalg.lstsq(np.vstack([x, np.ones_like(x)]).T, np.log(vals), rcond=None)[0][0]
-    p_theory = 4.0 * s * kappa / (1.0 + 2.0 * s)
-    assert abs(-slope - p_theory) <= 0.1 * p_theory
+    assert abs(-slope - 2.0 * ExperimentConfig(s=s, kappa=kappa).p_star) <= 1e-9
 
 
 def test_fit_validates_calibration(fitted, forward_op, basis, q_dag):
@@ -323,13 +335,6 @@ def test_samples_are_admissible_and_deterministic(basis, q_dag):
     for q in a.T:
         diff = BoundaryVector(GAMMA_I, q - q_dag.values)
         assert sobolev_norm(basis, 0.5, diff) <= 10.0 + 1e-9
-
-
-def test_default_lambda_grid(basis):
-    grid = default_lambda_grid(basis)
-    assert len(grid) == 400
-    assert grid[0] == 1.0
-    assert abs(grid[-1] - basis.eigenvalues[-1] * 1e3) <= 1e-6 * grid[-1]
 
 
 @pytest.mark.parametrize("h", [0.1, 0.05])
