@@ -26,6 +26,7 @@ from .geometry import (
     boundary_map,
     generate_annulus_mesh,
     load_mesh,
+    read_records,
     refine_uniform,
     save_mesh,
 )
@@ -54,30 +55,31 @@ def read_boundary_csv(path, mesh, tag) -> BoundaryVector:
         raise MalformedFileError(f"bad header in {path}", 1)
     bmap = boundary_map(mesh, tag)
     indices, arcs = bmap.vertex_indices, bmap.arc_coords
-    arc_tol = 1e-9 * bmap.perimeter
     n = len(indices)
     if len(raw) - 1 != n:
         raise MalformedFileError(f"{path} has {len(raw) - 1} records, expected {n}")
-    values = np.empty(n)
-    for ln, line in enumerate(raw[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise MalformedFileError(f"expected 3 fields, got {len(parts)}", ln)
-        try:
-            index = int(parts[0])
-            arc = float(parts[1])
-            values[ln - 2] = float(parts[2])
-        except ValueError:
-            raise MalformedFileError(f"malformed record {line!r}", ln) from None
-        if index != indices[ln - 2]:
-            raise MalformedFileError(
-                f"vertex_index {index} where the {tag} loop has vertex {indices[ln - 2]}", ln)
-        if not abs(arc - arcs[ln - 2]) <= arc_tol:
-            raise MalformedFileError(
-                f"arc_coord {parts[1]} where the {tag} loop has {_fmt(arcs[ln - 2])}", ln)
-        if not np.isfinite(values[ln - 2]):
-            raise MalformedFileError(f"non-finite value {parts[2]!r}", ln)
-    return BoundaryVector(tag, values)
+    records = read_records(raw[1:], (int, float, float), ",")
+    m = len(records)  # the first m lines are records
+    index, arc, values = records["f0"], records["f1"], records["f2"]
+    checks = (index != indices[:m], ~(abs(arc - arcs[:m]) <= 1e-9 * bmap.perimeter),
+              ~np.isfinite(values))
+    wrong = np.flatnonzero(np.logical_or.reduce(checks))
+    first = int(wrong[0]) if wrong.size else m  # the first line that is no record or is wrong
+    if first == n:
+        return BoundaryVector(tag, np.ascontiguousarray(values))
+    line = raw[first + 1]
+    parts = line.split(",")
+    if first == m:
+        message = (f"expected 3 fields, got {len(parts)}" if len(parts) != 3
+                   else f"malformed record {line!r}")
+    elif checks[0][first]:
+        # int() of the field's own text: an index beyond int64 reads as -1 in the records
+        message = f"vertex_index {int(parts[0])} where the {tag} loop has vertex {indices[first]}"
+    elif checks[1][first]:
+        message = f"arc_coord {parts[1]} where the {tag} loop has {_fmt(arcs[first])}"
+    else:
+        message = f"non-finite value {parts[2]!r}"
+    raise MalformedFileError(message, first + 2)
 
 
 def _int_from(low: int):

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import math
 import os
-import warnings
 from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
 
 from .errors import MalformedFileError, SchemaError, UnknownKeyError
+from .geometry import read_records
 
 DEFAULT_DELTA_GRID = tuple(float(d) for d in np.geomspace(1e-2, 1e-6, 9))
 
@@ -28,14 +28,6 @@ class Key:
     parse: Callable[[str], Any]
     default: Any
     check: Callable[[Any], str | None] = lambda v: None
-
-
-def _float(text: str) -> float:
-    return float(text)
-
-
-def _int(text: str) -> int:
-    return int(text)
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -83,32 +75,32 @@ def _rho_rule(v) -> str | None:
 
 
 PROBLEM_KEYS: dict[str, Key] = {
-    "r_inner": Key(_float, 0.5, _positive),
-    "r_outer": Key(_float, 1.0, _positive),
-    "h": Key(_float, 0.1, _positive),
+    "r_inner": Key(float, 0.5, _positive),
+    "r_outer": Key(float, 1.0, _positive),
+    "h": Key(float, 0.1, _positive),
     "alpha": Key(_float_or_path, 1.0, _positive),
     "k": Key(_float_or_path, 1.0, _positive),
     "f": Key(_float_or_path, 0.0),
     "u_a": Key(_float_or_path, 0.0),
-    "kappa": Key(_float, 0.9, _open_unit),
-    "s": Key(_float, 0.5, _half_open_s),
-    "eps": Key(_float, 0.01, _positive),
-    "tau_d": Key(_float, 1.5, _tau),
-    "m0": Key(_float, 10.0, _positive),
+    "kappa": Key(float, 0.9, _open_unit),
+    "s": Key(float, 0.5, _half_open_s),
+    "eps": Key(float, 0.01, _positive),
+    "tau_d": Key(float, 1.5, _tau),
+    "m0": Key(float, 10.0, _positive),
 }
 
 # the rate study builds its fields from constants, so no field file is accepted
 RATES_KEYS: dict[str, Key] = {
     **PROBLEM_KEYS,
-    "alpha": Key(_float, 1.0, _positive),
-    "k": Key(_float, 1.0, _positive),
-    "f": Key(_float, 0.0),
-    "u_a": Key(_float, 0.0),
-    "refine_level": Key(_int, 1, lambda v: None if v >= 1 else "must be >= 1"),
+    "alpha": Key(float, 1.0, _positive),
+    "k": Key(float, 1.0, _positive),
+    "f": Key(float, 0.0),
+    "u_a": Key(float, 0.0),
+    "refine_level": Key(int, 1, lambda v: None if v >= 1 else "must be >= 1"),
     "delta_grid": Key(_float_list, DEFAULT_DELTA_GRID, _noise_levels),
-    "seeds_per_delta": Key(_int, 5, _positive),
-    "base_seed": Key(_int, 0, lambda v: None if v >= 0 else "must be >= 0"),
-    "flux_seed": Key(_int, 42, lambda v: None if v >= 0 else "must be >= 0"),
+    "seeds_per_delta": Key(int, 5, _positive),
+    "base_seed": Key(int, 0, lambda v: None if v >= 0 else "must be >= 0"),
+    "flux_seed": Key(int, 42, lambda v: None if v >= 0 else "must be >= 0"),
     "rho_rule": Key(str, "discrepancy", _rho_rule),
     "fixed_rho_schedule": Key(_float_list, (), _positive_entries),
 }
@@ -180,14 +172,18 @@ def resolve_field(value, n_expected: int, key: str) -> np.ndarray:
     """
     if isinstance(value, str):
         try:
-            with warnings.catch_warnings():
-                # numpy warns on an empty file; its length check below is the one report
-                warnings.simplefilter("ignore", UserWarning)
-                arr = np.loadtxt(value, dtype=float, ndmin=1)
-        except OSError as exc:
+            with open(value, encoding="utf-8") as fh:
+                raw = fh.read().splitlines()
+        except (OSError, UnicodeError) as exc:
             raise MalformedFileError(f"cannot read field file for {key}: {exc}") from exc
-        except ValueError as exc:
-            raise MalformedFileError(f"bad numeric data in field file for {key}: {exc}") from exc
+        # blank lines and '#' comments carry no value, as in a config file
+        kept = [(ln, text) for ln, line in enumerate(raw, 1)
+                if (text := line.split("#", 1)[0]).strip()]
+        arr = read_records([text for _, text in kept], (float,)).view(np.float64)
+        if len(arr) < len(kept):
+            ln = kept[len(arr)][0]
+            raise MalformedFileError(
+                f"malformed record {raw[ln - 1]!r} in field file for {key}", ln)
         if arr.shape != (n_expected,):
             raise SchemaError(key, f"field file has {arr.shape[0]} values, expected {n_expected}")
         if not np.isfinite(arr).all():

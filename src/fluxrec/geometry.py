@@ -336,43 +336,60 @@ def save_mesh(mesh: Mesh, path) -> None:
         fh.write(text)
 
 
-def _read_records(lines: list[str], width: int, dtype) -> np.ndarray | None:
-    """The lines as one (len(lines), width) array from one loadtxt call; None if one is bad."""
-    if not lines:
-        return np.empty((0, width), dtype)
-    if not lines[0].strip():
-        # loadtxt skips blank lines, and warns when it finds nothing else
-        return None
-    if dtype is not float and not "".join(lines).isascii():
-        # numpy 2.4.6's integer parser can segfault on non-ASCII characters (on U+52651
-        # in about 3 runs of 10), so it gets the same tokens with '?' for non-ASCII
-        lines = [" ".join(line.split()).encode("ascii", "replace").decode() for line in lines]
+def read_records(lines: list[str], columns: tuple[type, ...],
+                 delimiter: str | None = None) -> np.ndarray:
+    """The longest prefix of lines that are records, as one structured array.
+
+    Field i holds column i as int64 (int), float64 (float) or a whole token (str).  A valid
+    file is read by one loadtxt call; else a bisection on prefixes, which fail as a whole,
+    finds the first line that is no record, at index len(result).  An int column that int()
+    reads beyond int64 reads as -1.
+    """
+    dtype = np.dtype([("", {int: np.int64, float: np.float64, str: object}[column])
+                      for column in columns])
+
+    def parse(lines: list[str]) -> np.ndarray | None:
+        """The lines as records from one loadtxt call; None if one is bad."""
+        if not lines:
+            return np.empty(0, dtype)
+        if not lines[0].strip():
+            # loadtxt skips blank lines, and warns when it finds nothing else
+            return None
+        if delimiter is not None:
+            # loadtxt strips U+001F around a field, as str.split() does; int() and float() do not
+            lines = [line.replace("\x1f", "?") for line in lines]
+        if int in columns and not "".join(lines).isascii():
+            # numpy 2.4.6's integer parser can segfault on non-ASCII characters (on U+52651
+            # in about 3 runs of 10), so it gets the same tokens with '?' for non-ASCII
+            lines = [" ".join(line.split()).encode("ascii", "replace").decode() for line in lines]
+        try:
+            records = np.loadtxt(lines, dtype=dtype, delimiter=delimiter, comments=None, ndmin=1)
+        except ValueError:
+            return None
+        return records if len(records) == len(lines) else None
+
+    records = parse(lines)
+    if records is None and int in columns:
+        lines = [_int64_or_minus_one(line, columns, delimiter) for line in lines]
+        records = parse(lines)
+    if records is None:
+        lo, hi = 0, len(lines)  # prefix lo parses, prefix hi does not
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if parse(lines[:mid]) is None else (mid, hi)
+        records = parse(lines[:lo])
+    return records
+
+
+def _int64_or_minus_one(line: str, columns, delimiter) -> str:
+    """The line with -1 for each int field that int() reads outside int64, if all int() read."""
+    fields = line.split(delimiter)
     try:
-        arr = np.loadtxt(lines, dtype=dtype, comments=None, ndmin=2)
-    except ValueError:
-        return None
-    return arr if arr.shape == (len(lines), width) else None
-
-
-def _first_bad_record(lines: list[str], width: int, dtype) -> int:
-    """Bisect on prefixes of lines, which fail as a whole, for the first line that is no record."""
-    lo, hi = 0, len(lines)  # prefix lo parses, prefix hi does not
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _read_records(lines[:mid], width, dtype) is None:
-            hi = mid
-        else:
-            lo = mid
-    return lo
-
-
-def _beyond_int64(line: str, width: int) -> bool:
-    """Whether line holds width integers that int() reads, one of them outside int64."""
-    try:
-        values = [int(p) for p in line.split()]
-    except ValueError:
-        return False
-    return len(values) == width and not all(-2**63 <= v < 2**63 for v in values)
+        big = [column is int and not -2**63 <= int(text) < 2**63
+               for text, column in zip(fields, columns, strict=True)]
+    except ValueError:  # a field int() does not read, or a field too many or too few
+        return line
+    return (delimiter or " ").join("-1" if b else text for text, b in zip(fields, big))
 
 
 def load_mesh(path) -> Mesh:
@@ -396,69 +413,48 @@ def load_mesh(path) -> Mesh:
         pos += 1
         return count
 
-    def section(count: int, width: int, dtype) -> np.ndarray:
+    def section(count: int, columns: tuple[type, ...]) -> np.ndarray:
         """The count records after the header, read by one loadtxt call."""
         nonlocal pos
         lines = raw[pos:pos + max(count, 0)]
-        records = _read_records(lines, width, dtype)
-        if records is None:
-            readable = lines
-            if dtype is not float:
-                # an index beyond int64 reads as -1, which the range check reports at its line
-                readable = [" -1" * width if _beyond_int64(line, width) else line
-                            for line in lines]
-                records = _read_records(readable, width, dtype)
-            if records is None:
-                bad = _first_bad_record(readable, width, dtype)
-                raise MalformedFileError(f"malformed record {lines[bad]!r}", pos + bad + 1)
+        records = read_records(lines, columns)
+        if len(records) < len(lines):
+            bad = len(records)
+            raise MalformedFileError(f"malformed record {lines[bad]!r}", pos + bad + 1)
         if len(lines) < count:
             raise MalformedFileError("unexpected end of file", len(raw) + 1)
         pos += len(lines)
         return records
 
     n_v = expect_header("VERTICES")
-    vertices = section(n_v, 2, float)
+    vertices = section(n_v, (float, float)).view((np.float64, 2))
     n_t = expect_header("TRIANGLES")
     first_triangle_line = pos + 1
-    tris = section(n_t, 3, np.int64)
+    tris = section(n_t, (int, int, int)).view((np.int64, 3))
     n_b = expect_header("BOUNDARY_EDGES")
     first_edge_line = pos + 1
-
-    records = []
-    for ln in range(pos, pos + n_b):
-        if ln >= len(raw):
-            raise MalformedFileError("unexpected end of file", len(raw) + 1)
-        try:
-            a, b, tag = raw[ln].split()
-            records.append((int(a), int(b), tag))
-        except ValueError:
-            raise MalformedFileError(f"malformed record {raw[ln]!r}", ln + 1) from None
-    pos += len(records)
-    edges, tags = [], []
-    for j, (a, b, tag) in enumerate(records):
-        if tag not in VALID_TAGS:
-            raise MalformedFileError(f"unknown boundary tag {tag!r}", first_edge_line + j)
-        edges.append((a, b))
-        tags.append(tag)
+    edges = section(n_b, (int, int, str))
+    tags = edges["f2"]
+    unknown = np.flatnonzero(~np.isin(tags, VALID_TAGS))
+    if unknown.size:
+        ln = first_edge_line + int(unknown[0])
+        raise MalformedFileError(f"unknown boundary tag {raw[ln - 1].split()[2]!r}", ln)
     for ln in range(pos, len(raw)):
         if raw[ln].strip():
             raise MalformedFileError(f"unexpected record {raw[ln]!r} after the boundary edges",
                                      ln + 1)
 
-    def vertex_ids(records, width: int, first_line: int) -> np.ndarray:
-        """The records as an index array; the first naming no vertex is reported by its line."""
-        try:
-            ids = np.asarray(records, dtype=np.int64).reshape(-1, width)
-            bad = np.flatnonzero(((ids < 0) | (ids >= n_v)).any(axis=1))
-        except OverflowError:
-            bad = [i for i, rec in enumerate(records) if not all(0 <= v < n_v for v in rec)]
-        if len(bad):
+    def vertex_ids(ids: np.ndarray, first_line: int) -> np.ndarray:
+        """Raise at the line of the first record naming no vertex; beyond int64 reads as -1."""
+        bad = np.flatnonzero(((ids < 0) | (ids >= n_v)).any(axis=1))
+        if bad.size:
             raise MalformedFileError("vertex index out of range", first_line + int(bad[0]))
         return ids
 
-    triangles = vertex_ids(tris, 3, first_triangle_line)
-    boundary_edges = vertex_ids(edges, 2, first_edge_line)
-    mesh = Mesh(vertices, triangles, boundary_edges, np.asarray(tags),
+    triangles = vertex_ids(tris, first_triangle_line)
+    boundary_edges = vertex_ids(np.stack((edges["f0"], edges["f1"]), axis=1),
+                                first_edge_line)
+    mesh = Mesh(vertices, triangles, boundary_edges, np.asarray(tags.tolist()),
                 _max_edge_length(vertices, triangles))
     try:
         validate_mesh(mesh)

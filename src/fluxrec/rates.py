@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import DEFAULT_DELTA_GRID
 from .errors import InsufficientDataError, SchemaError
 from .fem import BoundaryVector, FactorizedSystem, ProblemData, trace
 from .geometry import GAMMA_A, GAMMA_I, Mesh, boundary_map, generate_annulus_mesh, refine_uniform
@@ -56,7 +57,7 @@ class ExperimentConfig:
     s: float = 0.5
     kappa: float = 0.9
     eps: float = 0.01
-    delta_grid: tuple[float, ...] = tuple(np.geomspace(1e-2, 1e-6, 9))
+    delta_grid: tuple[float, ...] = DEFAULT_DELTA_GRID
     seeds_per_delta: int = 5
     base_seed: int = 0
     flux_seed: int = 42

@@ -7,7 +7,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from fluxrec import fem, geometry, inversion, rates, spectral, stability, vsc
+from fluxrec import cli, fem, geometry, inversion, rates, spectral, stability, vsc
 from fluxrec.errors import (
     BracketFailureError,
     DimensionMismatchError,
@@ -394,6 +394,39 @@ def loop_load_mesh(path) -> geometry.Mesh:
         raise MalformedFileError(f"invalid mesh in {path}: {exc}") from None
     return mesh
 
+
+def loop_read_boundary_csv(path, mesh, tag) -> fem.BoundaryVector:
+    """Per-line oracle of cli.read_boundary_csv: int() and float() on each field."""
+    with open(path, encoding="utf-8") as fh:
+        raw = fh.read().splitlines()
+    if not raw or raw[0] != cli.TRACE_CSV_HEADER:
+        raise MalformedFileError(f"bad header in {path}", 1)
+    bmap = geometry.boundary_map(mesh, tag)
+    indices, arcs = bmap.vertex_indices, bmap.arc_coords
+    arc_tol = 1e-9 * bmap.perimeter
+    n = len(indices)
+    if len(raw) - 1 != n:
+        raise MalformedFileError(f"{path} has {len(raw) - 1} records, expected {n}")
+    values = np.empty(n)
+    for ln, line in enumerate(raw[1:], start=2):
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise MalformedFileError(f"expected 3 fields, got {len(parts)}", ln)
+        try:
+            index = int(parts[0])
+            arc = float(parts[1])
+            values[ln - 2] = float(parts[2])
+        except ValueError:
+            raise MalformedFileError(f"malformed record {line!r}", ln) from None
+        if index != indices[ln - 2]:
+            raise MalformedFileError(
+                f"vertex_index {index} where the {tag} loop has vertex {indices[ln - 2]}", ln)
+        if not abs(arc - arcs[ln - 2]) <= arc_tol:
+            raise MalformedFileError(
+                f"arc_coord {parts[1]} where the {tag} loop has {rates._fmt(arcs[ln - 2])}", ln)
+        if not np.isfinite(values[ln - 2]):
+            raise MalformedFileError(f"non-finite value {parts[2]!r}", ln)
+    return fem.BoundaryVector(tag, values)
 
 
 def _bad_record():

@@ -220,6 +220,47 @@ def test_resolve_field_file(tmp_path):
     np.testing.assert_allclose(resolve_field(str(path), 5, "f"), np.arange(5))
 
 
+@pytest.mark.parametrize("lines, bad", [(["1.5", "abc", "2.5"], 2), (["1.5", "2.5", "1.5 2.5"], 3),
+                                         (["# alpha", "", "1.5", "1.5 2.5  # two"], 4)])
+def test_bad_field_file_record_names_its_line(tmp_path, lines, bad):
+    # numpy's own text named the wrong row, or suggested `usecols`
+    path = tmp_path / "field.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MalformedFileError) as err:
+        resolve_field(str(path), 3, "alpha")
+    assert (err.value.line_number, err.value.exit_code) == (bad, 2)
+    message = f"malformed record {lines[bad - 1]!r} in field file for alpha (line {bad})"
+    assert str(err.value) == message
+    assert not any(word in str(err.value) for word in ("float64", "row", "usecols"))
+
+
+def test_field_file_skips_blank_lines_and_comments(tmp_path):
+    path = tmp_path / "field.txt"
+    path.write_text("# alpha on three vertices\n1.5\n\n2.5  # middle\n  \n3.5\n")
+    assert resolve_field(str(path), 3, "alpha").tolist() == [1.5, 2.5, 3.5]
+
+
+@pytest.mark.parametrize("field", [0, 2])
+@pytest.mark.parametrize("junk", ["underscore", "non-ascii"])
+def test_boundary_csv_rejects_underscores_and_non_ascii_digits_at_their_line(workdir, tmp_path,
+                                                                             field, junk):
+    # int() and float() read these, the record reader does not: junk exits 2 at its line
+    mesh = load_mesh(workdir / "mesh.txt")
+    path = tmp_path / "flux.csv"
+    n = len(boundary_map(mesh, GAMMA_I))
+    cli.write_boundary_csv(path, mesh, BoundaryVector(GAMMA_I, np.ones(n)))
+    lines = path.read_text().splitlines()
+    parts = lines[3].split(",")
+    digits = parts[0] if field == 0 else "10"  # the record's own index, or the value 10
+    parts[field] = ("0_" + digits if junk == "underscore"
+                    else "".join(chr(0x660 + int(d)) for d in digits))  # Arabic-Indic digits
+    lines[3] = ",".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MalformedFileError, match="malformed record") as err:
+        cli.read_boundary_csv(path, mesh, GAMMA_I)
+    assert err.value.line_number == 4
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert run(["frobnicate"]) == 2
 

@@ -535,7 +535,9 @@ def test_load_matches_the_per_line_oracle_on_defects(tmp_path, edits):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("section, record", [("VERTICES", "1_0 0.0"), ("VERTICES", "\uff13 0.0"),
-                                             ("TRIANGLES", "0 1 1_0"), ("TRIANGLES", "0 1 \u0663")])
+                                             ("TRIANGLES", "0 1 1_0"), ("TRIANGLES", "0 1 \u0663"),
+                                             ("BOUNDARY_EDGES", "0_1 2 GammaI"),
+                                             ("BOUNDARY_EDGES", "\u0661 2 GammaI")])
 def test_load_rejects_underscores_and_non_ascii_digits_at_their_line(tmp_path, section, record):
     # float() and int() read these, the section parser does not: junk now exits 2 at its line
     path = tmp_path / "mesh.txt"
@@ -547,6 +549,22 @@ def test_load_rejects_underscores_and_non_ascii_digits_at_their_line(tmp_path, s
     with pytest.raises(MalformedFileError, match="malformed record") as err:
         load_mesh(path)
     assert err.value.line_number == bad + 1
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("record", ["0 1 GammaI\x00", "0 1 GammaI" + "x" * 40, "0 1 Gamma\u00cf",
+                                    "99999999999999999999999 1 GammaX", "0 1\x1fGammaA",
+                                    "0 1 2 GammaI", "0 -1 GammaI", "0 1"])
+def test_load_matches_the_per_line_oracle_on_edge_records(tmp_path, record):
+    # a tag is read whole, a trailing NUL included, and reported in its own text
+    path = tmp_path / "mesh.txt"
+    save_mesh(generate_annulus_mesh(0.5, 1.0, 0.3), path)
+    lines = path.read_text().splitlines()
+    lines[next(i for i, line in enumerate(lines) if line.startswith("BOUNDARY_EDGES")) + 2] = record
+    path.write_text("\n".join(lines) + "\n")
+    _assert_same_outcome(path)
+    with pytest.raises(MalformedFileError):
+        load_mesh(path)
 
 
 @pytest.mark.filterwarnings("error")

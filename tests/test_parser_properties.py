@@ -2,12 +2,13 @@
 
 Any file text, a mutated valid file or arbitrary text, must give either
 a valid object or a FluxRecError with exit code 2, never a raw
-exception.
+exception.  The boundary CSV reader must also match its per-line oracle.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from conftest import loop_read_boundary_csv
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fluxrec import cli
@@ -85,6 +86,80 @@ def test_arbitrary_boundary_csv_text_reads_valid_or_exits_2(tmp_path_factory, sm
     path = tmp_path_factory.mktemp("csv") / "values.csv"
     _read_or_reject(path, text, small_mesh, GAMMA_I)
     _read_or_reject(path, cli.TRACE_CSV_HEADER + "\n" + text, small_mesh, GAMMA_I)
+
+
+def _read_by_float_only(token: str) -> bool:
+    """A number with underscores or non-ASCII digits: float() reads it, loadtxt does not."""
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return "_" in token or not token.isascii()
+
+
+def _assert_same_outcome(path, mesh, tag: str) -> None:
+    """read_boundary_csv and its per-line oracle give one vector, bitwise, or one FluxRecError."""
+    outcomes = []
+    for read in (cli.read_boundary_csv, loop_read_boundary_csv):
+        try:
+            outcomes.append(read(path, mesh, tag))
+        except FluxRecError as exc:
+            outcomes.append(exc)
+    new, oracle = outcomes
+    assert type(new) is type(oracle), (new, oracle)
+    if isinstance(oracle, FluxRecError):
+        assert (str(new), new.line_number) == (str(oracle), oracle.line_number)
+        return
+    assert new.tag == oracle.tag
+    a, b = new.values, oracle.values
+    assert (a.dtype, a.shape, a.flags.c_contiguous, a.tobytes()) == (b.dtype, b.shape, True,
+                                                                       b.tobytes())
+
+
+def _written_csv(path, mesh, tag: str) -> list[str]:
+    n = len(boundary_map(mesh, tag))
+    values = np.random.default_rng(n).standard_normal(n)
+    cli.write_boundary_csv(path, mesh, BoundaryVector(tag, values))
+    return path.read_text(encoding="utf-8").splitlines()
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), tag=st.sampled_from([GAMMA_I, GAMMA_A]))
+def test_mutated_boundary_csv_matches_the_per_line_oracle(tmp_path_factory, small_mesh, data, tag):
+    path = tmp_path_factory.mktemp("csv") / "values.csv"
+    lines = _written_csv(path, small_mesh, tag)
+    # keep the record count, or both readers stop at the count check before any record
+    text = data.draw(_mutations(lines, _NUMBERS, ",").filter(
+        lambda text: len(text.splitlines()) == len(lines)))
+    assume(not any(_read_by_float_only(token) for token in text.replace(",", " ").split()))
+    path.write_text(text, encoding="utf-8")
+    _assert_same_outcome(path, small_mesh, tag)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("edits", [
+    {3: "99999999999999999999999,{a},{v}"}, {3: "-9223372036854775809,{a},{v}"},
+    {3: "9223372036854775807,{a},{v}"}, {3: "9" * 400 + ",{a},{v}"}, {3: "9" * 5000 + ",{a},{v}"},
+    {3: "99999999999999999999999,x,{v}"}, {3: "99999999999999999999999,{a}"},
+    {3: "+{i}, {a} ,{v} "}, {3: "0{i},{a},{v}"}, {3: "{i}.0,{a},{v}"}, {3: "{i},{a},{v},"},
+    {3: ""}, {3: "  "}, {1: ""}, {3: "{i},nan,{v}"}, {3: "{i},{a},-inf"}, {3: "{i},{a},nan"},
+    {3: "{i},{a},1e400"}, {3: "{i},{a},1e-320"}, {3: "{i},{a},-0.0"}, {3: "{i},0x10,{v}"},
+    {2: "{i},{a},inf", 5: "{i},x,{v}"}, {2: "{i},x,{v}", 5: "{i},{a},nan"},
+    {2: "{i},{a},{v}", 4: "7,{a},{v}"}, {4: "{i},1.0,nan", 6: "{i}"},
+    {1: "\u00a0{i},{a}\u2000,{v}"}, {3: "{i},{a},\u00e9"}, {3: "{i}\x1f,{a},{v}"},
+    {3: "{i},{a},\x00"}, {3: "\U00052651,{a},{v}"},
+])
+@pytest.mark.parametrize("tag", [GAMMA_I, GAMMA_A])
+def test_boundary_csv_matches_the_per_line_oracle_on_defects(tmp_path, small_mesh, edits, tag):
+    # each edit rewrites one record; {i}, {a} and {v} stand for its own three fields
+    path = tmp_path / "values.csv"
+    lines = _written_csv(path, small_mesh, tag)
+    for k, record in edits.items():
+        i, a, v = lines[k].split(",")
+        lines[k] = record.format(i=i, a=a, v=v)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _assert_same_outcome(path, small_mesh, tag)
 
 
 _FULL_CONFIG = """# every rates key, with its default
