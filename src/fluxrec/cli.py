@@ -26,6 +26,7 @@ from .geometry import (
     boundary_map,
     generate_annulus_mesh,
     load_mesh,
+    read_lines,
     read_records,
     refine_uniform,
     save_mesh,
@@ -49,8 +50,7 @@ def write_boundary_csv(path, mesh, vector: BoundaryVector) -> None:
 
 
 def read_boundary_csv(path, mesh, tag) -> BoundaryVector:
-    with open(path, encoding="utf-8") as fh:
-        raw = fh.read().splitlines()
+    raw = read_lines(path)
     if not raw or raw[0] != TRACE_CSV_HEADER:
         raise MalformedFileError(f"bad header in {path}", 1)
     bmap = boundary_map(mesh, tag)

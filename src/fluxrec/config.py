@@ -16,7 +16,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .errors import MalformedFileError, SchemaError, UnknownKeyError
-from .geometry import read_records
+from .geometry import read_lines, read_records
 
 DEFAULT_DELTA_GRID = tuple(float(d) for d in np.geomspace(1e-2, 1e-6, 9))
 
@@ -132,9 +132,7 @@ def parse_config(path: str | None, schema: dict[str, Key]) -> dict[str, Any]:
         return values
     if not os.path.exists(path):
         raise MalformedFileError(f"config file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        raw = fh.read().splitlines()
-
+    raw = read_lines(path)
     for ln, line in enumerate(raw, start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -172,9 +170,8 @@ def resolve_field(value, n_expected: int, key: str) -> np.ndarray:
     """
     if isinstance(value, str):
         try:
-            with open(value, encoding="utf-8") as fh:
-                raw = fh.read().splitlines()
-        except (OSError, UnicodeError) as exc:
+            raw = read_lines(value)
+        except OSError as exc:
             raise MalformedFileError(f"cannot read field file for {key}: {exc}") from exc
         # blank lines and '#' comments carry no value, as in a config file
         kept = [(ln, text) for ln, line in enumerate(raw, 1)

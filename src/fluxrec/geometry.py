@@ -122,21 +122,32 @@ def _cross_z(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def triangle_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     """Signed areas; positive for counterclockwise triangles."""
-    p0 = vertices[triangles[:, 0]]
-    p1 = vertices[triangles[:, 1]]
-    p2 = vertices[triangles[:, 2]]
+    (x0, x1, x2), (y0, y1, y2) = _corner_coordinates(vertices, triangles)
     # huge finite coordinates overflow to inf or NaN, which validate_mesh rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        return 0.5 * _cross_z(p1 - p0, p2 - p0)
+        return 0.5 * ((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0))
 
 
 def _max_edge_length(vertices: np.ndarray, triangles: np.ndarray) -> float:
-    ends = np.roll(triangles, -1, axis=1)
-    x, y = vertices[:, 0], vertices[:, 1]
+    xs, ys = _corner_coordinates(vertices, triangles)
+    longest = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # as in triangle_areas
-        dx, dy = x[triangles] - x[ends], y[triangles] - y[ends]
-        # sqrt is monotone, so the root of the largest square is the largest length
-        return float(np.sqrt((dx * dx + dy * dy).max(initial=0.0)))
+        for a, b in ((0, 1), (1, 2), (2, 0)):
+            dx, dy = xs[a] - xs[b], ys[a] - ys[b]
+            dx *= dx
+            dy *= dy
+            dx += dy
+            # np.maximum, unlike max(), keeps a NaN wherever it stands
+            longest = np.maximum(longest, dx.max(initial=0.0))
+    # sqrt is monotone, so the root of the largest square is the largest length
+    return float(np.sqrt(longest))
+
+
+def _corner_coordinates(vertices: np.ndarray, triangles: np.ndarray):
+    """The x and the y of each triangle corner, as three 1-D arrays each."""
+    x, y = vertices[:, 0], vertices[:, 1]
+    corners = triangles.T
+    return [x[c] for c in corners], [y[c] for c in corners]
 
 
 def generate_annulus_mesh(r_inner: float, r_outer: float, h_target: float) -> Mesh:
@@ -213,6 +224,26 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(x, x))
 
 
+def _edge_keys(triangles: np.ndarray, pairs: np.ndarray) -> tuple[np.ndarray, int]:
+    """One int64 key min * base + max per side and per vertex pair, and the base.
+
+    Sides are read row by row as (a, b), (b, c), (c, a), then the pairs; two sides or pairs
+    share a key exactly when they join the same two vertices.
+    """
+    a = np.concatenate((triangles.ravel(), pairs[:, 0]))
+    b = np.concatenate((triangles[:, [1, 2, 0]].ravel(), pairs[:, 1]))
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    base = int(hi.max(initial=0)) + 1
+    return lo.astype(np.int64) * base + hi, base
+
+
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """True where a sorted array holds a value the entry before it does not."""
+    starts = np.ones(len(ordered), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    return starts
+
+
 def _edge_table(triangles: np.ndarray, pairs: np.ndarray):
     """Edges of a triangulation and of extra vertex pairs, numbered in first-encounter order.
 
@@ -220,23 +251,40 @@ def _edge_table(triangles: np.ndarray, pairs: np.ndarray):
     sorted endpoints of each edge, the (n_t, 3) edge of each side, each edge's triangle
     count and the edge of each pair.
     """
-    sides = triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-    a, b = np.concatenate((sides, pairs.reshape(-1, 2))).T
-    keys = np.stack((np.minimum(a, b), np.maximum(a, b)), axis=1)
-    base = int(keys.max(initial=0)) + 1
-    _, first, inverse = np.unique(keys[:, 0] * base + keys[:, 1],
-                                  return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    edge = rank[inverse]
-    n_s = len(sides)
-    counts = np.bincount(edge[:n_s], minlength=order.size)
-    return keys[first[order]], edge[:n_s].reshape(-1, 3), counts, edge[n_s:]
+    keys, base = _edge_keys(triangles, pairs)
+    order = np.argsort(keys, kind="stable")
+    starts = _run_starts(keys[order])
+    first = order[starts]  # each edge's first side or pair, in key order
+    is_first = np.zeros(len(keys), dtype=bool)
+    is_first[first] = True
+    number = np.cumsum(is_first) - 1  # at a first occurrence, its edge's number
+    edge = np.empty(len(keys), dtype=np.intp)
+    edge[order] = number[first][np.cumsum(starts) - 1]
+    n_s = triangles.size
+    counts = np.bincount(edge[:n_s], minlength=len(first))
+    ends = keys[is_first]
+    return (np.stack((ends // base, ends % base), axis=1), edge[:n_s].reshape(-1, 3), counts,
+            edge[n_s:])
 
 
 def validate_mesh(mesh: Mesh) -> None:
-    """Check all Mesh invariants, raising InvalidGeometryError on failure."""
+    """Check all Mesh invariants, raising InvalidGeometryError at the first that fails.
+
+    The checks run in this order:
+
+    1. every vertex coordinate and the maximum edge length h are finite;
+    2. every triangle has positive signed area;
+    3. every vertex lies on a triangle;
+    4. no edge lies on more than two triangles;
+    5. every tagged edge lies on exactly one triangle;
+    6. the tagged edges are exactly the edges on one triangle;
+    7. each of GammaI and GammaA tags one closed loop;
+    8. the two loops share no vertex.
+
+    A fault is named at its first occurrence in file order: the lowest unused vertex, the
+    edge of the first crowded side (triangles row by row, sides (a, b), (b, c), (c, a)),
+    the first stray tagged edge.  Edges are counted on sorted keys, not numbered.
+    """
     if not (np.isfinite(mesh.vertices).all() and np.isfinite(mesh.h)):
         raise InvalidGeometryError("mesh has non-finite vertex coordinates or edge lengths")
     areas = triangle_areas(mesh.vertices, mesh.triangles)
@@ -246,15 +294,26 @@ def validate_mesh(mesh: Mesh) -> None:
     if unused.size:
         raise InvalidGeometryError(f"vertex {unused[0]} lies on no triangle")
 
-    edges, _, counts, tagged = _edge_table(mesh.triangles, mesh.boundary_edges)
-    crowded = np.flatnonzero(counts > 2)
-    if crowded.size:
-        raise InvalidGeometryError(
-            f"edge {tuple(edges[crowded[0]].tolist())} on {counts[crowded[0]]} triangles")
-    stray = np.flatnonzero(counts[tagged] != 1)
+    keys, base = _edge_keys(mesh.triangles, mesh.boundary_edges)
+    sides, tagged = keys[:mesh.triangles.size], keys[mesh.triangles.size:]
+    edges = np.sort(sides)
+    starts = np.flatnonzero(_run_starts(edges))
+    edges, counts = edges[starts], np.diff(starts, append=len(sides))
+    crowded = counts > 2
+    if crowded.any():
+        key = sides[np.isin(sides, edges[crowded])][0]
+        count = counts[np.searchsorted(edges, key)]
+        # bincount has rejected negative indices, so a side key splits back into its ends
+        raise InvalidGeometryError(f"edge {(int(key // base), int(key % base))} "
+                                   f"on {count} triangles")
+    # a pair's count sits at its insertion point if its key is there; the padding counts 0
+    at = np.searchsorted(edges, tagged)
+    on = np.where(np.append(edges, 0)[at] == tagged, np.append(counts, 0)[at], 0)
+    stray = np.flatnonzero(on != 1)
     if stray.size:
-        key = tuple(edges[tagged[stray[0]]].tolist())
-        raise InvalidGeometryError(f"boundary edge {key} not on exactly one triangle")
+        a, b = mesh.boundary_edges[stray[0]].tolist()
+        raise InvalidGeometryError(f"boundary edge {(min(a, b), max(a, b))} "
+                                   "not on exactly one triangle")
     if np.unique(tagged).size != np.count_nonzero(counts == 1):
         raise InvalidGeometryError("tagged edges do not match the triangulation boundary")
 
@@ -336,6 +395,18 @@ def save_mesh(mesh: Mesh, path) -> None:
         fh.write(text)
 
 
+def read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file; a file that is not UTF-8 is a MalformedFileError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        # the text before the bad byte decodes; a stand-in for it ends the count on its line
+        head = exc.object[:exc.start].decode("utf-8") + "?"
+        raise MalformedFileError(f"{path} is not UTF-8 text: cannot decode byte "
+                                 f"0x{exc.object[exc.start]:02x}", len(head.splitlines())) from None
+
+
 def read_records(lines: list[str], columns: tuple[type, ...],
                  delimiter: str | None = None) -> np.ndarray:
     """The longest prefix of lines that are records, as one structured array.
@@ -394,9 +465,7 @@ def _int64_or_minus_one(line: str, columns, delimiter) -> str:
 
 def load_mesh(path) -> Mesh:
     """Read and validate a mesh written by :func:`save_mesh`; round trip is bit-exact."""
-    with open(path, encoding="utf-8") as fh:
-        raw = fh.read().splitlines()
-
+    raw = read_lines(path)
     pos = 0
 
     def expect_header(name: str) -> int:
@@ -406,12 +475,10 @@ def load_mesh(path) -> Mesh:
         parts = raw[pos].split()
         if len(parts) != 2 or parts[0] != name:
             raise MalformedFileError(f"expected '{name} <count>'", pos + 1)
-        try:
-            count = int(parts[1])
-        except ValueError:
-            raise MalformedFileError(f"bad {name} count {parts[1]!r}", pos + 1) from None
+        if not len(read_records(parts[1:], (int,))):  # the one number grammar
+            raise MalformedFileError(f"bad {name} count {parts[1]!r}", pos + 1)
         pos += 1
-        return count
+        return int(parts[1])  # as the grammar reads it, a count beyond int64 included
 
     def section(count: int, columns: tuple[type, ...]) -> np.ndarray:
         """The count records after the header, read by one loadtxt call."""

@@ -184,6 +184,29 @@ def loop_refine_uniform(mesh) -> geometry.Mesh:
                          np.asarray(tags), geometry._max_edge_length(new_vertices, new_triangles))
 
 
+def loop_edge_table(triangles, pairs):
+    """Dict oracle of geometry._edge_table: edges numbered as first met, sides before pairs."""
+    number, ends, counts = {}, [], []
+
+    def edge(a, b):
+        key = (min(a, b), max(a, b))
+        if key not in number:
+            number[key] = len(ends)
+            ends.append(key)
+            counts.append(0)
+        return number[key]
+
+    side_edge = []
+    for a, b, c in triangles.tolist():
+        side_edge.append([edge(a, b), edge(b, c), edge(c, a)])
+        for e in side_edge[-1]:
+            counts[e] += 1
+    pair_edge = [edge(a, b) for a, b in pairs.tolist()]
+    return (np.asarray(ends, dtype=np.int64).reshape(-1, 2),
+            np.asarray(side_edge, dtype=np.intp).reshape(-1, 3),
+            np.asarray(counts, dtype=np.intp), np.asarray(pair_edge, dtype=np.intp))
+
+
 def loop_validate_mesh(mesh) -> None:
     """Dict-based oracle of geometry.validate_mesh: the same checks, in the same order."""
     if not (np.isfinite(mesh.vertices).all() and np.isfinite(mesh.h)):
@@ -318,7 +341,7 @@ def loop_fit_vsc_constants(op, basis, q_dag, calibration, s, kappa, m0=10.0):
 
 
 def loop_load_mesh(path) -> geometry.Mesh:
-    """Per-line oracle of geometry.load_mesh: float() and int() on each record."""
+    """Per-line oracle of geometry.load_mesh: float() and int() on each record and count."""
     with open(path, encoding="utf-8") as fh:
         raw = fh.read().splitlines()
 
@@ -332,6 +355,9 @@ def loop_load_mesh(path) -> geometry.Mesh:
         if len(parts) != 2 or parts[0] != name:
             raise MalformedFileError(f"expected '{name} <count>'", pos + 1)
         try:
+            # int() plus the number grammar: no underscores, no non-ASCII digits
+            if "_" in parts[1] or not parts[1].isascii():
+                raise ValueError
             count = int(parts[1])
         except ValueError:
             raise MalformedFileError(f"bad {name} count {parts[1]!r}", pos + 1) from None

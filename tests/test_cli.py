@@ -176,6 +176,40 @@ def test_huge_coordinate_prints_one_error_line(tmp_path):
                            "mesh has non-finite vertex coordinates or edge lengths\n")
 
 
+def _non_utf8_copy(text: str, path):
+    """The text written to path with byte 0xff after the first character of line 2."""
+    lines = text.encode().splitlines(keepends=True)
+    lines[1] = lines[1][:1] + b"\xff" + lines[1][1:]
+    path.write_bytes(b"".join(lines))
+    return path
+
+
+@pytest.mark.parametrize("reader", ["mesh", "boundary csv", "config", "field"])
+def test_non_utf8_file_is_malformed_at_its_line(workdir, tmp_path, reader):
+    mesh = load_mesh(workdir / "mesh.txt")
+    source, read = {
+        "mesh": ("mesh.txt", load_mesh),
+        "boundary csv": ("flux.csv", lambda path: cli.read_boundary_csv(path, mesh, GAMMA_I)),
+        "config": ("kappa = 0.8\nalpha = 2.0\n",
+                   lambda path: parse_config(str(path), SCHEMAS["forward"])),
+        "field": ("1.5\n2.5\n", lambda path: resolve_field(str(path), 2, "alpha")),
+    }[reader]
+    text = source if "\n" in source else (workdir / source).read_text()
+    path = _non_utf8_copy(text, tmp_path / "bad")
+    with pytest.raises(MalformedFileError) as err:
+        read(path)
+    assert (err.value.line_number, err.value.exit_code) == (2, 2)
+    assert str(err.value) == f"{path} is not UTF-8 text: cannot decode byte 0xff (line 2)"
+
+
+def test_non_utf8_mesh_exits_2(workdir, tmp_path, capsys):
+    path = _non_utf8_copy((workdir / "mesh.txt").read_text(), tmp_path / "mesh.txt")
+    capsys.readouterr()
+    assert run(["spectrum", "--mesh", str(path), "--out", str(tmp_path / "s.csv")]) == 2
+    assert capsys.readouterr().err == (f"fluxrec: error: {path} is not UTF-8 text: "
+                                       "cannot decode byte 0xff (line 2)\n")
+
+
 @pytest.mark.parametrize("schedule", ["", "fixed_rho_schedule = 1e-3\n",
                                       "fixed_rho_schedule = 1e-3, 1e-5, 1e-7, 1e-9, 1e-11\n"])
 def test_rho_schedule_length_mismatch_exits_2(tmp_path, capsys, schedule):

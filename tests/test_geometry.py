@@ -3,7 +3,13 @@ import weakref
 
 import numpy as np
 import pytest
-from conftest import loop_annulus_mesh, loop_load_mesh, loop_refine_uniform, loop_validate_mesh
+from conftest import (
+    loop_annulus_mesh,
+    loop_edge_table,
+    loop_load_mesh,
+    loop_refine_uniform,
+    loop_validate_mesh,
+)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -395,6 +401,53 @@ def test_validation_errors_match_dict_oracle(defect):
     assert str(got.value).startswith(message)
 
 
+def _outcome(validate, mesh):
+    """The type and text of the error validate raises on mesh; None if it raises none."""
+    try:
+        validate(mesh)
+    except FluxRecError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _shuffled(rng, t, e, g):
+    """The triangle rows, and the boundary edges with their tags, in a random order."""
+    order = rng.permutation(len(e))
+    return t[rng.permutation(len(t))], e[order], g[order]
+
+
+@settings(max_examples=150, deadline=None)
+@given(defects=st.lists(st.sampled_from(["tagged interior edge", "untagged boundary edge",
+                                         "edge on three triangles"]), min_size=2, max_size=3),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_edge_defects_are_named_at_their_first_occurrence(defects, seed):
+    # each defect lands on the first triangle row or the last boundary edge of a fresh
+    # shuffle, so crowded edges and stray or missing tagged edges meet in any file order
+    rng = np.random.default_rng(seed)
+    base = generate_annulus_mesh(0.5, 1.0, 0.2)
+    v, t, e, g = base.vertices, base.triangles, base.boundary_edges, base.boundary_tags
+    for defect in defects:
+        v, t, e, g = DEFECTS[defect][0](v, *_shuffled(rng, t, e, g))
+    mesh = _mesh(v, *_shuffled(rng, np.asarray(t), np.asarray(e), np.asarray(g)))
+    got = _outcome(validate_mesh, mesh)
+    assert got == _outcome(loop_validate_mesh, mesh)
+    assert got is None or got[0] is InvalidGeometryError
+
+
+@pytest.mark.parametrize("h, refine, shuffle", [(0.2, 0, False), (0.1, 1, False), (0.2, 2, False),
+                                                (0.2, 0, True), (0.1, 1, True)])
+def test_edge_table_matches_the_first_encounter_oracle_bitwise(h, refine, shuffle):
+    mesh = generate_annulus_mesh(0.5, 1.0, h)
+    for _ in range(refine):
+        mesh = refine_uniform(mesh)
+    t, e = mesh.triangles, mesh.boundary_edges
+    if shuffle:
+        t, e, _ = _shuffled(np.random.default_rng(11), t, e, mesh.boundary_tags)
+        e = e[:, ::-1]  # a pair names its edge from either end
+    for got, want in zip(geometry._edge_table(t, e), loop_edge_table(t, e), strict=True):
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("defect", sorted(DEFECTS))
 def test_load_rejects_an_invalid_mesh_naming_the_path(tmp_path, defect):
@@ -549,6 +602,26 @@ def test_load_rejects_underscores_and_non_ascii_digits_at_their_line(tmp_path, s
     with pytest.raises(MalformedFileError, match="malformed record") as err:
         load_mesh(path)
     assert err.value.line_number == bad + 1
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("section", ["VERTICES", "TRIANGLES", "BOUNDARY_EDGES"])
+@pytest.mark.parametrize("digits", ["underscore", "arabic-indic"])
+def test_load_rejects_a_header_count_outside_the_number_grammar(tmp_path, section, digits):
+    # int() reads '6_3' and '\u0666\u0663' as 63; the count follows the records' grammar
+    path = tmp_path / "mesh.txt"
+    save_mesh(generate_annulus_mesh(0.5, 1.0, 0.3), path)
+    lines = path.read_text().splitlines()
+    header = next(i for i, line in enumerate(lines) if line.startswith(section))
+    count = lines[header].split()[1]
+    count = (f"{count[0]}_{count[1:]}" if digits == "underscore"
+             else count.translate({ord("0") + d: 0x660 + d for d in range(10)}))
+    lines[header] = f"{section} {count}"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _assert_same_outcome(path)
+    with pytest.raises(MalformedFileError) as err:
+        load_mesh(path)
+    assert str(err.value) == f"bad {section} count {count!r} (line {header + 1})"
 
 
 @pytest.mark.filterwarnings("error")
