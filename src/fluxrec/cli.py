@@ -214,10 +214,8 @@ def cmd_vsc_check(args) -> int:
     basis = build_spectral_basis(mesh)
     q_dag = synthesize_flux_with_smoothness(basis, s, cfg["eps"], args.seed)
 
-    n_cal = max(1, args.n_samples // 2)
-    calibration = sample_admissible_fluxes(basis, q_dag, cfg["m0"], n_cal, args.seed + 1)
     evaluation = sample_admissible_fluxes(basis, q_dag, cfg["m0"], args.n_samples, args.seed + 2)
-    spec = fit_vsc_constants(op, basis, q_dag, calibration, s, kappa, m0=cfg["m0"])
+    spec = fit_vsc_constants(op, basis, q_dag, s, kappa)
     report = check_vsc_inequality(op, basis, q_dag, spec, evaluation, m0=cfg["m0"])
 
     os.makedirs(args.out, exist_ok=True)

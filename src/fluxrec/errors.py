@@ -53,7 +53,7 @@ class InadmissibleSampleError(FluxRecError):
 
 
 class FitFailureError(FluxRecError):
-    """The VSC constants could not be fitted to the calibration ensemble."""
+    """The VSC constants could not be fitted to the worst-deficit curve."""
 
 
 class DegenerateEnsembleError(FluxRecError):

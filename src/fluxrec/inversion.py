@@ -33,7 +33,6 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,12 +198,11 @@ def project_rows(op: AffineForwardOperator, data: np.ndarray) -> tuple[np.ndarra
     return c, np.sum((d - _matvecs(U, c)) ** 2, axis=1)
 
 
-def _project(op: AffineForwardOperator, u_delta: BoundaryVector) -> tuple[np.ndarray, float]:
-    """(c = U^T d, ||d - U c||^2) of one datum, the one-row ``project_rows``."""
+def _one_row(u_delta: BoundaryVector) -> np.ndarray:
+    """The 1 x n_a data of one datum, for the row forms at R = 1."""
     if u_delta.tag != GAMMA_A:
         raise TagMismatchError(f"data must be tagged {GAMMA_A}, got {u_delta.tag}")
-    c, perp_sq = project_rows(op, u_delta.values[None])
-    return c[0], float(perp_sq[0])
+    return u_delta.values[None]
 
 
 def tikhonov_rows(op: AffineForwardOperator, data: np.ndarray, c: np.ndarray,
@@ -224,10 +222,8 @@ def tikhonov_rows(op: AffineForwardOperator, data: np.ndarray, c: np.ndarray,
 def tikhonov_solve(op: AffineForwardOperator, u_delta: BoundaryVector,
                    rho: float) -> TikhonovResult:
     """Minimizer of the Tikhonov objective, the one-row ``tikhonov_rows``."""
-    if not 0.0 < rho < math.inf:
-        raise ValueError(f"rho must be positive and finite, got {rho}")
-    c, _ = _project(op, u_delta)
-    q, residual, norm = tikhonov_rows(op, u_delta.values[None], c[None], [rho])
+    data = _one_row(u_delta)
+    q, residual, norm = tikhonov_rows(op, data, project_rows(op, data)[0], [rho])
     return TikhonovResult(BoundaryVector(GAMMA_I, q[0]), float(rho),
                           float(residual[0]), float(norm[0]))
 
@@ -245,17 +241,9 @@ def _residuals(s_sq: np.ndarray, c: np.ndarray, perp_sq: np.ndarray,
     return np.sqrt(np.sum((lam / (s_sq + lam) * c) ** 2, axis=1) + perp_sq)
 
 
-def closed_form_residual(op: AffineForwardOperator,
-                         u_delta: BoundaryVector) -> Callable[[float], float]:
-    """rho -> Tikhonov residual ||K q_rho + b - u_delta||_a, without a solve."""
-    c, perp_sq = _project(op, u_delta)
-    s_sq = op.whitened_svd[1] ** 2
-    return lambda rho: float(_residuals(s_sq, c[None], np.array([perp_sq]), np.array([rho]))[0])
-
-
 def discrepancy_search(op: AffineForwardOperator, c: np.ndarray, perp_sq: np.ndarray,
                        deltas: np.ndarray, tau_d: float = 1.5) -> tuple[list[float], list[str]]:
-    """Morozov choice for R projected data (rows of c and perp_sq, see ``_project``) at once.
+    """Morozov choice for R projected data (rows of c and perp_sq, see ``project_rows``) at once.
 
     Each row is bisected on log rho, all in lock step, towards the largest
     rho whose closed-form residual (non-decreasing in rho) stays at or
@@ -320,9 +308,8 @@ def discrepancy_search(op: AffineForwardOperator, c: np.ndarray, perp_sq: np.nda
 def choose_rho_discrepancy(op: AffineForwardOperator, u_delta: BoundaryVector,
                            delta: float, tau_d: float = 1.5) -> float:
     """Morozov choice for one datum, the one-row ``discrepancy_search``; raises its failure."""
-    c, perp_sq = _project(op, u_delta)
-    (rho,), (failure,) = discrepancy_search(op, c[None], np.array([perp_sq]),
-                                            np.array([delta]), tau_d)
+    data = _one_row(u_delta)
+    (rho,), (failure,) = discrepancy_search(op, *project_rows(op, data), np.array([delta]), tau_d)
     if failure:
         raise BracketFailureError(failure)
     return rho
@@ -338,9 +325,3 @@ def admissible_rows(fluxes: np.ndarray, q_dag: BoundaryVector, basis: SpectralBa
     c = _matvecs(basis.eigenvectors.T, basis.mass_diag * diff)
     # spectral.sobolev_norm's weights lambda^(2s) are lambda at s = 1/2
     return np.sqrt((basis.eigenvalues * c ** 2).sum(axis=1)) <= m0
-
-
-def admissibility_check(q_rec: BoundaryVector, q_dag: BoundaryVector,
-                        basis: SpectralBasis, m0: float) -> bool:
-    """Closed-ball test ||q_rec - q_dag||_(1/2, GammaI) <= m0, the one-row ``admissible_rows``."""
-    return bool(admissible_rows(q_rec.values[None], q_dag, basis, m0)[0])

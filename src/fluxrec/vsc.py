@@ -15,8 +15,9 @@ with Psi0 a logarithmic index function; in closed form Psi = k Psi0^p
 (_psi_power).  The weight 1/(2 (1 - beta)) on f^2 is 1 at beta = 1/2, and
 a factor on g would enter Psi only through its product with C, so neither
 is a parameter.  The constants are non-constructive in the underlying
-theory: fit_vsc_constants determines C in closed form, and a holdout
-validates it.
+theory; for a linear problem Psi holds iff it covers the worst deficit,
+which the exact-data Tikhonov solutions attain (Hohage & Weidling 2017).
+fit_vsc_constants takes C in closed form on that curve; a holdout checks it.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .spectral import SpectralBasis, analyze, sobolev_norm
 logger = logging.getLogger(__name__)
 
 T_FLOOR = 1e-300
+CURVE_POINTS = 1000      # finite lambda values on worst_deficit_curve
 
 
 @dataclass(frozen=True)
@@ -160,57 +162,63 @@ def check_vsc_inequality(op: AffineForwardOperator, basis: SpectralBasis,
     return VscReport(lhs, rhs, rhs - lhs, float(scale))
 
 
-def _shrink_t_max(basis: SpectralBasis, q_dag: BoundaryVector, m0: float) -> float:
-    """Largest t with (1 - t) qd within 0.99 m0 of qd in H^(1/2), capped at t = 1 (q = 0)."""
-    return min(1.0, 0.99 * m0 / max(sobolev_norm(basis, 0.5, q_dag), 1e-30))
+def _svd_coefficients(op: AffineForwardOperator,
+                      q_dag: BoundaryVector) -> tuple[np.ndarray, np.ndarray]:
+    """(s, a): the whitened singular values and a = V^T M_i^(1/2) qd."""
+    _, s, Vt = op.whitened_svd
+    return s, Vt @ (np.sqrt(op.w_i) * q_dag.values)
+
+
+def worst_deficit_curve(op: AffineForwardOperator,
+                        q_dag: BoundaryVector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lambda, tau, D*), all ascending: D* is the sup of the deficit over ||K e||_a <= tau.
+
+    The deficit D(e) = lhs - (norm part of rhs) = -(qd, e) - ||e||^2 / 4
+    is concave in e = q - qd; its sup is at q = 2 q_lambda - qd, with
+    q_lambda the Tikhonov solution for exact data.  With 1 - f_j =
+    lambda / (s_j^2 + lambda), D* = sum a_j^2 (1 - f_j)(1 + f_j) and
+    tau = 2 ||s (1 - f) a||, at CURVE_POINTS log-spaced lambda on
+    [s_min^2 1e-6, s_max^2 1e6] and at lambda = inf (tau_max = 2 ||s a||, D* = ||qd||^2).
+    """
+    s, a = _svd_coefficients(op, q_dag)
+    lam = np.append(np.geomspace(s.min() ** 2 * 1e-6, s.max() ** 2 * 1e6, CURVE_POINTS), np.inf)
+    comp = 1.0 / (1.0 + s * s / lam[:, None])
+    return (lam, 2.0 * np.sqrt(np.sum((s * comp * a) ** 2, axis=1)),
+            np.sum(a * a * comp * (2.0 - comp), axis=1))
 
 
 def fit_vsc_constants(op: AffineForwardOperator, basis: SpectralBasis,
-                      q_dag: BoundaryVector, calibration: np.ndarray,
-                      s: float, kappa: float, m0: float = 10.0) -> IndexFunctionSpec:
-    """Fit the constants of Psi in closed form, validated on the fitted samples.
+                      q_dag: BoundaryVector, s: float, kappa: float) -> IndexFunctionSpec:
+    """Fit the constants of Psi in closed form, so that Psi >= D* on worst_deficit_curve.
 
-    The theory guarantees existence but not values.  Every fitted sample
-    must be admissible.  cprime is the largest fitted misfit and C0 sits
-    on its floor 1.01 e^(kappa+1) cprime.  A sample with deficit
-    D = lhs - (norm part of rhs) > 0 then holds iff k (C Psi0_1(t))^p >= D,
-    i.e. C >= (D/k)^(1/p) / Psi0_1(t), with Psi0_1 the index function at
-    C = 1; C is the largest of these bounds times (1 + 1e-9), one check of
-    the margins guards it, and a bound that leaves float64 fails the fit.
-
-    The fitted terms are the calibration samples plus one anchor, the
-    far end (1 - t_max) qd of the shrinkage ray that
-    sample_admissible_fluxes draws from.  Along that ray
-    D = ||qd||^2 (t - t^2/4) and the bound grows with t while
-    t ||K qd|| <= cprime (the anchor enforces this) and
-    kappa / log(C0 / (t ||K qd||)) <= (1 - t/2) / (1 - t/4), true for
-    every kappa <= 2, so on the whole domain (0, 1) of kappa the anchor
-    covers the ray (for s < 1/2 the exponent 1/p > 1 only steepens D).
+    cprime is the curve's end tau_max, past which D* stays ||qd||^2, and
+    C0 sits on its floor 1.01 e^(kappa+1) cprime.  D* and Psi rise with
+    tau, so Psi(tau_k) >= D*(tau_(k+1)) covers [tau_k, tau_(k+1)]; below
+    tau_0, D* (concave, 0 at 0) lies under its tangent ||a / s|| tau and Psi
+    (concave, 0 at 0+) over its chord, so Psi(tau_0) >= ||a / s|| tau_0
+    covers (0, tau_0].  A bound D at tau needs C >= (D/k)^(1/p) / Psi0_1(tau),
+    Psi0_1 the index function at C = 1; C is the largest such bound times
+    (1 + 1e-9), one check of the margins guards it, and a bound that
+    leaves float64 fails the fit.
     """
-    if np.size(calibration) == 0:
-        raise FitFailureError("empty calibration ensemble")
-    terms = _sample_terms(op, basis, q_dag, calibration, m0)
-    if terms[2].max() <= T_FLOOR:
-        raise FitFailureError("all calibration misfits are zero; forward operator degenerate")
-
-    anchor = (1.0 - _shrink_t_max(basis, q_dag, m0)) * q_dag.values[:, None]
-    lhs, rhs_norms, misfit = map(np.append, terms, _sample_terms(op, basis, q_dag, anchor, m0))
-    cprime = float(misfit.max())
+    _, tau, dstar = worst_deficit_curve(op, q_dag)
+    if not dstar[-1] > 0.0:
+        raise FitFailureError("qd = 0 has no positive deficit; nothing fixes C")
+    sv, a = _svd_coefficients(op, q_dag)
+    cprime = float(tau[-1])
     unit = IndexFunctionSpec(C=1.0, C0=cprime * math.exp(kappa + 1.0) * 1.01, kappa=kappa,
                              s=s, cprime=cprime, f_coeff=sobolev_norm(basis, s, q_dag))
     k, p = _psi_power(unit)
-    deficit = lhs - rhs_norms
-    pos = deficit > 0.0
-    if not pos.any():
-        raise FitFailureError("no fitted sample has a positive deficit; nothing fixes C")
-    need = (deficit[pos] / k) ** (1.0 / p) / psi0_eval(unit, np.maximum(misfit[pos], T_FLOOR))
-    required = float(need.max())
+    at = np.append(tau[0], tau[:-1])
+    bound = np.append(np.linalg.norm(a / sv) * tau[0], dstar[1:])
+    with np.errstate(over="ignore"):    # an overflow is reported as not representable
+        required = float(((bound / k) ** (1.0 / p) / psi0_eval(unit, at)).max())
     if not 0.0 < required < math.inf:
-        raise FitFailureError(f"at s={s:g} the C that covers the fitted samples is not "
+        raise FitFailureError(f"at s={s:g} the C that covers the worst-deficit curve is not "
                               f"representable in float64 (it evaluates to {required:g})")
 
     fitted = replace(unit, C=required * (1.0 + 1e-9))
-    margin = float((rhs_norms + psi_infimum(fitted, np.maximum(misfit, T_FLOOR)) - lhs).min())
+    margin = float((psi_infimum(fitted, at) - bound).min())
     if margin < 0.0:
         raise FitFailureError(f"fitted constants leave a negative margin {margin:.3e}")
     logger.info("fitted VSC constants C0=%.4g C=%.4g cprime=%.4g",
@@ -223,15 +231,15 @@ def sample_admissible_fluxes(basis: SpectralBasis, q_dag: BoundaryVector, m0: fl
     """Random admissible perturbations of qd, diverse in spectral decay.
 
     Three interleaved families: rough random perturbations with random
-    decay, shrinkages toward zero along qd (which stress the inequality
-    hardest), and mixtures.  All are scaled into the H^(1/2) ball of
-    radius m0 around qd; deterministic per seed.  Returns the
-    (n_i x n_samples) flux matrix, one sample per column.
+    decay, shrinkages toward zero along qd, and mixtures.  All are scaled
+    into the H^(1/2) ball of radius m0 around qd; deterministic per seed.
+    Returns the (n_i x n_samples) flux matrix, one sample per column.
     """
     rng = np.random.default_rng(seed)
     lam = basis.eigenvalues
     c_dag = analyze(basis, q_dag)
-    t_max = _shrink_t_max(basis, q_dag, m0)
+    # the largest t with (1 - t) qd within 0.99 m0 of qd in H^(1/2), capped at t = 1 (q = 0)
+    t_max = min(1.0, 0.99 * m0 / max(sobolev_norm(basis, 0.5, q_dag), 1e-30))
     coeffs = np.empty((basis.n_modes, n_samples))
     for i in range(n_samples):  # draws in sample order: the same samples for each seed
         family = i % 3

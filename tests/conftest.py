@@ -299,7 +299,7 @@ def loop_sample_terms(op, basis, q_dag, samples, m0) -> list[tuple[float, float,
     k_dag = op.apply_linear(q_dag.values)
     terms = []
     for i, q in enumerate(samples):
-        if not inversion.admissibility_check(q, q_dag, basis, m0):
+        if not scalar_admissibility_check(q, q_dag, basis, m0):
             raise InadmissibleSampleError(f"sample {i} outside the admissible ball (m0={m0})")
         diff = fem.BoundaryVector(geometry.GAMMA_I, q.values - q_dag.values)
         terms.append((0.25 * fem.boundary_l2_norm(mesh, diff) ** 2,
@@ -320,23 +320,37 @@ def loop_vsc_report(op, basis, q_dag, spec, samples, m0=10.0):
     return lhs, rhs, margin, scale
 
 
-def loop_fit_vsc_constants(op, basis, q_dag, calibration, s, kappa, m0=10.0):
-    """Per-sample oracle of vsc.fit_vsc_constants (calibration is a list of fluxes)."""
-    terms = loop_sample_terms(op, basis, q_dag, calibration, m0)
-    anchor = fem.BoundaryVector(
-        geometry.GAMMA_I, (1.0 - vsc._shrink_t_max(basis, q_dag, m0)) * q_dag.values)
-    terms += loop_sample_terms(op, basis, q_dag, [anchor], m0)
-    cprime = max(misfit for *_, misfit in terms)
+def loop_fit_vsc_constants(op, basis, q_dag, s, kappa):
+    """Per-lambda oracle of vsc.fit_vsc_constants.
+
+    Each worst flux 2 q_lambda - qd comes from a Tikhonov solve on the
+    exact trace K qd + b at rho = 2 lambda (-qd at lambda = inf), and its
+    misfit and deficit from loop_sample_terms; the slope ||a / s|| of the
+    curve at 0 is summed one singular pair at a time.
+    """
+    sv = op.whitened_svd[1]
+    exact = fem.BoundaryVector(geometry.GAMMA_A, op.apply_linear(q_dag.values) + op.b)
+    worst = [fem.BoundaryVector(geometry.GAMMA_I, 2.0 * inversion.tikhonov_solve(
+        op, exact, 2.0 * lam).q_rec.values - q_dag.values)
+        for lam in np.geomspace(sv.min() ** 2 * 1e-6, sv.max() ** 2 * 1e6, vsc.CURVE_POINTS)]
+    worst.append(fem.BoundaryVector(geometry.GAMMA_I, -q_dag.values))
+    terms = loop_sample_terms(op, basis, q_dag, worst, math.inf)
+    tau = [misfit for *_, misfit in terms]
+    dstar = [lhs - rhs_norms for lhs, rhs_norms, _ in terms]
+    x = np.sqrt(op.w_i) * q_dag.values
+    slope = math.sqrt(sum((float(v @ x) / sj) ** 2 for v, sj in zip(op.whitened_svd[2], sv)))
+
+    cprime = tau[-1]
     unit = vsc.IndexFunctionSpec(C=1.0, C0=cprime * math.exp(kappa + 1.0) * 1.01, kappa=kappa,
                                  s=s, cprime=cprime,
                                  f_coeff=spectral.sobolev_norm(basis, s, q_dag))
+    # Psi(tau_k) must cover D*(tau_(k+1)), and Psi(tau_0) the tangent slope * tau_0;
     # Psi is C^p times its value at C = 1, p = 4s / (1 + 2s) (1 at s = 1/2)
     required = 0.0
-    for lhs, rhs_norms, misfit in terms:
-        deficit = lhs - rhs_norms
-        if deficit > 0.0:
-            unit_psi = scalar_psi_infimum(unit, max(misfit, vsc.T_FLOOR))
-            required = max(required, (deficit / unit_psi) ** ((1.0 + 2.0 * s) / (4.0 * s)))
+    for t, bound in [(tau[0], slope * tau[0]), *zip(tau, dstar[1:])]:
+        if bound > 0.0:
+            unit_psi = scalar_psi_infimum(unit, t)
+            required = max(required, (bound / unit_psi) ** ((1.0 + 2.0 * s) / (4.0 * s)))
     return replace(unit, C=required * (1.0 + 1e-9))
 
 

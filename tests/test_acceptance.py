@@ -163,9 +163,8 @@ def test_criterion_06_controlled_recovery(forward_op, basis, coarse_mesh):
 def test_criterion_07_vsc_consistency(forward_op, basis, coarse_mesh):
     t0 = time.time()
     q_dag = synthesize_flux_with_smoothness(basis, 0.5, 0.01, seed=42)
-    calibration = sample_admissible_fluxes(basis, q_dag, 10.0, 100, seed=100)
     evaluation = sample_admissible_fluxes(basis, q_dag, 10.0, 200, seed=200)
-    spec = fit_vsc_constants(forward_op, basis, q_dag, calibration, s=0.5, kappa=0.9)
+    spec = fit_vsc_constants(forward_op, basis, q_dag, s=0.5, kappa=0.9)
     rep = check_vsc_inequality(forward_op, basis, q_dag, spec, evaluation)
     slacked = check_vsc_inequality(forward_op, basis, q_dag,
                                    replace(spec, C=1.05 * spec.C), evaluation)

@@ -660,19 +660,35 @@ def test_vsc_and_stability_subcommands(workdir):
 
 
 def test_vsc_check_small_s_fits(workdir, tmp_path):
-    # at small s every positive deficit still fixes a finite C
-    out = tmp_path / "vsc"
-    assert run(["vsc-check", "--mesh", str(workdir / "mesh.txt"), "--n-samples", "200",
-                "--seed", "0", "--s", "0.01", "--out", str(out)]) == 0
+    # at small s the curve's end D* = ||qd||^2 sits just under k, so (D*/k)^(1/p) stays finite
+    for s in ("0.01", "1e-6"):
+        out = tmp_path / s
+        assert run(["vsc-check", "--mesh", str(workdir / "mesh.txt"), "--n-samples", "200",
+                    "--seed", "0", "--s", s, "--out", str(out)]) == 0
+        summary = dict(line.split(" = ")
+                       for line in (out / "summary.txt").read_text().splitlines())
+        assert 0.0 < float(summary["C"]) < math.inf
+        assert float(summary["fraction_nonnegative"]) == 1.0
+
+
+def test_vsc_check_holds_on_a_thin_inner_circle(tmp_path):
+    # the fitted C covers the worst deficit on any annulus, so the holdout holds on a thin
+    # inner circle too
+    mesh, out = tmp_path / "mesh.txt", tmp_path / "vsc"
+    assert run(["mesh-gen", "--r-inner", "0.1", "--r-outer", "1.0", "--h", "0.1",
+                "--out", str(mesh)]) == 0
+    assert run(["vsc-check", "--mesh", str(mesh), "--n-samples", "200", "--seed", "0",
+                "--out", str(out)]) == 0
     summary = dict(line.split(" = ") for line in (out / "summary.txt").read_text().splitlines())
-    assert 0.0 < float(summary["C"]) < math.inf
     assert float(summary["fraction_nonnegative"]) == 1.0
+    assert summary["holds_empirically"] == "1"
 
 
 def test_vsc_check_unrepresentable_c_exits_1(workdir, tmp_path, capsys):
-    # at s = 1e-6 the required C = (D/k)^(1/p) / Psi0_1 underflows float64 to 0
+    # at s = 1e-300, 1/p = (1 + 2s) / (4s) is so large that (D/k)^(1/p) leaves float64
+    # for any rounding of D/k other than exactly 1
     assert run(["vsc-check", "--mesh", str(workdir / "mesh.txt"), "--n-samples", "200",
-                "--seed", "0", "--s", "1e-6", "--out", str(tmp_path / "vsc")]) == 1
+                "--seed", "0", "--s", "1e-300", "--out", str(tmp_path / "vsc")]) == 1
     err = capsys.readouterr().err
-    assert "at s=1e-06" in err and "not representable" in err
+    assert "at s=1e-300" in err and "not representable" in err
     assert "positive deficit" not in err

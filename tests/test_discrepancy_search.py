@@ -13,7 +13,6 @@ from fluxrec.inversion import (
     add_noise,
     build_forward_operator,
     choose_rho_discrepancy,
-    closed_form_residual,
     discrepancy_search,
     tikhonov_solve,
 )
@@ -96,6 +95,13 @@ def qr_bisection(op, u_delta, delta, tau_d=1.5):
     raise BracketFailureError("exhausted")
 
 
+def closed_form_residual(op, u_delta):
+    """rho -> the closed-form residual of one datum, through the row forms at R = 1."""
+    c, perp_sq = inversion.project_rows(op, u_delta.values[None])
+    s_sq = op.whitened_svd[1] ** 2
+    return lambda rho: float(inversion._residuals(s_sq, c, perp_sq, np.array([rho]))[0])
+
+
 def test_closed_form_residual_matches_a_stable_solve(forward_op, coarse_mesh, u_exact):
     for i, delta in enumerate(DELTAS):
         u_delta = add_noise(coarse_mesh, u_exact, delta, 1000 * i)
@@ -172,10 +178,9 @@ def oracle_rows(op, data, tau_d=1.5):
 
 
 def batched_rows(op, data, tau_d=1.5):
-    projected = [inversion._project(op, u_delta) for u_delta, _ in data]
-    rho, failures = discrepancy_search(
-        op, np.array([c for c, _ in projected]), np.array([p for _, p in projected]),
-        np.array([delta for _, delta in data]), tau_d)
+    c, perp_sq = inversion.project_rows(op, np.array([u_delta.values for u_delta, _ in data]))
+    rho, failures = discrepancy_search(op, c, perp_sq, np.array([delta for _, delta in data]),
+                                       tau_d)
     assert all(type(r) is float for r in rho)
     return [(r.hex(), f) for r, f in zip(rho, failures)]
 
@@ -259,7 +264,7 @@ def test_closed_form_residual_has_the_scalar_bits(forward_op, coarse_mesh, u_exa
 
 
 def test_batched_search_rejects_bad_levels(forward_op, coarse_mesh, u_exact):
-    c, perp_sq = inversion._project(forward_op, u_exact)
+    (c,), (perp_sq,) = inversion.project_rows(forward_op, u_exact.values[None])
     for bad in (0.0, -1e-4, float("nan")):
         with pytest.raises(ValueError, match=f"delta must be positive, got {bad}"):
             discrepancy_search(forward_op, np.stack([c, c]), np.array([perp_sq] * 2),

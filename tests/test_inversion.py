@@ -14,7 +14,7 @@ from fluxrec.geometry import GAMMA_A, GAMMA_I, generate_annulus_mesh
 from fluxrec.inversion import (
     add_noise,
     adjoint_apply,
-    admissibility_check,
+    admissible_rows,
     build_forward_operator,
     choose_rho_discrepancy,
     tikhonov_objective,
@@ -241,11 +241,11 @@ def test_error_non_increasing_in_delta(forward_op, basis, coarse_mesh):
 
 def test_admissibility(forward_op, basis, coarse_mesh):
     q_dag = band_limited_flux(basis, 5, seed=1)
-    assert admissibility_check(q_dag, q_dag, basis, m0=1e-12)
+    assert admissible_rows(q_dag.values[None], q_dag, basis, m0=1e-12)[0]
     m0 = 0.5
     e1 = basis.mode(0)
     half_norm = sobolev_norm(basis, 0.5, e1)
-    bumped = BoundaryVector(GAMMA_I, q_dag.values + 2.0 * m0 * e1.values / half_norm)
-    assert not admissibility_check(bumped, q_dag, basis, m0)
-    at_threshold = BoundaryVector(GAMMA_I, q_dag.values + m0 * e1.values / half_norm)
-    assert admissibility_check(at_threshold, q_dag, basis, m0 * (1.0 + 1e-12))
+    bumped = q_dag.values + 2.0 * m0 * e1.values / half_norm
+    assert not admissible_rows(bumped[None], q_dag, basis, m0)[0]
+    at_threshold = q_dag.values + m0 * e1.values / half_norm
+    assert admissible_rows(at_threshold[None], q_dag, basis, m0 * (1.0 + 1e-12))[0]

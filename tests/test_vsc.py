@@ -13,8 +13,10 @@ from conftest import (
     scalar_psi0,
     scalar_psi_infimum,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fluxrec import fem, inversion, spectral
+from fluxrec import fem, inversion, spectral, vsc
 from fluxrec.errors import (
     DimensionMismatchError,
     FitFailureError,
@@ -22,7 +24,7 @@ from fluxrec.errors import (
     ParameterDomainError,
 )
 from fluxrec.fem import BoundaryVector
-from fluxrec.geometry import GAMMA_I, generate_annulus_mesh
+from fluxrec.geometry import GAMMA_A, GAMMA_I, generate_annulus_mesh
 from fluxrec.rates import ExperimentConfig
 from fluxrec.spectral import sobolev_norm, synthesize_flux_with_smoothness
 from fluxrec.vsc import (
@@ -32,6 +34,7 @@ from fluxrec.vsc import (
     psi0_eval,
     psi_infimum,
     sample_admissible_fluxes,
+    worst_deficit_curve,
 )
 
 PSI0_SPEC = IndexFunctionSpec(C=1.0, C0=100.0, kappa=0.9, cprime=1.0)
@@ -44,9 +47,13 @@ def q_dag(basis):
 
 @pytest.fixture(scope="module")
 def fitted(forward_op, basis, q_dag):
-    calibration = sample_admissible_fluxes(basis, q_dag, 10.0, 100, seed=100)
-    spec = fit_vsc_constants(forward_op, basis, q_dag, calibration, s=0.5, kappa=0.9)
-    return spec, calibration
+    return fit_vsc_constants(forward_op, basis, q_dag, s=0.5, kappa=0.9)
+
+
+@pytest.fixture(scope="module")
+def worst(forward_op, q_dag):
+    """The worst fluxes 2 q_lambda - qd of every finite lambda on the curve, one per column."""
+    return worst_fluxes(forward_op, q_dag, worst_deficit_curve(forward_op, q_dag)[0][:-1])
 
 
 @pytest.fixture(scope="module")
@@ -64,9 +71,31 @@ def as_list(fluxes):
 def vsc_check_fit(forward_op, basis, seed):
     """q_dag, constants and holdout as `vsc-check --n-samples 200 --seed <seed>` builds them."""
     q_dag = synthesize_flux_with_smoothness(basis, 0.5, 0.01, seed)
-    calibration = sample_admissible_fluxes(basis, q_dag, 10.0, 100, seed + 1)
-    spec = fit_vsc_constants(forward_op, basis, q_dag, calibration, s=0.5, kappa=0.9)
+    spec = fit_vsc_constants(forward_op, basis, q_dag, s=0.5, kappa=0.9)
     return q_dag, spec, sample_admissible_fluxes(basis, q_dag, 10.0, 200, seed + 2)
+
+
+def worst_fluxes(op, q_dag, lams):
+    """Columns 2 q_lambda - qd, q_lambda the Tikhonov solution of exact data at rho = 2 lambda."""
+    exact = BoundaryVector(GAMMA_A, op.apply_linear(q_dag.values) + op.b)
+    return np.column_stack([2.0 * inversion.tikhonov_solve(op, exact, 2.0 * lam).q_rec.values
+                            - q_dag.values for lam in lams])
+
+
+def dense_requirement(op, q_dag, spec, n_points=200_000):
+    """The smallest C with C Psi0_1(tau) >= D*(tau) (Psi at s = 1/2, C0 and cprime of spec) at
+    n_points log-spaced lambda on [s_min^2 1e-8, s_max^2 1e8] and at the end tau_max."""
+    _, sv, Vt = op.whitened_svd
+    a = Vt @ (np.sqrt(op.w_i) * q_dag.values)
+    unit = replace(spec, C=1.0)
+    need = float(a @ a / psi0_eval(unit, 2.0 * np.linalg.norm(sv * a)))
+    lams = np.geomspace(sv.min() ** 2 * 1e-8, sv.max() ** 2 * 1e8, n_points)
+    for chunk in np.array_split(lams, 40):
+        comp = chunk[:, None] / (sv * sv + chunk[:, None])
+        tau = 2.0 * np.sqrt(np.sum((sv * comp * a) ** 2, axis=1))
+        dstar = np.sum(a * a * comp * (2.0 - comp), axis=1)
+        need = max(need, float((dstar / psi0_eval(unit, tau)).max()))
+    return need
 
 
 def shrinkage_ray(basis, q_dag, n_points):
@@ -204,26 +233,25 @@ def test_decay_law_exponent(s, kappa):
     assert abs(-slope - 2.0 * ExperimentConfig(s=s, kappa=kappa).p_star) <= 1e-9
 
 
-def test_fit_validates_calibration(fitted, forward_op, basis, q_dag):
-    spec, calibration = fitted
-    report = check_vsc_inequality(forward_op, basis, q_dag, spec, calibration)
+def test_fit_validates_worst_directions(fitted, forward_op, basis, q_dag, worst):
+    report = check_vsc_inequality(forward_op, basis, q_dag, fitted, worst)
     assert report.min_margin >= 0.0
-    assert spec.C0 / spec.cprime > math.exp(spec.kappa + 1.0)
+    assert fitted.C0 / fitted.cprime > math.exp(fitted.kappa + 1.0)
+    assert fitted.cprime == worst_deficit_curve(forward_op, q_dag)[1][-1]
 
 
-def test_fit_enlarging_constants_preserves_validity(fitted, forward_op, basis, q_dag):
-    spec, calibration = fitted
+def test_fit_enlarging_constants_preserves_validity(fitted, forward_op, basis, q_dag, worst):
     for eta in (2.0, 50.0):
-        bigger = replace(spec, C=eta * spec.C, C0=eta * spec.C0)
-        report = check_vsc_inequality(forward_op, basis, q_dag, bigger, calibration)
+        bigger = replace(fitted, C=eta * fitted.C, C0=eta * fitted.C0)
+        report = check_vsc_inequality(forward_op, basis, q_dag, bigger, worst)
         assert report.min_margin >= 0.0
 
 
 def test_fit_holdout(fitted, forward_op, basis, q_dag):
-    spec, _ = fitted
     holdout = sample_admissible_fluxes(basis, q_dag, 10.0, 200, seed=777)
-    report = check_vsc_inequality(forward_op, basis, q_dag, spec, holdout)
+    report = check_vsc_inequality(forward_op, basis, q_dag, fitted, holdout)
     assert report.fraction_nonnegative >= 0.95
+    assert report.min_margin >= 0.0
 
 
 @pytest.mark.parametrize("seed", [20031, 20114, 40149])
@@ -245,17 +273,53 @@ def test_fit_covers_whole_shrinkage_ray(forward_op, basis, seed):
     assert report.min_margin >= 0.0
 
 
-def test_fit_is_tight(fitted, forward_op, basis, q_dag):
-    # C is the smallest constant that covers calibration plus the ray's far end
-    spec, calibration = fitted
-    anchor = shrinkage_ray(basis, q_dag, 2)[:, -1]
-    report = check_vsc_inequality(forward_op, basis, q_dag, spec,
-                                  np.column_stack([calibration, anchor]))
-    assert 0.0 <= report.min_margin <= 1e-6 * report.scale
+def test_fit_is_tight(fitted, forward_op, basis, q_dag, worst):
+    # at the binding point Psi(tau_k) = D*(tau_(k+1)), so the worst direction k keeps at most
+    # the curve step D*(tau_(k+1)) - D*(tau_k) as its margin
+    dstar = worst_deficit_curve(forward_op, q_dag)[2]
+    report = check_vsc_inequality(forward_op, basis, q_dag, fitted, worst)
+    assert 0.0 <= report.min_margin <= np.diff(dstar).max() + 1e-9 * dstar[-1]
+
+
+@pytest.mark.parametrize("h", [0.1, 0.05])
+def test_worst_deficit_curve_matches_sample_terms(forward_op, basis, fine_op_and_basis, h):
+    # (tau, D*) are the misfit and deficit of q = 2 q_lambda - qd (q = -qd at lambda = inf);
+    # below lambda = 1e-6 s_max^2 the solve's q_lambda - qd cancels too many digits to compare
+    op, basis = (forward_op, basis) if h == 0.1 else fine_op_and_basis
+    q_dag = synthesize_flux_with_smoothness(basis, 0.5, 0.01, 42)
+    lam, tau, dstar = worst_deficit_curve(op, q_dag)
+    assert lam.shape == tau.shape == dstar.shape == (vsc.CURVE_POINTS + 1,)
+    assert lam[-1] == math.inf and (np.diff(lam) > 0.0).all()
+    assert (np.diff(tau) > 0.0).all() and (np.diff(dstar) > 0.0).all()
+    keep = lam >= 1e-6 * op.whitened_svd[1].max() ** 2
+    fluxes = np.column_stack([worst_fluxes(op, q_dag, lam[keep][:-1]), -q_dag.values])
+    lhs, rhs_norms, misfit = vsc._sample_terms(op, basis, q_dag, fluxes, math.inf)
+    assert np.abs(misfit / tau[keep] - 1.0).max() <= 1e-10
+    assert np.abs((lhs - rhs_norms) / dstar[keep] - 1.0).max() <= 1e-10
+    assert abs(dstar[-1] / fem.boundary_l2_norm(op.mesh, q_dag) ** 2 - 1.0) <= 1e-12
+
+
+@pytest.fixture(scope="module")
+def finest_op_and_basis():
+    mesh = generate_annulus_mesh(0.5, 1.0, 0.025)
+    op = inversion.build_forward_operator(mesh, fem.ProblemData.from_constants(mesh))
+    return op, spectral.build_spectral_basis(mesh)
+
+
+@pytest.mark.parametrize("h", [0.1, 0.05, 0.025])
+@pytest.mark.parametrize("seed", [0, 42])
+def test_fit_covers_a_dense_curve_within_two_percent(forward_op, basis, fine_op_and_basis,
+                                                      finest_op_and_basis, h, seed):
+    op, basis = {0.1: (forward_op, basis), 0.05: fine_op_and_basis,
+                 0.025: finest_op_and_basis}[h]
+    q_dag = synthesize_flux_with_smoothness(basis, 0.5, 0.01, seed)
+    spec = fit_vsc_constants(op, basis, q_dag, s=0.5, kappa=0.9)
+    need = dense_requirement(op, q_dag, spec)
+    assert need <= spec.C <= 1.02 * need
 
 
 def test_vsc_degenerate_sample(forward_op, basis, q_dag, fitted):
-    spec, _ = fitted
+    spec = fitted
     report = check_vsc_inequality(forward_op, basis, q_dag, spec, q_dag.values[:, None])
     assert report.lhs[0] == 0.0
     assert report.rhs[0] >= 0.0
@@ -263,7 +327,7 @@ def test_vsc_degenerate_sample(forward_op, basis, q_dag, fitted):
 
 
 def test_vsc_epsilon_sweep_no_sign_flip(forward_op, basis, q_dag, fitted):
-    spec, _ = fitted
+    spec = fitted
     samples = np.outer(q_dag.values, 1.0 + np.linspace(-0.1, 0.1, 11))
     margins = check_vsc_inequality(forward_op, basis, q_dag, spec, samples).margin
     assert (margins >= 0.0).all()
@@ -273,7 +337,7 @@ def test_vsc_epsilon_sweep_no_sign_flip(forward_op, basis, q_dag, fitted):
 
 
 def test_vsc_inadmissible_sample_rejected(forward_op, basis, q_dag, fitted):
-    spec, _ = fitted
+    spec = fitted
     e1 = basis.mode(0)
     far = BoundaryVector(GAMMA_I, q_dag.values
                          + 100.0 * e1.values / sobolev_norm(basis, 0.5, e1))
@@ -287,44 +351,17 @@ def test_vsc_inadmissible_sample_rejected(forward_op, basis, q_dag, fitted):
 
 @pytest.mark.parametrize("shape", ["vector", "extra row"])
 def test_vsc_rejects_a_flux_matrix_of_the_wrong_shape(forward_op, basis, q_dag, fitted, shape):
-    spec, calibration = fitted
-    bad = calibration[:, 0] if shape == "vector" else np.vstack([calibration, calibration[:1]])
+    samples = sample_admissible_fluxes(basis, q_dag, 10.0, 30, seed=100)
+    bad = samples[:, 0] if shape == "vector" else np.vstack([samples, samples[:1]])
     with pytest.raises(DimensionMismatchError):
-        check_vsc_inequality(forward_op, basis, q_dag, spec, bad)
-
-
-def test_fit_rejects_inadmissible_calibration_sample(forward_op, basis, q_dag):
-    calibration = sample_admissible_fluxes(basis, q_dag, 10.0, 30, seed=100)
-    e1 = basis.mode(0)
-    step = 100.0 * e1.values / sobolev_norm(basis, 0.5, e1)
-    far = BoundaryVector(GAMMA_I, q_dag.values + step)
-    with pytest.raises(InadmissibleSampleError, match="sample 30 outside"):
-        fit_vsc_constants(forward_op, basis, q_dag, np.column_stack([calibration, far.values]),
-                          s=0.5, kappa=0.9)
-    # with qd = 0 no sample has a positive deficit; admissibility is still checked first
-    zero = BoundaryVector(GAMMA_I, np.zeros(basis.n_modes))
-    with pytest.raises(InadmissibleSampleError, match="sample 0 outside"):
-        fit_vsc_constants(forward_op, basis, zero, step[:, None], s=0.5, kappa=0.9)
-
-
-def test_fit_failure_on_degenerate_calibration(forward_op, basis, q_dag):
-    from fluxrec.errors import FitFailureError
-
-    with pytest.raises(FitFailureError):
-        fit_vsc_constants(forward_op, basis, q_dag, np.empty((basis.n_modes, 0)),
-                          s=0.5, kappa=0.9)
-    with pytest.raises(FitFailureError):
-        # all-identical samples carry zero misfit: nothing to fit against
-        fit_vsc_constants(forward_op, basis, q_dag, np.column_stack([q_dag.values, q_dag.values]),
-                          s=0.5, kappa=0.9)
+        check_vsc_inequality(forward_op, basis, q_dag, fitted, bad)
 
 
 def test_fit_failure_without_positive_deficit(forward_op, basis):
-    # with qd = 0 no sample has a deficit, so nothing bounds C from below
+    # with qd = 0 no flux has a deficit, so nothing bounds C from below
     zero = BoundaryVector(GAMMA_I, np.zeros(basis.n_modes))
-    calibration = sample_admissible_fluxes(basis, zero, 10.0, 30, seed=3)
     with pytest.raises(FitFailureError, match="positive deficit"):
-        fit_vsc_constants(forward_op, basis, zero, calibration, s=0.5, kappa=0.9)
+        fit_vsc_constants(forward_op, basis, zero, s=0.5, kappa=0.9)
 
 
 def test_samples_are_admissible_and_deterministic(basis, q_dag):
@@ -343,11 +380,10 @@ def test_flux_matrix_path_matches_per_sample_oracle(forward_op, basis, fine_op_a
     # GEMM and GEMV round differently: the margins may move at round-off, no verdict may
     op, basis = (forward_op, basis) if h == 0.1 else fine_op_and_basis
     q_dag = synthesize_flux_with_smoothness(basis, 0.5, 0.01, seed)
-    calibration = sample_admissible_fluxes(basis, q_dag, 10.0, 100, seed + 1)
     evaluation = sample_admissible_fluxes(basis, q_dag, 10.0, 200, seed + 2)
 
-    spec = fit_vsc_constants(op, basis, q_dag, calibration, s=0.5, kappa=0.9)
-    oracle_spec = loop_fit_vsc_constants(op, basis, q_dag, as_list(calibration), 0.5, 0.9)
+    spec = fit_vsc_constants(op, basis, q_dag, s=0.5, kappa=0.9)
+    oracle_spec = loop_fit_vsc_constants(op, basis, q_dag, 0.5, 0.9)
     for name in ("C", "C0", "cprime"):
         new, old = getattr(spec, name), getattr(oracle_spec, name)
         assert abs(new - old) <= 1e-12 * abs(old), name
@@ -360,3 +396,36 @@ def test_flux_matrix_path_matches_per_sample_oracle(forward_op, basis, fine_op_a
         assert np.abs(new - old).max() <= 1e-12 * scale
     assert report.fraction_nonnegative == sum(m >= 0.0 for m in margin) / len(margin)
     assert report.holds_empirically == (min(margin) >= -1e-9 * scale)
+
+
+@st.composite
+def annuli(draw):
+    """(r_inner, r_outer, h, alpha, k): any radii, and h with n_i between about 30 and 130
+    that still lies below the ring width r_outer - r_inner, as generate_annulus_mesh needs."""
+    ratio, r_outer = draw(st.floats(0.1, 0.9)), draw(st.floats(0.5, 3.0))
+    n_i = draw(st.integers(max(30, math.floor(2.0 * math.pi / (1.0 - ratio)) + 1), 130))
+    return (ratio * r_outer, r_outer, 2.0 * math.pi * r_outer / n_i,
+            draw(st.floats(0.01, 100.0)), draw(st.floats(0.01, 100.0)))
+
+
+@settings(max_examples=8, deadline=None)
+@given(annulus=annuli(), seed=st.integers(0, 2 ** 16))
+def test_vsc_on_other_annuli(annulus, seed):
+    # every holdout deficit lies on or under D*(misfit), bounded from above on the curve by
+    # D*(tau_lambda) + (misfit^2 - tau_lambda^2) / (4 lambda) (weak duality, any lambda > 0),
+    # and the fitted constants cover every sample
+    r_inner, r_outer, h, alpha, k = annulus
+    mesh = generate_annulus_mesh(r_inner, r_outer, h)
+    op = inversion.build_forward_operator(mesh, fem.ProblemData.from_constants(mesh, alpha, k))
+    basis = spectral.build_spectral_basis(mesh)
+    q_dag = synthesize_flux_with_smoothness(basis, 0.5, 0.01, seed)
+    holdout = sample_admissible_fluxes(basis, q_dag, 10.0, 200, seed + 2)
+
+    lam, tau, dstar = worst_deficit_curve(op, q_dag)
+    lhs, rhs_norms, misfit = vsc._sample_terms(op, basis, q_dag, holdout, 10.0)
+    on_curve = dstar[:-1] + (misfit[:, None] ** 2 - tau[:-1] ** 2) / (4.0 * lam[:-1])
+    bound = np.minimum(on_curve.min(axis=1), dstar[-1])
+    assert (lhs - rhs_norms <= bound + 1e-12 * dstar[-1]).all()
+
+    spec = fit_vsc_constants(op, basis, q_dag, s=0.5, kappa=0.9)
+    assert check_vsc_inequality(op, basis, q_dag, spec, holdout).min_margin >= 0.0
