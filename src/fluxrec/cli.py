@@ -32,8 +32,8 @@ from .geometry import (
     save_mesh,
 )
 from .inversion import add_noise, build_forward_operator, choose_rho_discrepancy, tikhonov_solve
-from .manifest import RunManifest
-from .rates import ExperimentConfig, _fmt, _write_lines, emit_report, run_rate_study
+from .manifest import fmt, write_manifest, write_summary, write_table
+from .rates import ExperimentConfig, emit_report, run_rate_study
 from .spectral import build_spectral_basis, loop_eigenvalues, synthesize_flux_with_smoothness
 from .stability import fit_stability_modulus, generate_probe_ensemble, stability_bound
 from .vsc import check_vsc_inequality, fit_vsc_constants, sample_admissible_fluxes
@@ -43,10 +43,7 @@ TRACE_CSV_HEADER = "vertex_index,arc_coord,value"
 
 def write_boundary_csv(path, mesh, vector: BoundaryVector) -> None:
     bmap = boundary_map(mesh, vector.tag)
-    lines = [TRACE_CSV_HEADER]
-    for idx, arc, val in zip(bmap.vertex_indices, bmap.arc_coords, vector.values):
-        lines.append(f"{idx},{_fmt(arc)},{_fmt(val)}")
-    _write_lines(path, lines)
+    write_table(path, TRACE_CSV_HEADER, bmap.vertex_indices, bmap.arc_coords, vector.values)
 
 
 def read_boundary_csv(path, mesh, tag) -> BoundaryVector:
@@ -76,7 +73,7 @@ def read_boundary_csv(path, mesh, tag) -> BoundaryVector:
         # int() of the field's own text: an index beyond int64 reads as -1 in the records
         message = f"vertex_index {int(parts[0])} where the {tag} loop has vertex {indices[first]}"
     elif checks[1][first]:
-        message = f"arc_coord {parts[1]} where the {tag} loop has {_fmt(arcs[first])}"
+        message = f"arc_coord {parts[1]} where the {tag} loop has {fmt(arcs[first])}"
     else:
         message = f"non-finite value {parts[2]!r}"
     raise MalformedFileError(message, first + 2)
@@ -121,28 +118,14 @@ def _problem_data(mesh, cfg) -> ProblemData:
     )
 
 
-def _finish_manifest(manifest: RunManifest, inputs, outputs, manifest_path, t0) -> None:
-    """Record the inputs (None for an absent optional file) and outputs, and write."""
-    for p in inputs:
-        if p is not None:
-            manifest.add_input(p)
-    for p in outputs:
-        manifest.add_output(p)
-    manifest.version = __version__
-    manifest.runtime_seconds = time.time() - t0
-    manifest.write(manifest_path)
-
-
 def cmd_mesh_gen(args) -> int:
     t0 = time.time()
     mesh = generate_annulus_mesh(args.r_inner, args.r_outer, args.h)
     for _ in range(args.refine):
         mesh = refine_uniform(mesh)
     save_mesh(mesh, args.out)
-    manifest = RunManifest("mesh-gen", {
-        "r_inner": args.r_inner, "r_outer": args.r_outer,
-        "h": args.h, "refine": args.refine}, seeds=[])
-    _finish_manifest(manifest, [], [args.out], args.out + ".manifest.json", t0)
+    config = {"r_inner": args.r_inner, "r_outer": args.r_outer, "h": args.h, "refine": args.refine}
+    write_manifest(args.out + ".manifest.json", "mesh-gen", config, [], [], [args.out], t0)
     return 0
 
 
@@ -154,20 +137,16 @@ def cmd_forward(args) -> int:
     flux = read_boundary_csv(args.flux, mesh, GAMMA_I)
     u = FactorizedSystem(mesh, data).solve_flux(flux)
     write_boundary_csv(args.out_trace, mesh, trace(u, GAMMA_A))
-    manifest = RunManifest("forward", cfg, seeds=[])
-    _finish_manifest(manifest, [args.mesh, args.flux, args.config], [args.out_trace],
-                     args.out_trace + ".manifest.json", t0)
+    write_manifest(args.out_trace + ".manifest.json", "forward", cfg, [],
+                   [args.mesh, args.flux, args.config], [args.out_trace], t0)
     return 0
 
 
 def cmd_spectrum(args) -> int:
     t0 = time.time()
     lambdas = loop_eigenvalues(load_mesh(args.mesh))
-    lines = ["n,lambda"]
-    lines.extend(f"{n + 1},{_fmt(lam)}" for n, lam in enumerate(lambdas))
-    _write_lines(args.out, lines)
-    manifest = RunManifest("spectrum", {}, seeds=[])
-    _finish_manifest(manifest, [args.mesh], [args.out], args.out + ".manifest.json", t0)
+    write_table(args.out, "n,lambda", np.arange(1, len(lambdas) + 1), lambdas)
+    write_manifest(args.out + ".manifest.json", "spectrum", {}, [], [args.mesh], [args.out], t0)
     return 0
 
 
@@ -189,17 +168,13 @@ def cmd_invert(args) -> int:
     result_path = os.path.join(args.out, "invert_result.csv")
     # the iterations column is kept for file-format stability; the direct
     # solve has no iterations to count
-    _write_lines(result_path, [
-        "rho,residual_norm,solution_norm,iterations",
-        ",".join([_fmt(result.rho), _fmt(result.residual_norm),
-                  _fmt(result.solution_norm), "0"]),
-    ])
+    write_table(result_path, "rho,residual_norm,solution_norm,iterations", [result.rho],
+                [result.residual_norm], [result.solution_norm], [0])
     flux_path = os.path.join(args.out, "flux_rec.csv")
     write_boundary_csv(flux_path, mesh, result.q_rec)
-    manifest = RunManifest("invert", {**cfg, "delta": args.delta, "rho_flag": args.rho},
-                           seeds=[args.seed])
-    _finish_manifest(manifest, [args.mesh, args.data_trace, args.config], [result_path, flux_path],
-                     os.path.join(args.out, "manifest.json"), t0)
+    write_manifest(os.path.join(args.out, "manifest.json"), "invert",
+                   {**cfg, "delta": args.delta, "rho_flag": args.rho}, [args.seed],
+                   [args.mesh, args.data_trace, args.config], [result_path, flux_path], t0)
     return 0
 
 
@@ -220,26 +195,17 @@ def cmd_vsc_check(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     report_path = os.path.join(args.out, "vsc_report.csv")
-    lines = ["sample_id,lhs,rhs,margin"]
-    for i, sides in enumerate(zip(report.lhs, report.rhs, report.margin)):
-        lines.append(",".join([str(i), *map(_fmt, sides)]))
-    _write_lines(report_path, lines)
+    write_table(report_path, "sample_id,lhs,rhs,margin", np.arange(len(report.margin)),
+                report.lhs, report.rhs, report.margin)
     summary_path = os.path.join(args.out, "summary.txt")
-    _write_lines(summary_path, [
-        f"C = {_fmt(spec.C)}",
-        f"C0 = {_fmt(spec.C0)}",
-        f"cprime = {_fmt(spec.cprime)}",
-        f"f_coeff = {_fmt(spec.f_coeff)}",
-        f"kappa = {_fmt(kappa)}",
-        f"s = {_fmt(s)}",
-        f"min_margin = {_fmt(report.min_margin)}",
-        f"fraction_nonnegative = {_fmt(report.fraction_nonnegative)}",
-        f"holds_empirically = {int(report.holds_empirically)}",
-    ])
-    manifest = RunManifest("vsc-check", {**cfg, "s": s, "kappa": kappa,
-                                         "n_samples": args.n_samples}, seeds=[args.seed])
-    _finish_manifest(manifest, [args.mesh, args.config], [report_path, summary_path],
-                     os.path.join(args.out, "manifest.json"), t0)
+    write_summary(summary_path, {
+        "C": spec.C, "C0": spec.C0, "cprime": spec.cprime, "f_coeff": spec.f_coeff,
+        "kappa": kappa, "s": s, "min_margin": report.min_margin,
+        "fraction_nonnegative": report.fraction_nonnegative,
+        "holds_empirically": report.holds_empirically})
+    write_manifest(os.path.join(args.out, "manifest.json"), "vsc-check",
+                   {**cfg, "s": s, "kappa": kappa, "n_samples": args.n_samples}, [args.seed],
+                   [args.mesh, args.config], [report_path, summary_path], t0)
     return 0
 
 
@@ -251,29 +217,20 @@ def cmd_stability_probe(args) -> int:
     system = FactorizedSystem(mesh, _problem_data(mesh, {**cfg, "f": 0.0, "u_a": 0.0}))
     basis = build_spectral_basis(mesh)
     samples = generate_probe_ensemble(system, basis, args.n_samples, args.seed)
-    c_fit, c0_fit, max_violation = fit_stability_modulus(samples, kappa,
-                                                         min_samples=min(50, args.n_samples))
+    c_fit, c0_fit, max_violation = fit_stability_modulus(samples, kappa)
 
     os.makedirs(args.out, exist_ok=True)
     report_path = os.path.join(args.out, "stability_report.csv")
-    lines = ["sample_id,trace_norm,h1_norm,m_proxy,bound,slack"]
     bounds = stability_bound(samples, c_fit, c0_fit, kappa)
-    for i, row in enumerate(zip(samples.trace_norm, samples.h1_norm, samples.m_proxy,
-                                bounds, bounds - samples.h1_norm)):
-        lines.append(",".join([str(i), *map(_fmt, row)]))
-    _write_lines(report_path, lines)
+    write_table(report_path, "sample_id,trace_norm,h1_norm,m_proxy,bound,slack",
+                np.arange(len(samples)), samples.trace_norm, samples.h1_norm, samples.m_proxy,
+                bounds, bounds - samples.h1_norm)
     summary_path = os.path.join(args.out, "summary.txt")
-    _write_lines(summary_path, [
-        f"C_fit = {_fmt(c_fit)}",
-        f"C0_fit = {_fmt(c0_fit)}",
-        f"kappa = {_fmt(kappa)}",
-        f"max_violation = {_fmt(max_violation)}",
-        f"n_samples = {len(samples)}",
-    ])
-    manifest = RunManifest("stability-probe", {**cfg, "kappa": kappa,
-                                               "n_samples": args.n_samples}, seeds=[args.seed])
-    _finish_manifest(manifest, [args.mesh, args.config], [report_path, summary_path],
-                     os.path.join(args.out, "manifest.json"), t0)
+    write_summary(summary_path, {"C_fit": c_fit, "C0_fit": c0_fit, "kappa": kappa,
+                                 "max_violation": max_violation, "n_samples": len(samples)})
+    write_manifest(os.path.join(args.out, "manifest.json"), "stability-probe",
+                   {**cfg, "kappa": kappa, "n_samples": args.n_samples}, [args.seed],
+                   [args.mesh, args.config], [report_path, summary_path], t0)
     return 0
 
 
@@ -282,9 +239,8 @@ def cmd_rates(args) -> int:
     cfg = parse_config(args.config, SCHEMAS["rates"])
     report = run_rate_study(ExperimentConfig(**cfg))
     outputs = emit_report(report, args.out_dir)
-    manifest = RunManifest("rates", cfg, seeds=[row.seed for row in report.rows])
-    _finish_manifest(manifest, [args.config], outputs,
-                     os.path.join(args.out_dir, "manifest.json"), t0)
+    write_manifest(os.path.join(args.out_dir, "manifest.json"), "rates", cfg,
+                   [row.seed for row in report.rows], [args.config], outputs, t0)
     return 0
 
 

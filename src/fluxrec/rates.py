@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,7 @@ from .inversion import (
     project_rows,
     tikhonov_rows,
 )
+from .manifest import write_summary, write_table
 from .spectral import build_spectral_basis, synthesize_flux_with_smoothness
 
 logger = logging.getLogger(__name__)
@@ -224,50 +226,21 @@ def fit_log_rate(rows: list[RateRow]) -> tuple[float, float]:
     return float(-coef[0]), r_squared
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
 def emit_report(report: RateReport, out_dir) -> list[str]:
     """Write rates.csv, rates_plotdata.csv and summary.txt; byte-stable."""
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
-    paths = []
-
-    rates_path = os.path.join(out_dir, "rates.csv")
-    lines = [RATES_CSV_HEADER]
-    for r in report.rows:
-        lines.append(",".join([
-            _fmt(r.delta), str(r.seed), _fmt(r.rho), _fmt(r.error),
-            _fmt(r.residual), str(int(r.admissible)), str(int(r.failed)),
-        ]))
-    _write_lines(rates_path, lines)
-    paths.append(rates_path)
-
-    plot_path = os.path.join(out_dir, "rates_plotdata.csv")
-    lines = [PLOTDATA_CSV_HEADER]
-    if report.median_errors:
-        d0, e0 = report.median_errors[0]
+    rates_path, plot_path, summary_path = (
+        os.path.join(out_dir, name) for name in ("rates.csv", "rates_plotdata.csv", "summary.txt"))
+    # the header names the RateRow fields, one column each
+    write_table(rates_path, RATES_CSV_HEADER, *([getattr(r, name) for r in report.rows]
+                                                for name in RATES_CSV_HEADER.split(",")))
+    medians, model = report.median_errors, []
+    if medians:
+        d0, e0 = medians[0]
         c_model = e0 * np.log(1.0 / d0) ** report.p_hat
-        for d, e in report.median_errors:
-            model = c_model * np.log(1.0 / d) ** (-report.p_hat)
-            lines.append(",".join([_fmt(d), _fmt(e), _fmt(model)]))
-    _write_lines(plot_path, lines)
-    paths.append(plot_path)
-
-    summary_path = os.path.join(out_dir, "summary.txt")
-    _write_lines(summary_path, [
-        f"p_hat = {_fmt(report.p_hat)}",
-        f"p_star = {_fmt(report.p_star)}",
-        f"r_squared = {_fmt(report.r_squared)}",
-        f"rho_rule = {report.rho_rule}",
-    ])
-    paths.append(summary_path)
-    return paths
-
-
-def _write_lines(path, lines) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
+        model = [c_model * np.log(1.0 / d) ** (-report.p_hat) for d, _ in medians]
+    write_table(plot_path, PLOTDATA_CSV_HEADER, [d for d, _ in medians], [e for _, e in medians],
+                model)
+    write_summary(summary_path, {"p_hat": report.p_hat, "p_star": report.p_star,
+                                 "r_squared": report.r_squared, "rho_rule": report.rho_rule})
+    return [rates_path, plot_path, summary_path]

@@ -105,8 +105,7 @@ def stability_bound(samples: StabilityEnsemble, c: float, c0: float,
     return np.where((tr > 0.0) & (arg > 1.0), bound, np.nan)
 
 
-def fit_stability_modulus(samples: StabilityEnsemble, kappa: float,
-                          min_samples: int = 50) -> tuple[float, float, float]:
+def fit_stability_modulus(samples: StabilityEnsemble, kappa: float) -> tuple[float, float, float]:
     """Fit (C, C0) in closed form over the ensemble; returns max violation.
 
     C0 sits on its floor e^(kappa+1) * max(trace/M), so every log
@@ -115,12 +114,14 @@ def fit_stability_modulus(samples: StabilityEnsemble, kappa: float,
     the requirement max h1 * log(C0 * M / trace)^kappa / M grows with
     C0, so the floor minimizes it; C is that requirement times
     (1 + 1e-9), the smallest constant covering every sample up to
-    round-off.
+    round-off.  The fit needs min(50, len(samples)) samples with
+    positive trace.
     """
     usable = samples.trace_norm > TRACE_FLOOR
     n_usable = int(usable.sum())
     if not n_usable:
         raise DegenerateEnsembleError("all trace norms are zero")
+    min_samples = min(50, len(samples))
     if n_usable < min_samples:
         raise DegenerateEnsembleError(
             f"need >= {min_samples} samples with positive trace, got {n_usable}"

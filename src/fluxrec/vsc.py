@@ -35,7 +35,7 @@ from .errors import (
     ParameterDomainError,
 )
 from .fem import BoundaryVector, _column_sums, boundary_l2_norm
-from .inversion import AffineForwardOperator
+from .inversion import AffineForwardOperator, admissible_rows
 from .spectral import SpectralBasis, analyze, sobolev_norm
 
 logger = logging.getLogger(__name__)
@@ -130,12 +130,10 @@ def _sample_terms(op: AffineForwardOperator, basis: SpectralBasis, q_dag: Bounda
     fluxes = np.asarray(fluxes, dtype=float)
     if fluxes.ndim != 2 or fluxes.shape[0] != op.n_i:
         raise DimensionMismatchError(f"flux matrix shape {fluxes.shape} needs {op.n_i} rows")
-    diff = fluxes - q_dag.values[:, None]
-    coeffs = basis.eigenvectors.T @ (basis.mass_diag[:, None] * diff)
-    half = np.sqrt(_column_sums(basis.eigenvalues[:, None] * coeffs ** 2))
-    outside = np.flatnonzero(~(half <= m0))
+    outside = np.flatnonzero(~admissible_rows(fluxes.T, q_dag, basis, m0))
     if outside.size:
         raise InadmissibleSampleError(f"sample {outside[0]} outside the admissible ball (m0={m0})")
+    diff = fluxes - q_dag.values[:, None]
     w_i = op.w_i[:, None]
     half_dag = 0.5 * boundary_l2_norm(op.mesh, q_dag) ** 2
     lhs = 0.25 * np.sqrt(_column_sums(w_i * diff * diff)) ** 2

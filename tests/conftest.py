@@ -7,7 +7,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from fluxrec import cli, fem, geometry, inversion, rates, spectral, stability, vsc
+from fluxrec import cli, fem, geometry, inversion, manifest, rates, spectral, stability, vsc
 from fluxrec.errors import (
     BracketFailureError,
     DimensionMismatchError,
@@ -463,7 +463,7 @@ def loop_read_boundary_csv(path, mesh, tag) -> fem.BoundaryVector:
                 f"vertex_index {index} where the {tag} loop has vertex {indices[ln - 2]}", ln)
         if not abs(arc - arcs[ln - 2]) <= arc_tol:
             raise MalformedFileError(
-                f"arc_coord {parts[1]} where the {tag} loop has {rates._fmt(arcs[ln - 2])}", ln)
+                f"arc_coord {parts[1]} where the {tag} loop has {manifest.fmt(arcs[ln - 2])}", ln)
         if not np.isfinite(values[ln - 2]):
             raise MalformedFileError(f"non-finite value {parts[2]!r}", ln)
     return fem.BoundaryVector(tag, values)

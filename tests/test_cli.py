@@ -9,7 +9,7 @@ import pytest
 
 from fluxrec import cli
 from fluxrec.config import SCHEMAS, parse_config, resolve_field
-from fluxrec.errors import MalformedFileError, SchemaError, UnknownKeyError
+from fluxrec.errors import DimensionMismatchError, MalformedFileError, SchemaError, UnknownKeyError
 from fluxrec.fem import BoundaryVector
 from fluxrec.geometry import GAMMA_A, GAMMA_I, boundary_map, load_mesh
 from fluxrec.spectral import build_spectral_basis, synthesize_flux_with_smoothness
@@ -692,3 +692,14 @@ def test_vsc_check_unrepresentable_c_exits_1(workdir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "at s=1e-300" in err and "not representable" in err
     assert "positive deficit" not in err
+
+
+@pytest.mark.parametrize("n_values", [5, 70])
+def test_write_boundary_csv_rejects_a_vector_of_the_wrong_length(workdir, tmp_path, n_values):
+    # the h = 0.1 mesh has 63 GammaI vertices; neither a short nor a long vector is cut to fit
+    mesh = load_mesh(workdir / "mesh.txt")
+    assert len(boundary_map(mesh, GAMMA_I)) == 63
+    path = tmp_path / "flux.csv"
+    with pytest.raises(DimensionMismatchError, match=rf"\b63\b.*\b{n_values}\b"):
+        cli.write_boundary_csv(path, mesh, BoundaryVector(GAMMA_I, np.ones(n_values)))
+    assert not path.exists()

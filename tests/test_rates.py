@@ -1,9 +1,11 @@
+import dataclasses
 import logging
 
 import numpy as np
 import pytest
 from conftest import loop_rate_rows
 
+from fluxrec.config import SCHEMAS
 from fluxrec.errors import InsufficientDataError, SchemaError
 from fluxrec.geometry import GAMMA_A, GAMMA_I, boundary_map
 from fluxrec.rates import (
@@ -24,6 +26,16 @@ def small_config():
 @pytest.fixture(scope="module")
 def small_report(small_config):
     return run_rate_study(small_config)
+
+
+def test_rates_schema_defaults_are_the_experiment_defaults():
+    # both lists of the 19 rate-study defaults must agree: an absent config key runs the default
+    defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+    schema = SCHEMAS["rates"]
+    assert len(schema) == 19 and set(schema) <= set(defaults)
+    for name, key in schema.items():
+        assert key.default == defaults[name], name
+        assert type(key.default) is type(defaults[name]), name
 
 
 def test_config_validation():
