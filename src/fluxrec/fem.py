@@ -32,7 +32,8 @@ from .errors import (
     SolverFailureError,
     TagMismatchError,
 )
-from .geometry import GAMMA_A, GAMMA_I, Mesh, _row_norms, boundary_map, per_mesh, triangle_areas
+from .geometry import (GAMMA_A, GAMMA_I, BoundaryVector, Mesh, _row_norms, boundary_map,
+                       per_mesh, triangle_areas)
 
 _AREA_FLOOR = 1e-14
 _RESIDUAL_COLUMNS = 16
@@ -54,17 +55,6 @@ class ScalarField:
             )
         if not np.isfinite(self.values).all():
             raise SolverFailureError("field contains non-finite values")
-
-
-@dataclass(eq=False)
-class BoundaryVector:
-    """Values on one boundary loop, in BoundaryIndexMap order."""
-
-    tag: str
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
 
 
 @dataclass(eq=False)
@@ -117,46 +107,43 @@ def _gradients(mesh: Mesh):
     return grads, areas
 
 
+def _volume_matrix(mesh: Mesh, local: np.ndarray) -> sp.csr_matrix:
+    """The n_v x n_v CSR sum of the per-triangle 3 x 3 blocks local."""
+    tri = mesh.triangles
+    rows, cols = np.broadcast_arrays(tri[:, :, None], tri[:, None, :])
+    return sp.csr_matrix((local.ravel(), (rows.ravel(), cols.ravel())),
+                         shape=(mesh.n_vertices,) * 2)
+
+
+def _stiffness_matrix(mesh: Mesh, grads: np.ndarray, weight: np.ndarray) -> sp.csr_matrix:
+    """The matrix of int c grad u . grad v, with weight[t] = c times the area of triangle t."""
+    return _volume_matrix(mesh, np.einsum("tid,tjd,t->tij", grads, grads, weight))
+
+
 @per_mesh
 def _norm_matrices(mesh: Mesh):
     """Unit-coefficient mass and stiffness matrices for norm evaluation."""
     grads, areas = _gradients(mesh)
-    tri = mesh.triangles
-    n = mesh.n_vertices
-    rows, cols = np.broadcast_arrays(tri[:, :, None], tri[:, None, :])
-    stiff_loc = np.einsum("tid,tjd,t->tij", grads, grads, areas)
     mass_loc = (np.ones((3, 3)) + np.eye(3))[None, :, :] * (areas / 12.0)[:, None, None]
-    shape = (n, n)
-    stiffness = sp.csr_matrix((stiff_loc.ravel(), (rows.ravel(), cols.ravel())), shape=shape)
-    mass = sp.csr_matrix((mass_loc.ravel(), (rows.ravel(), cols.ravel())), shape=shape)
-    return mass, stiffness
+    return _volume_matrix(mesh, mass_loc), _stiffness_matrix(mesh, grads, areas)
 
 
-@per_mesh
-def _tagged_edges(mesh: Mesh, tag: str):
-    """Per-edge (a, b, length, ia, ib) of one tagged loop, in mesh order, read-only.
-
-    ia, ib index the loop's BoundaryIndexMap.  Lengths are bitwise those
-    of per-edge np.linalg.norm calls (see ``geometry._row_norms``).
-    """
-    edges = mesh.boundary_edges[mesh.boundary_tags == tag]
-    length = _row_norms(mesh.vertices[edges[:, 1]] - mesh.vertices[edges[:, 0]])
-    pos = np.empty(mesh.n_vertices, dtype=np.int64)
-    pos[boundary_map(mesh, tag).vertex_indices] = np.arange(len(edges))
-    table = (*edges.T, length, *pos[edges].T)
-    for arr in table:
-        arr.flags.writeable = False
-    return table
+def _loop_edges(mesh: Mesh, tag: str):
+    """(a, b, length) of loop edge j, from map vertex j to j + 1; per-edge np.linalg.norm bits."""
+    a = boundary_map(mesh, tag).vertex_indices
+    b = np.roll(a, -1)
+    return a, b, _row_norms(mesh.vertices[b] - mesh.vertices[a])
 
 
 @per_mesh
 def flux_load_matrix(mesh: Mesh) -> sp.csc_matrix:
     """B_i (n_v x n_i): int_GammaI q v = B_i q, so a flux's load is -B_i q; read-only."""
-    a, b, length, ia, ib = _tagged_edges(mesh, GAMMA_I)
+    a, b, length = _loop_edges(mesh, GAMMA_I)
+    ia, ib = np.arange(len(a)), np.roll(np.arange(len(a)), -1)
     # int_e phi_a phi_b per edge: L / 3 on the diagonal, L / 6 off it
     vals = _edge_major(length / 3.0, length / 6.0, length / 6.0, length / 3.0)
     matrix = sp.csc_matrix((vals, (_edge_major(a, a, b, b), _edge_major(ia, ib, ia, ib))),
-                           shape=(mesh.n_vertices, len(length)))
+                           shape=(mesh.n_vertices, len(a)))
     for arr in (matrix.data, matrix.indices, matrix.indptr):
         arr.flags.writeable = False
     return matrix
@@ -169,8 +156,8 @@ def _edge_major(*per_edge: np.ndarray) -> np.ndarray:
 
 def _edge_robin_matrix(mesh: Mesh, coeff_on_gamma_a: np.ndarray):
     """Sparse matrix of int_GammaA k u v for P1 traces (exact quadrature)."""
-    a, b, length, ia, ib = _tagged_edges(mesh, GAMMA_A)
-    ka, kb = coeff_on_gamma_a[ia], coeff_on_gamma_a[ib]
+    a, b, length = _loop_edges(mesh, GAMMA_A)
+    ka, kb = coeff_on_gamma_a, np.roll(coeff_on_gamma_a, -1)
     m_ab = length * (ka + kb) / 12.0
     # COO entries (aa, ab, ba, bb) per edge, so duplicates sum in edge order
     vals = _edge_major(length * (3.0 * ka + kb) / 12.0, m_ab, m_ab, length * (ka + 3.0 * kb) / 12.0)
@@ -185,13 +172,8 @@ def assemble_system(mesh: Mesh, data: ProblemData) -> sp.csr_matrix:
     the Robin block on GammaA removes the constant kernel.
     """
     grads, areas = _gradients(mesh)
-    tri = mesh.triangles
-    alpha_bar = data.alpha[tri].mean(axis=1)
-    rows, cols = np.broadcast_arrays(tri[:, :, None], tri[:, None, :])
-    loc = np.einsum("tid,tjd,t->tij", grads, grads, alpha_bar * areas)
-    n = mesh.n_vertices
-    stiffness = sp.csr_matrix((loc.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n))
-    system = stiffness + _edge_robin_matrix(mesh, data.k)
+    alpha_bar = data.alpha[mesh.triangles].mean(axis=1)
+    system = _stiffness_matrix(mesh, grads, alpha_bar * areas) + _edge_robin_matrix(mesh, data.k)
     asym = abs(system - system.T).max()
     if asym > 1e-12 * max(abs(system).max(), 1.0):
         raise SolverFailureError(f"assembled system asymmetric by {asym:.3e}")

@@ -93,19 +93,27 @@ class BoundaryIndexMap:
     """Ordered traversal of one boundary loop with lumped arc weights.
 
     ``vertex_indices`` walks the loop once, counterclockwise, starting
-    from the smallest vertex index.  ``weights[k]`` is half the sum of
-    the two edge lengths adjacent to vertex k (so weights sum to the
-    polygon perimeter), and ``arc_coords[k]`` is the cumulative arc
-    length from the start vertex.
+    from the smallest vertex index.  ``edge_lengths[j]`` is the length of
+    edge j, which joins map vertices j and j + 1 (cyclically).
+    ``weights[k]`` is half the sum of the two edge lengths adjacent to
+    vertex k (so weights sum to the polygon perimeter), and
+    ``arc_coords[k]`` is the cumulative arc length from the start vertex.
+
+    The lengths are rows of np.linalg.norm(..., axis=1); fem's boundary
+    matrices round them as per-edge norms (``_row_norms``), one ulp away
+    on a few edges.  Both stay: the tests' edge-loop oracles pin fem's,
+    and moving these rotates the loop eigenbasis within its cos/sin
+    pairs, which moves q-dagger and the ``rates`` bytes.
     """
 
     tag: str
     vertex_indices: np.ndarray
+    edge_lengths: np.ndarray
     weights: np.ndarray
     arc_coords: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.vertex_indices, self.weights, self.arc_coords):
+        for arr in (self.vertex_indices, self.edge_lengths, self.weights, self.arc_coords):
             arr.flags.writeable = False
 
     def __len__(self) -> int:
@@ -114,6 +122,17 @@ class BoundaryIndexMap:
     @property
     def perimeter(self) -> float:
         return float(self.weights.sum())
+
+
+@dataclass(eq=False)
+class BoundaryVector:
+    """Values on one boundary loop, in BoundaryIndexMap order."""
+
+    tag: str
+    values: np.ndarray
+
+    def __post_init__(self):
+        self.values = np.asarray(self.values, dtype=float)
 
 
 def _cross_z(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -379,7 +398,7 @@ def boundary_map(mesh: Mesh, tag: str) -> BoundaryIndexMap:
     edge_len = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
     weights = 0.5 * (edge_len + np.roll(edge_len, 1))
     arc = np.concatenate(([0.0], np.cumsum(edge_len[:-1])))
-    return BoundaryIndexMap(tag, np.asarray(order, dtype=np.int64), weights, arc)
+    return BoundaryIndexMap(tag, np.asarray(order, dtype=np.int64), edge_len, weights, arc)
 
 
 def save_mesh(mesh: Mesh, path) -> None:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_DELTA_GRID
+from .config import DEFAULT_DELTA_GRID, RATES_KEYS, check_value
 from .errors import InsufficientDataError, SchemaError
 from .fem import BoundaryVector, FactorizedSystem, ProblemData, trace
 from .geometry import GAMMA_A, GAMMA_I, Mesh, boundary_map, generate_annulus_mesh, refine_uniform
@@ -86,6 +86,8 @@ class ExperimentConfig:
                               f"entries, delta_grid has {grid.size}")
         if not all(0.0 < rho < math.inf for rho in self.fixed_rho_schedule):
             raise ValueError("fixed_rho_schedule entries must be positive and finite")
+        for name in ("eps", "m0", "kappa", "tau_d"):
+            check_value(name, RATES_KEYS[name], getattr(self, name))
 
     @property
     def p_star(self) -> float:

@@ -197,7 +197,9 @@ def fit_vsc_constants(op: AffineForwardOperator, basis: SpectralBasis,
     covers (0, tau_0].  A bound D at tau needs C >= (D/k)^(1/p) / Psi0_1(tau),
     Psi0_1 the index function at C = 1; C is the largest such bound times
     (1 + 1e-9), one check of the margins guards it, and a bound that
-    leaves float64 fails the fit.
+    leaves float64 fails the fit.  So does a small s: the power 1/p
+    multiplies the rounding of D/k, about n_i eps relative, and past 1e-6
+    that rounding, not the curve, would set C.
     """
     _, tau, dstar = worst_deficit_curve(op, q_dag)
     if not dstar[-1] > 0.0:
@@ -211,9 +213,11 @@ def fit_vsc_constants(op: AffineForwardOperator, basis: SpectralBasis,
     bound = np.append(np.linalg.norm(a / sv) * tau[0], dstar[1:])
     with np.errstate(over="ignore"):    # an overflow is reported as not representable
         required = float(((bound / k) ** (1.0 / p) / psi0_eval(unit, at)).max())
-    if not 0.0 < required < math.inf:
+    rounding = op.n_i * np.finfo(float).eps / p
+    if not (0.0 < required < math.inf and rounding <= 1e-6):
         raise FitFailureError(f"at s={s:g} the C that covers the worst-deficit curve is not "
-                              f"representable in float64 (it evaluates to {required:g})")
+                              f"representable in float64 (it evaluates to {required:g}, "
+                              f"with a rounding error of {rounding:.1e} relative)")
 
     fitted = replace(unit, C=required * (1.0 + 1e-9))
     margin = float((psi_infimum(fitted, at) - bound).min())

@@ -85,7 +85,10 @@ def loop_assemble_rhs(mesh, data, q) -> np.ndarray:
 
 
 def loop_robin_matrix(mesh, k) -> sp.csr_matrix:
-    """Edge-by-edge oracle of fem._edge_robin_matrix, with its COO entry order."""
+    """Edge-by-edge oracle of fem._edge_robin_matrix, in the mesh's edge order.
+
+    fem walks the loop in map order instead; each entry sums at most two edges, so the bits agree.
+    """
     pos = {int(v): i for i, v in
            enumerate(geometry.boundary_map(mesh, geometry.GAMMA_A).vertex_indices)}
     rows, cols, vals = [], [], []
@@ -103,7 +106,10 @@ def loop_robin_matrix(mesh, k) -> sp.csr_matrix:
 
 
 def loop_flux_load_matrix(mesh) -> sp.csc_matrix:
-    """Edge-by-edge oracle of fem.flux_load_matrix, with its COO entry order."""
+    """Edge-by-edge oracle of fem.flux_load_matrix, in the mesh's edge order.
+
+    fem walks the loop in map order instead; each entry sums at most two edges, so the bits agree.
+    """
     pos = {int(v): i for i, v in
            enumerate(geometry.boundary_map(mesh, geometry.GAMMA_I).vertex_indices)}
     rows, cols, vals = [], [], []

@@ -694,6 +694,16 @@ def test_vsc_check_unrepresentable_c_exits_1(workdir, tmp_path, capsys):
     assert "positive deficit" not in err
 
 
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_vsc_check_c_set_by_rounding_exits_1(workdir, tmp_path, capsys, seed):
+    # at s = 1e-15, 1/p = (1 + 2s) / (4s) turns the 1e-14 rounding of D/k into the C it fits:
+    # C/s read 15.8 at seed 0 and 0.149 at seed 1, and both runs exited 0
+    assert run(["vsc-check", "--mesh", str(workdir / "mesh.txt"), "--n-samples", "20",
+                "--seed", seed, "--s", "1e-15", "--out", str(tmp_path / "vsc")]) == 1
+    err = capsys.readouterr().err
+    assert "at s=1e-15" in err and "not representable" in err
+
+
 @pytest.mark.parametrize("n_values", [5, 70])
 def test_write_boundary_csv_rejects_a_vector_of_the_wrong_length(workdir, tmp_path, n_values):
     # the h = 0.1 mesh has 63 GammaI vertices; neither a short nor a long vector is cut to fit

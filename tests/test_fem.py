@@ -166,10 +166,30 @@ def test_rhs_tag_mismatch(coarse_mesh, default_data):
         assemble_rhs(coarse_mesh, default_data, BoundaryVector(GAMMA_A, np.zeros(n_a)))
 
 
-@pytest.fixture(scope="module", params=[0.1, 0.05, 0.049, 0.025])
+def _shuffled(mesh, rng):
+    """mesh with relabelled vertices and shuffled boundary edges, about half of them reversed."""
+    perm = rng.permutation(mesh.n_vertices)
+    order = rng.permutation(len(mesh.boundary_edges))
+    edges = perm[mesh.boundary_edges][order]
+    flip = rng.random(len(edges)) < 0.5
+    edges[flip] = edges[flip, ::-1]
+    shuffled = geometry.Mesh(mesh.vertices[np.argsort(perm)], perm[mesh.triangles], edges,
+                             mesh.boundary_tags[order], mesh.h)
+    geometry.validate_mesh(shuffled)
+    return shuffled
+
+
+@pytest.fixture(scope="module", params=[0.1, 0.05, 0.049, 0.025, "shuffled"])
 def random_problem(request):
-    """Mesh with random non-constant alpha, k, f, u_a and flux q (h = 0.049: n_i = 2 * 64 + 1)."""
-    mesh = generate_annulus_mesh(0.5, 1.0, request.param)
+    """Mesh with random non-constant alpha, k, f, u_a and flux q (h = 0.049: n_i = 2 * 64 + 1).
+
+    The shuffled h = 0.1 mesh lists its boundary edges out of loop order, so the edge-loop
+    oracles, which walk the mesh's edge list, check the loop-order boundary assembly.
+    """
+    if request.param == "shuffled":
+        mesh = _shuffled(generate_annulus_mesh(0.5, 1.0, 0.1), np.random.default_rng(7))
+    else:
+        mesh = generate_annulus_mesh(0.5, 1.0, request.param)
     rng = np.random.default_rng(20240811)
     n_a, n_i = len(boundary_map(mesh, GAMMA_A)), len(boundary_map(mesh, GAMMA_I))
     data = ProblemData(1.0 + rng.random(mesh.n_vertices), 0.5 + rng.random(n_a),

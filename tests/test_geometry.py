@@ -81,6 +81,19 @@ def test_boundary_weights_sum_to_perimeter(coarse_mesh):
         assert abs(bmap.weights.sum() - edges.sum()) <= 1e-12 * edges.sum()
 
 
+def test_weights_and_arcs_are_built_from_edge_lengths_bitwise(coarse_mesh):
+    for tag in (GAMMA_I, GAMMA_A):
+        bmap = boundary_map(coarse_mesh, tag)
+        pts = coarse_mesh.vertices[bmap.vertex_indices]
+        length = bmap.edge_lengths
+        # edge j joins map vertices j and j + 1, its length a row of one axis-1 norm
+        assert length.tobytes() == np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1).tobytes()
+        assert bmap.weights.tobytes() == (0.5 * (length + np.roll(length, 1))).tobytes()
+        assert bmap.arc_coords.tobytes() == np.concatenate(([0.0], np.cumsum(length[:-1]))).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            length[0] = 1.0
+
+
 def test_outer_perimeter_near_two_pi():
     mesh = generate_annulus_mesh(0.5, 1.0, 0.05)
     bmap = boundary_map(mesh, GAMMA_A)
@@ -206,12 +219,10 @@ def _derived_data_of_a_dropped_mesh() -> weakref.ref:
     boundary_map(mesh, GAMMA_I)
     boundary_map(mesh, GAMMA_A)
     fem._norm_matrices(mesh)
-    fem._tagged_edges(mesh, GAMMA_I)
-    fem._tagged_edges(mesh, GAMMA_A)
     spectral.build_spectral_basis(mesh)
     inversion.build_forward_operator(mesh, fem.ProblemData.from_constants(mesh))
-    assert {(fem._tagged_edges.__wrapped__, GAMMA_I),
-            (fem._tagged_edges.__wrapped__, GAMMA_A)} <= mesh.memo.keys()
+    assert {(boundary_map.__wrapped__, GAMMA_I), (boundary_map.__wrapped__, GAMMA_A),
+            (fem.flux_load_matrix.__wrapped__,)} <= mesh.memo.keys()
     return weakref.ref(mesh)
 
 
@@ -241,7 +252,6 @@ def test_derived_data_dies_with_its_mesh():
     (boundary_map, (GAMMA_I,)),
     (fem._norm_matrices, ()),
     (spectral.build_spectral_basis, ()),
-    (fem._tagged_edges, (GAMMA_A,)),
     (fem.flux_load_matrix, ()),
 ])
 def test_memo_returns_the_same_object_and_counts(fn, args):
@@ -302,7 +312,7 @@ def test_vectorized_lengths_match_per_row_norms_bitwise(r_inner, h, refine):
     radius = geometry._row_norms(v)
     assert radius.tobytes() == np.array([np.linalg.norm(p) for p in v]).tobytes()
     for tag in (GAMMA_I, GAMMA_A):
-        a, b, length, _, _ = fem._tagged_edges(mesh, tag)
+        a, b, length = fem._loop_edges(mesh, tag)
         oracle = np.array([float(np.linalg.norm(v[j] - v[i])) for i, j in zip(a, b)])
         assert length.tobytes() == oracle.tobytes()
     # the old per-side formula: the largest root of the summed squares

@@ -59,6 +59,17 @@ def test_config_rejects_non_positive_fixed_rho(bad):
                          fixed_rho_schedule=(bad, 1e-5))
 
 
+@pytest.mark.parametrize("name, value, problem", [
+    ("m0", float("nan"), "must be > 0"),        # else every row of the study is inadmissible
+    ("kappa", float("nan"), r"must lie in \(0, 1\)"),  # else p_star is nan
+    ("eps", float("inf"), "must be finite"),
+    ("tau_d", float("nan"), "must be > 1"),
+], ids=["m0-nan", "kappa-nan", "eps-inf", "tau_d-nan"])
+def test_config_applies_the_rates_schema_domains(name, value, problem):
+    with pytest.raises(SchemaError, match=f"config key '{name}': {problem}"):
+        ExperimentConfig(**{name: value})
+
+
 @pytest.mark.parametrize("grid", [(1e-2, 1e-3, 0.0), (1e-2, 1e-3, -1e-4), (float("inf"), 1e-2)])
 def test_config_rejects_non_positive_or_infinite_deltas(grid):
     with pytest.raises(ValueError, match="delta_grid entries must be positive and finite"):

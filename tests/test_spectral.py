@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -225,6 +229,13 @@ def test_synthesis_deterministic_and_normalized(basis, coarse_mesh):
     assert np.abs(q1.values - q3.values).max() > 0.0
 
 
+@pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+def test_synthesis_rejects_eps_that_is_not_a_positive_real(basis, eps):
+    # a NaN eps made every coefficient NaN, found only later as a NaN solver residual
+    with pytest.raises(ValueError, match=f"eps must be positive and finite, got {eps}"):
+        synthesize_flux_with_smoothness(basis, 0.5, eps, seed=0)
+
+
 def test_synthesis_smoothness_threshold():
     # partial sums of lambda^{2s'} c_n^2 stay bounded below the synthesis
     # order and grow with refinement above it
@@ -274,3 +285,14 @@ def _mesh_with_tiny_inner_loop(mesh):
     return g.Mesh(vertices, np.asarray(triangles, dtype=np.int64),
                   np.asarray(inner + outer, dtype=np.int64),
                   np.asarray([g.GAMMA_I] * n_theta + [g.GAMMA_A] * n_theta), 0.5)
+
+
+def test_importing_spectral_loads_neither_fem_nor_scipy_sparse():
+    # spectral reads its loop from the geometry map and its vectors from geometry
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spectral.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, fluxrec.spectral; "
+            "print(sorted({'fluxrec.fem', 'scipy.sparse'} & sys.modules.keys()))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          check=True)
+    assert proc.stdout == "[]\n"
