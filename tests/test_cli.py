@@ -598,6 +598,66 @@ def test_manifest_contents(workdir, tmp_path):
     assert manifest["runtime_seconds"] >= 0.0
 
 
+def _defaults(subcommand: str) -> dict:
+    return {name: key.default for name, key in SCHEMAS[subcommand].items()}
+
+
+# subcommand -> (argv after the name, manifest path, config, seeds, input and output files);
+# W is the workdir, T the test's tmp_path and C a config file the case writes there
+_MANIFEST_CASES = {
+    "mesh-gen": (["--h", "0.2", "--refine", "1", "--out", "T/m.txt"], "T/m.txt.manifest.json",
+                 {"r_inner": 0.5, "r_outer": 1.0, "h": 0.2, "refine": 1}, [],
+                 [], ["T/m.txt"]),
+    "spectrum": (["--mesh", "W/mesh.txt", "--out", "T/s.csv"], "T/s.csv.manifest.json",
+                 {}, [], ["W/mesh.txt"], ["T/s.csv"]),
+    "forward": (["--mesh", "W/mesh.txt", "--config", "C", "--flux", "W/flux.csv",
+                 "--out-trace", "T/u.csv"], "T/u.csv.manifest.json",
+                {**_defaults("forward"), "alpha": 2.0}, [],
+                ["W/mesh.txt", "W/flux.csv", "C"], ["T/u.csv"]),
+    "invert": (["--mesh", "W/mesh.txt", "--data-trace", "W/trace.csv", "--delta", "1e-4",
+                "--rho", "1e-6", "--seed", "3", "--out", "T/inv"], "T/inv/manifest.json",
+               {**_defaults("invert"), "delta": 1e-4, "rho_flag": 1e-6}, [3],
+               ["W/mesh.txt", "W/trace.csv"], ["T/inv/invert_result.csv", "T/inv/flux_rec.csv"]),
+    "vsc-check": (["--mesh", "W/mesh.txt", "--config", "C", "--s", "0.25", "--kappa", "0.7",
+                   "--n-samples", "20", "--seed", "1", "--out", "T/vsc"], "T/vsc/manifest.json",
+                  {**_defaults("vsc-check"), "eps": 0.02, "s": 0.25, "kappa": 0.7,
+                   "n_samples": 20}, [1],
+                  ["W/mesh.txt", "C"], ["T/vsc/vsc_report.csv", "T/vsc/summary.txt"]),
+    "stability-probe": (["--mesh", "W/mesh.txt", "--kappa", "0.8", "--n-samples", "30",
+                         "--seed", "2", "--out", "T/stab"], "T/stab/manifest.json",
+                        {**_defaults("stability-probe"), "kappa": 0.8, "n_samples": 30}, [2],
+                        ["W/mesh.txt"], ["T/stab/stability_report.csv", "T/stab/summary.txt"]),
+    "rates": (["--config", "C", "--out-dir", "T/rates"], "T/rates/manifest.json",
+              {**_defaults("rates"), "delta_grid": [1e-2, 1e-3, 1e-4, 1e-5],
+               "seeds_per_delta": 1}, [0, 1000, 2000, 3000], ["C"],
+              ["T/rates/rates.csv", "T/rates/rates_plotdata.csv", "T/rates/summary.txt"]),
+}
+_CONFIG_TEXT = {"forward": "alpha = 2.0\n", "vsc-check": "kappa = 0.5\neps = 0.02\n",
+                "rates": "delta_grid = 1e-2, 1e-3, 1e-4, 1e-5\nseeds_per_delta = 1\n"}
+
+
+@pytest.mark.parametrize("subcommand", sorted(_MANIFEST_CASES))
+def test_every_subcommand_writes_its_manifest(workdir, tmp_path, subcommand):
+    argv, where, config, seeds, inputs, outputs = _MANIFEST_CASES[subcommand]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_CONFIG_TEXT.get(subcommand, ""))
+
+    def path(p):
+        if p == "C":
+            return str(cfg)
+        root = {"W/": workdir, "T/": tmp_path}.get(p[:2])
+        return p if root is None else str(root / p[2:])
+
+    assert run([subcommand, *map(path, argv)]) == 0
+    manifest = json.loads(open(path(where), encoding="utf-8").read())
+    assert manifest["subcommand"] == subcommand
+    # the config as JSON writes it: a tuple default reads back as a list
+    assert manifest["config"] == json.loads(json.dumps(config))
+    assert manifest["seeds"] == seeds
+    assert set(manifest["input_digests"]) == set(map(path, inputs))
+    assert set(manifest["output_digests"]) == set(map(path, outputs))
+
+
 def test_reruns_are_byte_identical(workdir):
     out1, out2 = workdir / "r1", workdir / "r2"
     cfg = workdir / "rates.cfg"
