@@ -118,50 +118,40 @@ def _problem_data(mesh, cfg) -> ProblemData:
     )
 
 
-def cmd_mesh_gen(args) -> int:
-    t0 = time.time()
+# Each cmd_* computes and writes its outputs under args.out; dispatch parses its config and
+# writes the manifest from what it returns: (extra config entries, seeds, inputs, outputs).
+def cmd_mesh_gen(args, cfg):
     mesh = generate_annulus_mesh(args.r_inner, args.r_outer, args.h)
     for _ in range(args.refine):
         mesh = refine_uniform(mesh)
     save_mesh(mesh, args.out)
-    config = {"r_inner": args.r_inner, "r_outer": args.r_outer, "h": args.h, "refine": args.refine}
-    write_manifest(args.out + ".manifest.json", "mesh-gen", config, [], [], [args.out], t0)
-    return 0
+    return ({"r_inner": args.r_inner, "r_outer": args.r_outer, "h": args.h, "refine": args.refine},
+            [], [], [args.out])
 
 
-def cmd_forward(args) -> int:
-    t0 = time.time()
-    cfg = parse_config(args.config, SCHEMAS["forward"])
+def cmd_forward(args, cfg):
     mesh = load_mesh(args.mesh)
     data = _problem_data(mesh, cfg)
     flux = read_boundary_csv(args.flux, mesh, GAMMA_I)
     u = FactorizedSystem(mesh, data).solve_flux(flux)
-    write_boundary_csv(args.out_trace, mesh, trace(u, GAMMA_A))
-    write_manifest(args.out_trace + ".manifest.json", "forward", cfg, [],
-                   [args.mesh, args.flux, args.config], [args.out_trace], t0)
-    return 0
+    write_boundary_csv(args.out, mesh, trace(u, GAMMA_A))
+    return {}, [], [args.mesh, args.flux, args.config], [args.out]
 
 
-def cmd_spectrum(args) -> int:
-    t0 = time.time()
+def cmd_spectrum(args, cfg):
     lambdas = loop_eigenvalues(load_mesh(args.mesh))
     write_table(args.out, "n,lambda", np.arange(1, len(lambdas) + 1), lambdas)
-    write_manifest(args.out + ".manifest.json", "spectrum", {}, [], [args.mesh], [args.out], t0)
-    return 0
+    return {}, [], [args.mesh], [args.out]
 
 
-def cmd_invert(args) -> int:
-    t0 = time.time()
-    cfg = parse_config(args.config, SCHEMAS["invert"])
+def cmd_invert(args, cfg):
     mesh = load_mesh(args.mesh)
     data = _problem_data(mesh, cfg)
     op = build_forward_operator(mesh, data)
     u_clean = read_boundary_csv(args.data_trace, mesh, GAMMA_A)
     u_delta = add_noise(mesh, u_clean, args.delta, args.seed)
-    if args.rho is not None:
-        rho = args.rho
-    else:
-        rho = choose_rho_discrepancy(op, u_delta, args.delta, cfg["tau_d"])
+    rho = (args.rho if args.rho is not None
+           else choose_rho_discrepancy(op, u_delta, args.delta, cfg["tau_d"]))
     result = tikhonov_solve(op, u_delta, rho)
 
     os.makedirs(args.out, exist_ok=True)
@@ -172,25 +162,19 @@ def cmd_invert(args) -> int:
                 [result.residual_norm], [result.solution_norm], [0])
     flux_path = os.path.join(args.out, "flux_rec.csv")
     write_boundary_csv(flux_path, mesh, result.q_rec)
-    write_manifest(os.path.join(args.out, "manifest.json"), "invert",
-                   {**cfg, "delta": args.delta, "rho_flag": args.rho}, [args.seed],
-                   [args.mesh, args.data_trace, args.config], [result_path, flux_path], t0)
-    return 0
+    return ({"delta": args.delta, "rho_flag": args.rho}, [args.seed],
+            [args.mesh, args.data_trace, args.config], [result_path, flux_path])
 
 
-def cmd_vsc_check(args) -> int:
-    t0 = time.time()
-    cfg = parse_config(args.config, SCHEMAS["vsc-check"])
-    s = args.s if args.s is not None else cfg["s"]
-    kappa = args.kappa if args.kappa is not None else cfg["kappa"]
+def cmd_vsc_check(args, cfg):
     mesh = load_mesh(args.mesh)
     data = _problem_data(mesh, cfg)
     op = build_forward_operator(mesh, data)
     basis = build_spectral_basis(mesh)
-    q_dag = synthesize_flux_with_smoothness(basis, s, cfg["eps"], args.seed)
+    q_dag = synthesize_flux_with_smoothness(basis, cfg["s"], cfg["eps"], args.seed)
 
     evaluation = sample_admissible_fluxes(basis, q_dag, cfg["m0"], args.n_samples, args.seed + 2)
-    spec = fit_vsc_constants(op, basis, q_dag, s, kappa)
+    spec = fit_vsc_constants(op, basis, q_dag, cfg["s"], cfg["kappa"])
     report = check_vsc_inequality(op, basis, q_dag, spec, evaluation, m0=cfg["m0"])
 
     os.makedirs(args.out, exist_ok=True)
@@ -200,48 +184,37 @@ def cmd_vsc_check(args) -> int:
     summary_path = os.path.join(args.out, "summary.txt")
     write_summary(summary_path, {
         "C": spec.C, "C0": spec.C0, "cprime": spec.cprime, "f_coeff": spec.f_coeff,
-        "kappa": kappa, "s": s, "min_margin": report.min_margin,
+        "kappa": cfg["kappa"], "s": cfg["s"], "min_margin": report.min_margin,
         "fraction_nonnegative": report.fraction_nonnegative,
         "holds_empirically": report.holds_empirically})
-    write_manifest(os.path.join(args.out, "manifest.json"), "vsc-check",
-                   {**cfg, "s": s, "kappa": kappa, "n_samples": args.n_samples}, [args.seed],
-                   [args.mesh, args.config], [report_path, summary_path], t0)
-    return 0
+    return ({"n_samples": args.n_samples}, [args.seed], [args.mesh, args.config],
+            [report_path, summary_path])
 
 
-def cmd_stability_probe(args) -> int:
-    t0 = time.time()
-    cfg = parse_config(args.config, SCHEMAS["stability-probe"])
-    kappa = args.kappa if args.kappa is not None else cfg["kappa"]
+def cmd_stability_probe(args, cfg):
     mesh = load_mesh(args.mesh)
     system = FactorizedSystem(mesh, _problem_data(mesh, {**cfg, "f": 0.0, "u_a": 0.0}))
     basis = build_spectral_basis(mesh)
     samples = generate_probe_ensemble(system, basis, args.n_samples, args.seed)
-    c_fit, c0_fit, max_violation = fit_stability_modulus(samples, kappa)
+    c_fit, c0_fit, max_violation = fit_stability_modulus(samples, cfg["kappa"])
 
     os.makedirs(args.out, exist_ok=True)
     report_path = os.path.join(args.out, "stability_report.csv")
-    bounds = stability_bound(samples, c_fit, c0_fit, kappa)
+    bounds = stability_bound(samples, c_fit, c0_fit, cfg["kappa"])
     write_table(report_path, "sample_id,trace_norm,h1_norm,m_proxy,bound,slack",
                 np.arange(len(samples)), samples.trace_norm, samples.h1_norm, samples.m_proxy,
                 bounds, bounds - samples.h1_norm)
     summary_path = os.path.join(args.out, "summary.txt")
-    write_summary(summary_path, {"C_fit": c_fit, "C0_fit": c0_fit, "kappa": kappa,
+    write_summary(summary_path, {"C_fit": c_fit, "C0_fit": c0_fit, "kappa": cfg["kappa"],
                                  "max_violation": max_violation, "n_samples": len(samples)})
-    write_manifest(os.path.join(args.out, "manifest.json"), "stability-probe",
-                   {**cfg, "kappa": kappa, "n_samples": args.n_samples}, [args.seed],
-                   [args.mesh, args.config], [report_path, summary_path], t0)
-    return 0
+    return ({"n_samples": args.n_samples}, [args.seed], [args.mesh, args.config],
+            [report_path, summary_path])
 
 
-def cmd_rates(args) -> int:
-    t0 = time.time()
-    cfg = parse_config(args.config, SCHEMAS["rates"])
+def cmd_rates(args, cfg):
     report = run_rate_study(ExperimentConfig(**cfg))
-    outputs = emit_report(report, args.out_dir)
-    write_manifest(os.path.join(args.out_dir, "manifest.json"), "rates", cfg,
-                   [row.seed for row in report.rows], [args.config], outputs, t0)
-    return 0
+    outputs = emit_report(report, args.out)
+    return {}, [row.seed for row in report.rows], [args.config], outputs
 
 
 @functools.cache   # parsing leaves the parser unchanged, so one per process serves every dispatch
@@ -266,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mesh", required=True)
     p.add_argument("--config", default=None)
     p.add_argument("--flux", required=True, help="flux CSV on GammaI in map order")
-    p.add_argument("--out-trace", required=True)
+    p.add_argument("--out-trace", dest="out", metavar="OUT_TRACE", required=True)
     p.set_defaults(func=cmd_forward)
 
     p = sub.add_parser("spectrum", help="boundary eigenvalues on GammaI")
@@ -306,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rates", help="noise-level sweep and logarithmic rate fit")
     p.add_argument("--config", default=None)
-    p.add_argument("--out-dir", required=True)
+    p.add_argument("--out-dir", dest="out", metavar="OUT_DIR", required=True)
     p.set_defaults(func=cmd_rates)
 
     return parser
@@ -319,7 +292,17 @@ def dispatch(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        started = time.time()
+        schema = SCHEMAS.get(args.subcommand)
+        cfg = {} if schema is None else parse_config(args.config, schema)
+        flags = vars(args)  # a flag overrides the config key of the same name
+        cfg.update((key, flags[key]) for key in cfg.keys() & flags.keys() if flags[key] is not None)
+        extra, seeds, inputs, outputs = args.func(args, cfg)
+        # manifest.json inside an output directory, <file>.manifest.json beside one output file
+        path = (os.path.join(args.out, "manifest.json") if os.path.isdir(args.out)
+                else args.out + ".manifest.json")
+        write_manifest(path, args.subcommand, {**cfg, **extra}, seeds, inputs, outputs, started)
+        return 0
     except FluxRecError as exc:
         print(f"fluxrec: error: {exc}", file=sys.stderr)
         return exc.exit_code
