@@ -125,7 +125,8 @@ def parse_config(path: str | None, schema: dict[str, Key]) -> dict[str, Any]:
     """Parse and validate one config file against a schema.
 
     A missing path or empty file yields all defaults.  Raises
-    SchemaError (bad value), UnknownKeyError, or MalformedFileError.
+    SchemaError (bad value), UnknownKeyError, or MalformedFileError
+    (a line that is no ``key = value``, or a key set twice).
     """
     values: dict[str, Any] = {name: key.default for name, key in schema.items()}
     if path is None:
@@ -133,6 +134,7 @@ def parse_config(path: str | None, schema: dict[str, Key]) -> dict[str, Any]:
     if not os.path.exists(path):
         raise MalformedFileError(f"config file not found: {path}")
     raw = read_lines(path)
+    seen: dict[str, int] = {}  # the line that set each key
     for ln, line in enumerate(raw, start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -143,6 +145,9 @@ def parse_config(path: str | None, schema: dict[str, Key]) -> dict[str, Any]:
         name, text = name.strip(), text.strip()
         if name not in schema:
             raise UnknownKeyError(name)
+        if name in seen:
+            raise MalformedFileError(f"key '{name}' set twice, first at line {seen[name]}", ln)
+        seen[name] = ln
         key = schema[name]
         try:
             value = key.parse(text)

@@ -184,8 +184,14 @@ def generate_annulus_mesh(r_inner: float, r_outer: float, h_target: float) -> Me
         raise InvalidGeometryError(
             f"require 0 < h_target < r_outer - r_inner, got h_target={h_target}"
         )
+    # the sector count exceeds the ring count, so one finiteness check covers both
+    sectors = 2.0 * np.pi * float(r_outer) / float(h_target)
+    if not np.isfinite(sectors):
+        raise InvalidGeometryError(
+            f"require a finite 2*pi*r_outer/h_target, got r_outer={r_outer}, h_target={h_target}"
+        )
 
-    n_theta = max(8, int(np.ceil(2.0 * np.pi * r_outer / h_target)))
+    n_theta = max(8, int(np.ceil(sectors)))
     n_r = max(2, int(np.ceil((r_outer - r_inner) / h_target)))
     radii = np.linspace(r_inner, r_outer, n_r + 1)
     theta = 2.0 * np.pi * np.arange(n_theta) / n_theta

@@ -240,6 +240,20 @@ def test_parse_config_malformed(tmp_path):
         parse_config(str(cfg), SCHEMAS["forward"])
 
 
+@pytest.mark.parametrize("subcommand", ["stability-probe", "vsc-check"])
+def test_config_key_set_twice_exits_2(workdir, tmp_path, capsys, subcommand):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("# kappa twice\nkappa = 0.5\n\nkappa = 0.8\n")
+    with pytest.raises(MalformedFileError, match=r"key 'kappa' set twice, first at line 2 \(line 4\)"):
+        parse_config(str(cfg), SCHEMAS[subcommand])
+    capsys.readouterr()
+    assert run([subcommand, "--mesh", str(workdir / "mesh.txt"), "--config", str(cfg),
+                "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == ("fluxrec: error: key 'kappa' set twice, first at line 2 "
+                                       "(line 4)\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_resolve_field_file(tmp_path):
     path = tmp_path / "field.txt"
     np.savetxt(path, np.arange(1, 6, dtype=float))
@@ -307,6 +321,21 @@ def test_missing_file_exits_2(tmp_path):
 def test_domain_error_exits_1(tmp_path):
     assert run(["mesh-gen", "--r-inner", "1.0", "--r-outer", "0.5",
                 "--h", "0.1", "--out", str(tmp_path / "m.txt")]) == 1
+
+
+@pytest.mark.parametrize("argv, r_outer, h", [
+    (["mesh-gen", "--h", "0.1", "--r-outer", "inf", "--out", "T/m.txt"], "inf", "0.1"),
+    (["mesh-gen", "--r-outer", "1e308", "--h", "1e-10", "--out", "T/m.txt"], "1e+308", "1e-10"),
+    (["rates", "--config", "T/big.cfg", "--out-dir", "T/rates"], "1e+308", "1e-10"),
+])
+def test_mesh_size_beyond_float_exits_1(tmp_path, capsys, argv, r_outer, h):
+    # 2*pi*r_outer/h_target overflows to inf, which no int() can count
+    (tmp_path / "big.cfg").write_text("r_outer = 1e308\nh = 1e-10\n")
+    capsys.readouterr()
+    assert run([a.replace("T/", f"{tmp_path}/") for a in argv]) == 1
+    assert capsys.readouterr().err == ("fluxrec: error: require a finite 2*pi*r_outer/h_target, "
+                                       f"got r_outer={r_outer}, h_target={h}\n")
+    assert sorted(os.listdir(tmp_path)) == ["big.cfg"]
 
 
 def _corrupt_boundary_csv(path, mesh, tag, line_number, value):
