@@ -150,8 +150,10 @@ def cmd_invert(args, cfg):
     op = build_forward_operator(mesh, data)
     u_clean = read_boundary_csv(args.data_trace, mesh, GAMMA_A)
     u_delta = add_noise(mesh, u_clean, args.delta, args.seed)
-    rho = (args.rho if args.rho is not None
-           else choose_rho_discrepancy(op, u_delta, args.delta, cfg["tau_d"]))
+    if args.rho is not None:
+        rho = args.rho
+    else:
+        rho = choose_rho_discrepancy(op, u_delta, args.delta, cfg["tau_d"])
     result = tikhonov_solve(op, u_delta, rho)
 
     os.makedirs(args.out, exist_ok=True)
@@ -293,8 +295,7 @@ def dispatch(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         started = time.time()
-        schema = SCHEMAS.get(args.subcommand)
-        cfg = {} if schema is None else parse_config(args.config, schema)
+        cfg = parse_config(getattr(args, "config", None), SCHEMAS.get(args.subcommand, {}))
         flags = vars(args)  # a flag overrides the config key of the same name
         cfg.update((key, flags[key]) for key in cfg.keys() & flags.keys() if flags[key] is not None)
         extra, seeds, inputs, outputs = args.func(args, cfg)
