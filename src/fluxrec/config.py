@@ -62,7 +62,7 @@ def _noise_levels(v) -> str | None:
         return "must be a non-empty strictly decreasing list"
     if not v[-1] > 0.0:
         return "entries must be positive"
-    # the rate fit's log(log(1/delta)) needs delta < 1; parse_config reports inf as not finite
+    # the rate fit's log(log(1/delta)) needs delta < 1; check_value reports inf as not finite
     return "entries must be below 1" if 1.0 <= v[0] < math.inf else None
 
 

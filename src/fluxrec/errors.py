@@ -32,8 +32,8 @@ class DimensionMismatchError(FluxRecError):
 
 
 class SolverFailureError(FluxRecError):
-    """A direct solve failed: an asymmetric system, a failed LU or SVD, a block residual
-    above 1e-10, a non-finite field or solution, or a noise draw that is zero twice."""
+    """A direct solve failed: an asymmetric system, a failed LU or SVD, a block residual above
+    1e-10, a non-finite field, solution or norm, or a noise draw that is zero twice."""
 
 
 class EigensolverFailureError(FluxRecError):

@@ -231,7 +231,8 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     radius = _row_norms(v)
     r = 0.5 * (radius[mesh.boundary_edges[:, 0]] + radius[mesh.boundary_edges[:, 1]])
     on_loop = midpoints[boundary_edge]
-    midpoints[boundary_edge] = on_loop * (r / _row_norms(on_loop))[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):  # validate_mesh rejects 0/0, a NaN
+        midpoints[boundary_edge] = on_loop * (r / _row_norms(on_loop))[:, None]
 
     (a, b, c), (mab, mbc, mca) = mesh.triangles.T, (n_v + side_edge).T
     triangles = np.stack((a, mab, mca, mab, b, mbc, mca, mbc, c, mab, mbc, mca),

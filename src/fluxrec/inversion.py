@@ -31,7 +31,6 @@ matrix-vector products, bitwise equal to the one-row products.
 from __future__ import annotations
 
 import functools
-import logging
 import math
 from dataclasses import dataclass
 
@@ -53,8 +52,6 @@ from .fem import (
 )
 from .geometry import GAMMA_A, GAMMA_I, Mesh, boundary_map
 from .spectral import SpectralBasis
-
-logger = logging.getLogger(__name__)
 
 RHO_BRACKET = (1e-14, 1e6)
 
@@ -163,7 +160,8 @@ def noisy_rows(mesh: Mesh, u_exact: BoundaryVector, deltas, seeds) -> np.ndarray
         nrm[k] = np.sqrt((w * xi[k] * xi[k]).sum())
         if not nrm[k] > 0.0:
             raise SolverFailureError("degenerate zero noise draw twice in a row")
-    out[noisy] = u + deltas[noisy, None] * xi / nrm[:, None]
+    with np.errstate(over="ignore"):  # project_rows rejects an inf row
+        out[noisy] = u + deltas[noisy, None] * xi / nrm[:, None]
     return out
 
 
@@ -193,9 +191,14 @@ def project_rows(op: AffineForwardOperator, data: np.ndarray) -> tuple[np.ndarra
     if not np.isfinite(data).all():
         raise ParameterDomainError("data trace u_delta has non-finite values")
     U = op.whitened_svd[0]
-    d = np.sqrt(op.w_a) * (data - op.b)
-    c = _matvecs(U.T, d)
-    return c, np.sum((d - _matvecs(U, c)) ** 2, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = np.sqrt(op.w_a) * (data - op.b)
+        c = _matvecs(U.T, d)
+        perp_sq = np.sum((d - _matvecs(U, c)) ** 2, axis=1)
+        # ||c||^2 + perp_sq bounds the square of every residual of the discrepancy search
+        if not np.isfinite(np.sum(c * c, axis=1) + perp_sq).all():
+            raise SolverFailureError("the squared norm of the data overflows float64")
+    return c, perp_sq
 
 
 def _one_row(u_delta: BoundaryVector) -> np.ndarray:
@@ -213,10 +216,13 @@ def tikhonov_rows(op: AffineForwardOperator, data: np.ndarray, c: np.ndarray,
         if not 0.0 < rho < math.inf:
             raise ValueError(f"rho must be positive and finite, got {rho}")
     _, s, Vt = op.whitened_svd
-    q = _matvecs(Vt.T, s / (s * s + 0.5 * rhos[:, None]) * c) / np.sqrt(op.w_i)
-    r = _matvecs(op.K, q) + op.b - data
-    return (q, np.sqrt((op.w_a * r * r).sum(axis=1)),
-            np.sqrt((op.w_i * q * q).sum(axis=1)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = _matvecs(Vt.T, s / (s * s + 0.5 * rhos[:, None]) * c) / np.sqrt(op.w_i)
+        r = _matvecs(op.K, q) + op.b - data
+        norms = np.sqrt((op.w_a * r * r).sum(axis=1)), np.sqrt((op.w_i * q * q).sum(axis=1))
+    if not np.isfinite(norms).all():    # a non-finite q has a non-finite norm
+        raise SolverFailureError("the Tikhonov solution or its residual overflows float64")
+    return q, *norms
 
 
 def tikhonov_solve(op: AffineForwardOperator, u_delta: BoundaryVector,

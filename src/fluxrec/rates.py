@@ -17,13 +17,12 @@ bound).
 from __future__ import annotations
 
 import logging
-import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_DELTA_GRID, RATES_KEYS, check_value
+from .config import RATES_KEYS, check_value
 from .errors import InsufficientDataError, SchemaError
 from .fem import BoundaryVector, FactorizedSystem, ProblemData, trace
 from .geometry import GAMMA_A, GAMMA_I, Mesh, boundary_map, generate_annulus_mesh, refine_uniform
@@ -46,48 +45,39 @@ PLOTDATA_CSV_HEADER = "delta,median_error,model_error"
 
 @dataclass
 class ExperimentConfig:
-    """Inputs of one rate study; validated on construction."""
+    """Inputs of one rate study; each key is checked on construction as in a config file."""
 
-    r_inner: float = 0.5
-    r_outer: float = 1.0
-    h: float = 0.1
-    refine_level: int = 1
-    alpha: float = 1.0
-    k: float = 1.0
-    f: float = 0.0
-    u_a: float = 0.0
-    s: float = 0.5
-    kappa: float = 0.9
-    eps: float = 0.01
-    delta_grid: tuple[float, ...] = DEFAULT_DELTA_GRID
-    seeds_per_delta: int = 5
-    base_seed: int = 0
-    flux_seed: int = 42
-    rho_rule: str = "discrepancy"            # discrepancy | fixed
-    fixed_rho_schedule: tuple[float, ...] = ()
-    tau_d: float = 1.5
-    m0: float = 10.0
+    r_inner: float = RATES_KEYS["r_inner"].default
+    r_outer: float = RATES_KEYS["r_outer"].default
+    h: float = RATES_KEYS["h"].default
+    refine_level: int = RATES_KEYS["refine_level"].default
+    alpha: float = RATES_KEYS["alpha"].default
+    k: float = RATES_KEYS["k"].default
+    f: float = RATES_KEYS["f"].default
+    u_a: float = RATES_KEYS["u_a"].default
+    s: float = RATES_KEYS["s"].default
+    kappa: float = RATES_KEYS["kappa"].default
+    eps: float = RATES_KEYS["eps"].default
+    delta_grid: tuple[float, ...] = RATES_KEYS["delta_grid"].default
+    seeds_per_delta: int = RATES_KEYS["seeds_per_delta"].default
+    base_seed: int = RATES_KEYS["base_seed"].default
+    flux_seed: int = RATES_KEYS["flux_seed"].default
+    rho_rule: str = RATES_KEYS["rho_rule"].default
+    fixed_rho_schedule: tuple[float, ...] = RATES_KEYS["fixed_rho_schedule"].default
+    tau_d: float = RATES_KEYS["tau_d"].default
+    m0: float = RATES_KEYS["m0"].default
     allow_inverse_crime: bool = False        # test-only escape hatch
 
     def __post_init__(self):
-        grid = np.asarray(self.delta_grid, dtype=float)
-        if grid.size == 0 or not (np.diff(grid) < 0.0).all():
-            raise ValueError("delta_grid must be non-empty and strictly decreasing")
-        if not 0.0 < grid[-1] <= grid[0] < 1.0:   # the rate model log(log(1/delta)) needs delta < 1
-            raise ValueError("delta_grid entries must be positive and finite, and below 1")
-        if self.seeds_per_delta < 1:
-            raise ValueError("seeds_per_delta must be >= 1")
-        if self.refine_level < 1 and not self.allow_inverse_crime:
-            raise ValueError("refine_level must be >= 1 (inverse-crime guard)")
-        if self.rho_rule not in ("discrepancy", "fixed"):
-            raise ValueError(f"unknown rho rule {self.rho_rule!r}")
-        if self.rho_rule == "fixed" and len(self.fixed_rho_schedule) != grid.size:
+        # the tuples of floats a config file parses to, so that every entry is checked as finite
+        self.delta_grid = tuple(map(float, self.delta_grid))
+        self.fixed_rho_schedule = tuple(map(float, self.fixed_rho_schedule))
+        for name, key in RATES_KEYS.items():
+            if not (name == "refine_level" and self.allow_inverse_crime):
+                check_value(name, key, getattr(self, name))
+        if self.rho_rule == "fixed" and len(self.fixed_rho_schedule) != len(self.delta_grid):
             raise SchemaError("fixed_rho_schedule", f"has {len(self.fixed_rho_schedule)} "
-                              f"entries, delta_grid has {grid.size}")
-        if not all(0.0 < rho < math.inf for rho in self.fixed_rho_schedule):
-            raise ValueError("fixed_rho_schedule entries must be positive and finite")
-        for name in ("eps", "m0", "kappa", "tau_d"):
-            check_value(name, RATES_KEYS[name], getattr(self, name))
+                              f"entries, delta_grid has {len(self.delta_grid)}")
 
     @property
     def p_star(self) -> float:

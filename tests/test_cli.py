@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -421,6 +422,45 @@ def test_non_finite_delta_or_rho_exits_1(workdir, tmp_path, capsys, flag, value,
             "--delta", "1e-4", "--out", str(tmp_path / "inv"), flag, value]
     assert run(argv) == 1
     assert f"fluxrec: error: {message}" in capsys.readouterr().err
+
+
+def _warnings_as_errors_run(argv) -> int:
+    # a numpy RuntimeWarning raises here, instead of reaching stderr ahead of the error line
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return run(argv)
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--delta", "1e160"], "the squared norm of the data overflows float64"),
+    (["--delta", "1e160", "--rho", "1"], "the squared norm of the data overflows float64"),
+    (["--delta", "1e150", "--rho", "1e-300"],
+     "the Tikhonov solution or its residual overflows float64"),
+    (["--delta", "1.7e308"], "data trace u_delta has non-finite values"),
+], ids=["discrepancy", "fixed-rho", "solution-norm", "noise"])
+def test_invert_overflow_exits_1_before_any_output(workdir, tmp_path, capsys, flags, message):
+    # an inf norm once left invert_result.csv with exit 0, or was read as an under-resolved mesh
+    capsys.readouterr()
+    assert _warnings_as_errors_run(["invert", "--mesh", str(workdir / "mesh.txt"),
+                                    "--data-trace", str(workdir / "trace.csv"), *flags,
+                                    "--out", str(tmp_path / "inv")]) == 1
+    assert capsys.readouterr().err == f"fluxrec: error: {message}\n"
+    assert not (tmp_path / "inv").exists()
+
+
+@pytest.mark.parametrize("subcommand", ["mesh-gen", "rates"])
+def test_refining_a_tiny_inner_radius_prints_one_error_line(tmp_path, capsys, subcommand):
+    # the refined midpoint's radius underflows to 0, and 0/0 is the NaN validate_mesh rejects
+    (tmp_path / "tiny.cfg").write_text("r_inner = 1e-200\nh = 0.5\n")
+    argv = {"mesh-gen": ["mesh-gen", "--r-inner", "1e-200", "--h", "0.5", "--refine", "1",
+                         "--out", str(tmp_path / "m.txt")],
+            "rates": ["rates", "--config", str(tmp_path / "tiny.cfg"),
+                      "--out-dir", str(tmp_path / "out")]}[subcommand]
+    capsys.readouterr()
+    assert _warnings_as_errors_run(argv) == 1
+    assert capsys.readouterr().err == ("fluxrec: error: mesh has non-finite vertex coordinates "
+                                       "or edge lengths\n")
+    assert sorted(os.listdir(tmp_path)) == ["tiny.cfg"]
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -1,11 +1,12 @@
 import dataclasses
 import logging
+import math
 
 import numpy as np
 import pytest
 from conftest import loop_rate_rows
 
-from fluxrec.config import SCHEMAS
+from fluxrec.config import RATES_KEYS, SCHEMAS, parse_config
 from fluxrec.errors import InsufficientDataError, SchemaError
 from fluxrec.geometry import GAMMA_A, GAMMA_I, boundary_map
 from fluxrec.rates import (
@@ -39,14 +40,14 @@ def test_rates_schema_defaults_are_the_experiment_defaults():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(SchemaError, match="'delta_grid': must be a non-empty strictly decreasing"):
         ExperimentConfig(delta_grid=(1e-3, 1e-2))
-    with pytest.raises(ValueError):
+    with pytest.raises(SchemaError, match="'refine_level': must be >= 1"):
         ExperimentConfig(refine_level=0)
     ExperimentConfig(refine_level=0, allow_inverse_crime=True)  # labeled escape hatch
-    with pytest.raises(ValueError):
+    with pytest.raises(SchemaError, match="'rho_rule': must be 'discrepancy' or 'fixed'"):
         ExperimentConfig(rho_rule="magic")
-    with pytest.raises(ValueError, match="seeds_per_delta must be >= 1"):
+    with pytest.raises(SchemaError, match="'seeds_per_delta': must be > 0"):
         ExperimentConfig(seeds_per_delta=0)
     with pytest.raises(SchemaError, match="'fixed_rho_schedule': has 1 entries, delta_grid has 9"):
         ExperimentConfig(rho_rule="fixed", fixed_rho_schedule=(1.0,))
@@ -54,7 +55,8 @@ def test_config_validation():
 
 @pytest.mark.parametrize("bad", [-1.0, 0.0, float("nan"), float("inf")])
 def test_config_rejects_non_positive_fixed_rho(bad):
-    with pytest.raises(ValueError, match="positive and finite"):
+    with pytest.raises(SchemaError,
+                       match="'fixed_rho_schedule': entries must be positive and finite"):
         ExperimentConfig(delta_grid=(1e-2, 1e-3), rho_rule="fixed",
                          fixed_rho_schedule=(bad, 1e-5))
 
@@ -70,17 +72,42 @@ def test_config_applies_the_rates_schema_domains(name, value, problem):
         ExperimentConfig(**{name: value})
 
 
+# one out-of-domain value per rates key; a key added to the schema without one fails collection
+_OUT_OF_DOMAIN = {
+    "r_inner": -1.0, "r_outer": 0.0, "h": 0.0, "alpha": 0.0, "k": -1.0, "f": math.nan,
+    "u_a": -math.inf, "kappa": 1.0, "s": 0.7, "eps": 0.0, "tau_d": 1.0, "m0": -1.0,
+    "refine_level": 0, "delta_grid": (math.inf, 1e-2), "seeds_per_delta": 0, "base_seed": -1,
+    "flux_seed": -1, "rho_rule": "magic", "fixed_rho_schedule": (0.0,),
+}
+
+
+@pytest.mark.parametrize("name, value", [
+    *((name, _OUT_OF_DOMAIN[name]) for name in RATES_KEYS),
+    ("delta_grid", [math.inf, 1e-2]),   # a list is checked as the tuple a config file parses to
+    ("fixed_rho_schedule", [math.nan]),
+], ids=[*RATES_KEYS, "delta_grid-list", "fixed_rho_schedule-list"])
+def test_config_and_config_file_share_one_rulebook(tmp_path, name, value):
+    text = ", ".join(map(str, value)) if isinstance(value, (tuple, list)) else str(value)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{name} = {text}\n")
+    with pytest.raises(SchemaError) as from_file:
+        parse_config(str(cfg), RATES_KEYS)
+    with pytest.raises(SchemaError) as from_library:
+        ExperimentConfig(**{name: value})
+    assert str(from_library.value) == str(from_file.value)
+
+
 @pytest.mark.parametrize("grid", [(1e-2, 1e-3, 0.0), (1e-2, 1e-3, -1e-4), (float("inf"), 1e-2)])
 def test_config_rejects_non_positive_or_infinite_deltas(grid):
-    with pytest.raises(ValueError, match="delta_grid entries must be positive and finite"):
+    problem = "must be finite" if math.inf in grid else "entries must be positive"
+    with pytest.raises(SchemaError, match=f"'delta_grid': {problem}$"):
         ExperimentConfig(delta_grid=grid)
 
 
 @pytest.mark.parametrize("grid", [(2.0, 1e-2, 1e-3, 1e-4), (1.0, 1e-2, 1e-3)])
 def test_config_rejects_deltas_at_or_above_1(grid):
     # log(log(1/delta)) of the rate fit is -inf at delta = 1 and NaN above
-    with pytest.raises(ValueError, match="delta_grid entries must be positive and finite, "
-                                         "and below 1"):
+    with pytest.raises(SchemaError, match="'delta_grid': entries must be below 1"):
         ExperimentConfig(delta_grid=grid)
     ExperimentConfig(delta_grid=(np.nextafter(1.0, 0.0), 1e-2))
 
