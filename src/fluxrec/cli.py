@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 domain/numerical failure, 2 IO/schema/usage
 errors.  Every run writes a JSON manifest next to its outputs with
 input/output digests, resolved config, seeds and runtime; all CSV
-output is byte-stable for fixed inputs and seeds.
+output is byte-stable for fixed inputs and seeds on the same numpy, scipy
+and LAPACK build and BLAS thread count.
 """
 
 from __future__ import annotations

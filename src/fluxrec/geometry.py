@@ -256,11 +256,18 @@ def _edge_keys(triangles: np.ndarray, pairs: np.ndarray) -> tuple[np.ndarray, in
     Sides are read row by row as (a, b), (b, c), (c, a), then the pairs; two sides or pairs
     share a key exactly when they join the same two vertices.
     """
-    a = np.concatenate((triangles.ravel(), pairs[:, 0]))
-    b = np.concatenate((triangles[:, [1, 2, 0]].ravel(), pairs[:, 1]))
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    n_s = triangles.size
+    a, b = np.empty(n_s + len(pairs), np.int64), np.empty(n_s + len(pairs), np.int64)
+    side_a, side_b = a[:n_s].reshape(-1, 3), b[:n_s].reshape(-1, 3)  # views, filled in place
+    side_a[:] = triangles
+    side_b[:, :2], side_b[:, 2] = triangles[:, 1:], triangles[:, 0]
+    a[n_s:], b[n_s:] = pairs[:, 0], pairs[:, 1]
+    lo = np.minimum(a, b)
+    hi = np.maximum(a, b, out=b)
     base = int(hi.max(initial=0)) + 1
-    return lo.astype(np.int64) * base + hi, base
+    lo *= base
+    lo += hi
+    return lo, base
 
 
 def _run_starts(ordered: np.ndarray) -> np.ndarray:
@@ -410,15 +417,15 @@ def boundary_map(mesh: Mesh, tag: str) -> BoundaryIndexMap:
 
 def save_mesh(mesh: Mesh, path) -> None:
     """Write the plain-text mesh format (VERTICES/TRIANGLES/BOUNDARY_EDGES)."""
-    text = (f"VERTICES {mesh.n_vertices}\n"
-            + "%r %r\n" * mesh.n_vertices % tuple(mesh.vertices.ravel().tolist())
-            + f"TRIANGLES {mesh.n_triangles}\n"
-            + "%d %d %d\n" * mesh.n_triangles % tuple(mesh.triangles.ravel().tolist())
-            + f"BOUNDARY_EDGES {len(mesh.boundary_edges)}\n"
-            + "".join(f"{a} {b} {tag}\n" for (a, b), tag in
-                      zip(mesh.boundary_edges.tolist(), mesh.boundary_tags.tolist())))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        # section by section: the whole text is never held at once
+        fh.write(f"VERTICES {mesh.n_vertices}\n")
+        fh.write("%r %r\n" * mesh.n_vertices % tuple(mesh.vertices.ravel().tolist()))
+        fh.write(f"TRIANGLES {mesh.n_triangles}\n")
+        fh.write("%d %d %d\n" * mesh.n_triangles % tuple(mesh.triangles.ravel().tolist()))
+        fh.write(f"BOUNDARY_EDGES {len(mesh.boundary_edges)}\n")
+        fh.write("".join(f"{a} {b} {tag}\n" for (a, b), tag in
+                         zip(mesh.boundary_edges.tolist(), mesh.boundary_tags.tolist())))
 
 
 def read_lines(path) -> list[str]:
@@ -455,7 +462,7 @@ def read_records(lines: list[str], columns: tuple[type, ...],
         if delimiter is not None:
             # loadtxt strips U+001F around a field, as str.split() does; int() and float() do not
             lines = [line.replace("\x1f", "?") for line in lines]
-        if int in columns and not "".join(lines).isascii():
+        if int in columns and not all(map(str.isascii, lines)):
             # numpy 2.4.6's integer parser can segfault on non-ASCII characters (on U+52651
             # in about 3 runs of 10), so it gets the same tokens with '?' for non-ASCII
             lines = [" ".join(line.split()).encode("ascii", "replace").decode() for line in lines]

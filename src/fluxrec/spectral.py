@@ -8,6 +8,10 @@ lambda_n = sqrt(1 + mu_n) >= 1, which makes the discrete H^(1/2) inner
 product  (q, v)_(1/2) = sum lambda_n c_n d_n  hold exactly, where c, d
 are eigencoefficients in the M_i inner product.
 
+The symmetrized operator M_i^(-1/2) S_i M_i^(-1/2) is cyclic
+tridiagonal and is formed from its three bands; its dense matrix exists
+only as LAPACK's input, which reduces it in place.
+
 Fractional Sobolev norms and the tails of the spectral cutoff
 projectors P_lambda are exact multiplier operations on the finite
 spectrum.
@@ -56,24 +60,36 @@ class SpectralBasis:
 def _loop_operator(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     """The symmetrized loop operator M_i^(-1/2) S_i M_i^(-1/2) and the lumped mass M_i.
 
-    Requires at least 8 vertices on GammaI.
+    The operator is cyclic tridiagonal: it is formed from its three bands, and the dense
+    Fortran-ordered matrix exists only as LAPACK's input, which may overwrite it.  Requires
+    at least 8 vertices on GammaI; an entry beyond float64 is an EigensolverFailureError.
     """
     bmap = boundary_map(mesh, GAMMA_I)
     n = len(bmap)
     if n < 8:
         raise InvalidGeometryError(f"GammaI loop has {n} vertices, need >= 8")
 
-    # edge j joins loop vertices j and j+1 (cyclic) with weight 1/length
-    w = 1.0 / bmap.edge_lengths
-    stiff = np.diag(w + np.roll(w, 1))
-    j = np.arange(n)
-    stiff[j, (j + 1) % n] = -w
-    stiff[(j + 1) % n, j] = -w
-
     mass = bmap.weights
-    inv_sqrt = 1.0 / np.sqrt(mass)
-    sym = inv_sqrt[:, None] * stiff * inv_sqrt[None, :]
-    return 0.5 * (sym + sym.T), mass
+    with np.errstate(over="ignore", divide="ignore"):  # an inf is rejected below
+        # edge j joins loop vertices j and j+1 (cyclic) with weight 1/length
+        w = 1.0 / bmap.edge_lengths
+        inv_sqrt = 1.0 / np.sqrt(mass)
+        inv_next = np.roll(inv_sqrt, -1)
+        diag = inv_sqrt * (w + np.roll(w, 1)) * inv_sqrt
+        upper = inv_sqrt * -w * inv_next  # entry (j, j+1)
+        lower = inv_next * -w * inv_sqrt  # entry (j+1, j)
+        # 0.5 * (A + A^T) entry by entry; the sum commutes, so (j+1, j) gets the same bits
+        diag = 0.5 * (diag + diag)
+        off = 0.5 * (upper + lower)
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        raise EigensolverFailureError("the loop operator on GammaI overflows float64")
+
+    sym = np.zeros((n, n), order="F")
+    j = np.arange(n)
+    sym[j, j] = diag
+    sym[j, (j + 1) % n] = off
+    sym[(j + 1) % n, j] = off
+    return sym, mass
 
 
 def _lambdas(mu: np.ndarray) -> np.ndarray:
@@ -85,13 +101,15 @@ def loop_eigenvalues(mesh: Mesh) -> np.ndarray:
     """The ascending lambda_n of the loop operator, without eigenvectors.
 
     MRRR (LAPACK dstemr), the method eigh uses with vectors, on the
-    Householder tridiagonal form.  eigh(eigvals_only=True) takes dsterf
-    instead, whose relative error in the smallest nonzero lambda reaches
-    4e-12 on 11k-vertex annulus meshes, against 6e-13 for MRRR.
+    Householder tridiagonal form, which dsytrd computes in the operator's
+    own matrix.  eigh(eigvals_only=True) takes dsterf instead, whose
+    relative error in the smallest nonzero lambda reaches 4e-12 on
+    11k-vertex annulus meshes, against 6e-13 for MRRR.
     """
     sym, _ = _loop_operator(mesh)
     lwork, _ = scipy.linalg.lapack.dsytrd_lwork(len(sym), lower=1)
-    _, diag, off, _, _ = scipy.linalg.lapack.dsytrd(sym, lower=1, lwork=int(lwork))
+    _, diag, off, _, _ = scipy.linalg.lapack.dsytrd(sym, lower=1, lwork=int(lwork),
+                                                    overwrite_a=1)
     try:
         mu = scipy.linalg.eigvalsh_tridiagonal(diag, off, lapack_driver="stemr")
     except scipy.linalg.LinAlgError as exc:
@@ -103,13 +121,14 @@ def loop_eigenvalues(mesh: Mesh) -> np.ndarray:
 def build_spectral_basis(mesh: Mesh) -> SpectralBasis:
     """Full symmetric generalized eigendecomposition of the loop operator.
 
-    Results are cached per mesh; the basis is immutable and safe to
-    share.  Requires at least 8 vertices on GammaI.
+    eigh overwrites the operator's matrix.  Results are cached per mesh;
+    the basis is immutable and safe to share.  Requires at least 8
+    vertices on GammaI.
     """
     sym, mass = _loop_operator(mesh)
     n = len(mass)
     try:
-        mu, y = scipy.linalg.eigh(sym)
+        mu, y = scipy.linalg.eigh(sym, overwrite_a=True)
     except scipy.linalg.LinAlgError as exc:
         raise EigensolverFailureError(str(exc)) from exc
     vecs = (1.0 / np.sqrt(mass))[:, None] * y

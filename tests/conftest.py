@@ -251,6 +251,71 @@ def loop_validate_mesh(mesh) -> None:
         raise InvalidGeometryError("GammaI and GammaA loops share a vertex")
 
 
+def copying_edge_keys(triangles, pairs):
+    """Oracle of geometry._edge_keys through concatenated and fancy-indexed copies."""
+    a = np.concatenate((triangles.ravel(), pairs[:, 0]))
+    b = np.concatenate((triangles[:, [1, 2, 0]].ravel(), pairs[:, 1]))
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    base = int(hi.max(initial=0)) + 1
+    return lo.astype(np.int64) * base + hi, base
+
+
+def joined_save_mesh(mesh, path) -> None:
+    """Oracle of geometry.save_mesh that joins the whole text before writing it."""
+    text = (f"VERTICES {mesh.n_vertices}\n"
+            + "%r %r\n" * mesh.n_vertices % tuple(mesh.vertices.ravel().tolist())
+            + f"TRIANGLES {mesh.n_triangles}\n"
+            + "%d %d %d\n" * mesh.n_triangles % tuple(mesh.triangles.ravel().tolist())
+            + f"BOUNDARY_EDGES {len(mesh.boundary_edges)}\n"
+            + "".join(f"{a} {b} {tag}\n" for (a, b), tag in
+                      zip(mesh.boundary_edges.tolist(), mesh.boundary_tags.tolist())))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
+def dense_loop_operator(mesh) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle of spectral._loop_operator: the operator built and symmetrized as dense arrays."""
+    bmap = geometry.boundary_map(mesh, geometry.GAMMA_I)
+    n = len(bmap)
+    w = 1.0 / bmap.edge_lengths
+    stiff = np.diag(w + np.roll(w, 1))
+    j = np.arange(n)
+    stiff[j, (j + 1) % n] = -w
+    stiff[(j + 1) % n, j] = -w
+    mass = bmap.weights
+    inv_sqrt = 1.0 / np.sqrt(mass)
+    sym = inv_sqrt[:, None] * stiff * inv_sqrt[None, :]
+    return 0.5 * (sym + sym.T), mass
+
+
+# meshes for the bitwise oracles above: odd and even n_i, refined once and twice, and one
+# loaded from its file after its inner loop was moved off the circle (unequal edge lengths)
+ORACLE_MESHES = ("odd", "even", "refined-once", "refined-twice", "perturbed")
+
+
+def oracle_mesh(name, directory) -> geometry.Mesh:
+    """The mesh named in ORACLE_MESHES; the perturbed one goes through a file in directory."""
+    if name == "odd":
+        return geometry.generate_annulus_mesh(0.5, 1.0, 0.1)  # n_i = 63
+    if name == "even":
+        return geometry.generate_annulus_mesh(0.5, 1.0, 0.05)  # n_i = 126
+    if name == "refined-once":
+        return geometry.refine_uniform(geometry.generate_annulus_mesh(0.5, 1.0, 0.035))  # 360
+    if name == "refined-twice":
+        return geometry.refine_uniform(geometry.refine_uniform(
+            geometry.generate_annulus_mesh(0.5, 1.0, 0.3)))  # n_i = 84
+    assert name == "perturbed"
+    mesh = geometry.generate_annulus_mesh(0.5, 1.0, 0.1)
+    inner = geometry.boundary_map(mesh, geometry.GAMMA_I).vertex_indices
+    vertices = mesh.vertices.copy()
+    vertices[inner] *= 1.0 + 0.05 * np.random.default_rng(7).uniform(-1.0, 1.0, (len(inner), 1))
+    path = directory / "perturbed.txt"
+    geometry.save_mesh(geometry.Mesh(vertices, mesh.triangles, mesh.boundary_edges,
+                                     mesh.boundary_tags,
+                                     geometry._max_edge_length(vertices, mesh.triangles)), path)
+    return geometry.load_mesh(path)
+
+
 def scalar_psi0(spec, t: float) -> float:
     """One-t oracle of vsc.psi0_eval, with math.log."""
     junction = spec.cprime

@@ -463,6 +463,26 @@ def test_refining_a_tiny_inner_radius_prints_one_error_line(tmp_path, capsys, su
     assert sorted(os.listdir(tmp_path)) == ["tiny.cfg"]
 
 
+@pytest.mark.parametrize("subcommand", ["spectrum", "rates"])
+def test_an_overflowing_loop_operator_prints_one_error_line(tmp_path, capsys, subcommand):
+    # the mesh is valid, but the loop operator's entries, about 1/r^2, pass float64; LAPACK
+    # once met them as infs, after numpy had warned of the overflow
+    (tmp_path / "tiny.cfg").write_text("r_inner = 1e-155\nr_outer = 2e-155\nh = 2.5e-156\n")
+    if subcommand == "spectrum":
+        assert _warnings_as_errors_run(["mesh-gen", "--r-inner", "1e-155", "--r-outer", "2e-155",
+                                        "--h", "2.5e-156", "--out", str(tmp_path / "m.txt")]) == 0
+        argv = ["spectrum", "--mesh", str(tmp_path / "m.txt"), "--out", str(tmp_path / "s.csv")]
+        left = ["m.txt", "m.txt.manifest.json", "tiny.cfg"]
+    else:
+        argv = ["rates", "--config", str(tmp_path / "tiny.cfg"), "--out-dir", str(tmp_path / "out")]
+        left = ["tiny.cfg"]
+    capsys.readouterr()
+    assert _warnings_as_errors_run(argv) == 1
+    assert capsys.readouterr().err == ("fluxrec: error: the loop operator on GammaI overflows "
+                                       "float64\n")
+    assert sorted(os.listdir(tmp_path)) == left
+
+
 @pytest.mark.parametrize("argv, message", [
     (["vsc-check", "--kappa", "2.5"], "argument --kappa: must lie in (0, 1), got 2.5"),
     (["vsc-check", "--s", "0.75"], "argument --s: must lie in (0, 1/2], got 0.75"),

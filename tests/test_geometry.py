@@ -4,11 +4,15 @@ import weakref
 import numpy as np
 import pytest
 from conftest import (
+    ORACLE_MESHES,
+    copying_edge_keys,
+    joined_save_mesh,
     loop_annulus_mesh,
     loop_edge_table,
     loop_load_mesh,
     loop_refine_uniform,
     loop_validate_mesh,
+    oracle_mesh,
 )
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -456,6 +460,25 @@ def test_edge_table_matches_the_first_encounter_oracle_bitwise(h, refine, shuffl
         e = e[:, ::-1]  # a pair names its edge from either end
     for got, want in zip(geometry._edge_table(t, e), loop_edge_table(t, e), strict=True):
         assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+@pytest.mark.parametrize("name", ORACLE_MESHES)
+def test_edge_keys_match_the_copying_oracle_bitwise(tmp_path, name):
+    mesh = oracle_mesh(name, tmp_path)
+    no_pairs = np.empty((0, 2), dtype=np.int64)
+    for t, e in ((mesh.triangles, mesh.boundary_edges), (mesh.triangles, no_pairs),
+                 (mesh.triangles[:0], no_pairs)):
+        (got, base), (want, want_base) = geometry._edge_keys(t, e), copying_edge_keys(t, e)
+        assert (got.dtype, got.shape, got.tobytes(), base) == (want.dtype, want.shape,
+                                                               want.tobytes(), want_base)
+
+
+@pytest.mark.parametrize("name", ORACLE_MESHES)
+def test_save_mesh_matches_the_joining_oracle_bytewise(tmp_path, name):
+    mesh = oracle_mesh(name, tmp_path)
+    save_mesh(mesh, tmp_path / "sections.txt")
+    joined_save_mesh(mesh, tmp_path / "joined.txt")
+    assert (tmp_path / "sections.txt").read_bytes() == (tmp_path / "joined.txt").read_bytes()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

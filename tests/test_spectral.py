@@ -1,12 +1,15 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
+from conftest import ORACLE_MESHES, dense_loop_operator, oracle_mesh
 
 from fluxrec import spectral
-from fluxrec.errors import DimensionMismatchError, InvalidGeometryError
+from fluxrec.errors import DimensionMismatchError, EigensolverFailureError, InvalidGeometryError
 from fluxrec.fem import BoundaryVector, boundary_l2_norm
 from fluxrec.geometry import GAMMA_I, boundary_map, generate_annulus_mesh, refine_uniform
 from fluxrec.spectral import (
@@ -68,6 +71,55 @@ def test_eigenvalues_only_keep_mrrr_accuracy_on_the_benchmark_meshes(seed):
     mesh = refine_uniform(generate_annulus_mesh(radius, 1.0, 0.035))
     exact = regular_loop_lambdas(len(boundary_map(mesh, GAMMA_I)), radius)
     assert (np.abs(loop_eigenvalues(mesh) - exact) / exact).max() <= 2e-12
+
+
+@pytest.mark.parametrize("name", ORACLE_MESHES)
+def test_loop_operator_matches_the_dense_oracle_bitwise(tmp_path, name):
+    mesh = oracle_mesh(name, tmp_path)
+    sym, mass = spectral._loop_operator(mesh)
+    dense, dense_mass = dense_loop_operator(mesh)
+    assert sym.flags.f_contiguous  # so that LAPACK may overwrite it without a copy
+    assert sym.tobytes() == dense.tobytes()
+    assert mass.tobytes() == dense_mass.tobytes()
+
+
+@pytest.mark.parametrize("name", ORACLE_MESHES)
+def test_loop_eigenvalues_match_dsytrd_and_stemr_on_the_dense_oracle_bitwise(tmp_path, name):
+    mesh = oracle_mesh(name, tmp_path)
+    dense, _ = dense_loop_operator(mesh)
+    lwork, _ = scipy.linalg.lapack.dsytrd_lwork(len(dense), lower=1)
+    _, diag, off, _, _ = scipy.linalg.lapack.dsytrd(dense, lower=1, lwork=int(lwork))
+    mu = scipy.linalg.eigvalsh_tridiagonal(diag, off, lapack_driver="stemr")
+    assert loop_eigenvalues(mesh).tobytes() == spectral._lambdas(mu).tobytes()
+
+
+@pytest.mark.parametrize("name", ORACLE_MESHES)
+def test_basis_matches_eigh_on_the_dense_oracle_bitwise(tmp_path, name):
+    mesh = oracle_mesh(name, tmp_path)
+    dense, mass = dense_loop_operator(mesh)
+    mu, y = scipy.linalg.eigh(dense)
+    vecs = (1.0 / np.sqrt(mass))[:, None] * y
+    peak = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(len(mass))]
+    basis = build_spectral_basis(mesh)
+    assert basis.eigenvalues.tobytes() == spectral._lambdas(mu).tobytes()
+    assert basis.eigenvectors.tobytes() == np.where(peak < 0.0, -vecs, vecs).tobytes()
+    assert basis.mass_diag.tobytes() == mass.tobytes()
+
+
+@pytest.mark.parametrize("r_inner, fails", [(1e-150, False), (1e-155, True)])
+def test_an_overflowing_loop_operator_raises_before_lapack(r_inner, fails):
+    # the entries scale as 1/r^2: finite at r_inner = 1e-150, beyond float64 at 1e-155
+    mesh = generate_annulus_mesh(r_inner, 2.0 * r_inner, 0.25 * r_inner)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if fails:
+            for solve in (loop_eigenvalues, build_spectral_basis):
+                with pytest.raises(EigensolverFailureError,
+                                   match="^the loop operator on GammaI overflows float64$"):
+                    solve(mesh)
+        else:
+            assert np.isfinite(loop_eigenvalues(mesh)).all()
+            assert np.isfinite(build_spectral_basis(mesh).eigenvalues).all()
 
 
 def test_eigenvalue_floor_and_ordering(basis):
