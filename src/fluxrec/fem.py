@@ -37,7 +37,12 @@ from .geometry import (GAMMA_A, GAMMA_I, BoundaryVector, Mesh, _row_norms, bound
 
 _AREA_FLOOR = 1e-14
 _RESIDUAL_COLUMNS = 16
-_FLUX_BLOCK = 64  # flux columns per block solve: bounds the load block at n_v x 64
+# Flux columns per block solve: bounds the load and field blocks at n_v x 32.  It stays a
+# multiple of 4: blocks of 4 to 32 columns, each a multiple of 4, gave K bit for bit as
+# 64-column blocks did at h = 0.1, 0.05, 0.035 and 0.025, and blocks of 1, 2, 3 and 63
+# columns did not.  SuperLU solves a block through BLAS kernels that most likely round a
+# column by its place in a group of 4.
+_FLUX_BLOCK = 32
 
 
 @dataclass(eq=False)
@@ -158,9 +163,11 @@ def _edge_robin_matrix(mesh: Mesh, coeff_on_gamma_a: np.ndarray):
     """Sparse matrix of int_GammaA k u v for P1 traces (exact quadrature)."""
     a, b, length = _loop_edges(mesh, GAMMA_A)
     ka, kb = coeff_on_gamma_a, np.roll(coeff_on_gamma_a, -1)
-    m_ab = length * (ka + kb) / 12.0
-    # COO entries (aa, ab, ba, bb) per edge, so duplicates sum in edge order
-    vals = _edge_major(length * (3.0 * ka + kb) / 12.0, m_ab, m_ab, length * (ka + 3.0 * kb) / 12.0)
+    with np.errstate(over="ignore"):  # assemble_system rejects the inf an overflow leaves
+        m_ab = length * (ka + kb) / 12.0
+        # COO entries (aa, ab, ba, bb) per edge, so duplicates sum in edge order
+        vals = _edge_major(length * (3.0 * ka + kb) / 12.0, m_ab, m_ab,
+                           length * (ka + 3.0 * kb) / 12.0)
     return sp.csr_matrix((vals, (_edge_major(a, a, b, b), _edge_major(a, b, a, b))),
                          shape=(mesh.n_vertices,) * 2)
 
@@ -172,10 +179,15 @@ def assemble_system(mesh: Mesh, data: ProblemData) -> sp.csr_matrix:
     the Robin block on GammaA removes the constant kernel.
     """
     grads, areas = _gradients(mesh)
-    alpha_bar = data.alpha[mesh.triangles].mean(axis=1)
+    with np.errstate(over="ignore"):  # an overflow leaves an inf or NaN entry, rejected below
+        alpha_bar = data.alpha[mesh.triangles].mean(axis=1)
     system = _stiffness_matrix(mesh, grads, alpha_bar * areas) + _edge_robin_matrix(mesh, data.k)
+    if not np.isfinite(system.data).all():
+        if np.isfinite(data.alpha).all() and np.isfinite(data.k).all():
+            raise SolverFailureError("the assembled system overflows float64")
+        return system.tocsr()  # an inf coefficient: splu reports the singular factor
     asym = abs(system - system.T).max()
-    if asym > 1e-12 * max(abs(system).max(), 1.0):
+    if not asym <= 1e-12 * max(abs(system).max(), 1.0):
         raise SolverFailureError(f"assembled system asymmetric by {asym:.3e}")
     return system.tocsr()
 

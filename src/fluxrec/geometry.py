@@ -9,7 +9,9 @@ lie exactly on the generating circles.
 
 from __future__ import annotations
 
+import codecs
 import functools
+import sys
 import weakref
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -21,6 +23,10 @@ from .errors import InvalidGeometryError, MalformedFileError, MissingTagError
 GAMMA_I = "GammaI"
 GAMMA_A = "GammaA"
 VALID_TAGS = (GAMMA_I, GAMMA_A)
+
+_SAVE_ROWS = 2048  # rows per formatted string in save_mesh
+_READ_BYTES = 1 << 16  # bytes per decoded block in load_mesh and read_lines
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"  # where str.splitlines ends a line
 
 CacheInfo = namedtuple("CacheInfo", "hits misses currsize")
 
@@ -418,26 +424,82 @@ def boundary_map(mesh: Mesh, tag: str) -> BoundaryIndexMap:
 def save_mesh(mesh: Mesh, path) -> None:
     """Write the plain-text mesh format (VERTICES/TRIANGLES/BOUNDARY_EDGES)."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        # section by section: the whole text is never held at once
+        # in row blocks: neither a section's text nor its numbers are held whole
         fh.write(f"VERTICES {mesh.n_vertices}\n")
-        fh.write("%r %r\n" * mesh.n_vertices % tuple(mesh.vertices.ravel().tolist()))
+        _write_rows(fh, "%r %r\n", mesh.vertices)
         fh.write(f"TRIANGLES {mesh.n_triangles}\n")
-        fh.write("%d %d %d\n" * mesh.n_triangles % tuple(mesh.triangles.ravel().tolist()))
+        _write_rows(fh, "%d %d %d\n", mesh.triangles)
         fh.write(f"BOUNDARY_EDGES {len(mesh.boundary_edges)}\n")
         fh.write("".join(f"{a} {b} {tag}\n" for (a, b), tag in
                          zip(mesh.boundary_edges.tolist(), mesh.boundary_tags.tolist())))
 
 
+def _write_rows(fh, row_format: str, rows: np.ndarray) -> None:
+    """Write each row of a 2-D array in row_format, _SAVE_ROWS rows per formatted string."""
+    for start in range(0, len(rows), _SAVE_ROWS):
+        block = rows[start:start + _SAVE_ROWS]
+        fh.write(row_format * len(block) % tuple(block.ravel().tolist()))
+
+
+class _LineReader:
+    """The str.splitlines lines of a UTF-8 file, decoded _READ_BYTES at a time.
+
+    A caller holds the lines it takes and one block's, never the whole file's.  A byte that
+    is not UTF-8 is a MalformedFileError at its line, raised when its block is decoded.
+    """
+
+    def __init__(self, fh, path):
+        self._fh, self._path = fh, path
+        self._decoder = codecs.getincrementaldecoder("utf-8")()
+        self._lines: list[str] = []  # the complete lines of the last block
+        self._next = 0  # the first of them not yet taken
+        self._tail = ""  # the text after the last of them, the start of the next line
+        self._decoded = 0  # complete lines decoded so far
+        self._at_end = False
+
+    def _read_block(self) -> bool:
+        """Decode the next block into self._lines; False at the end of the file."""
+        if self._at_end:
+            return False
+        data = self._fh.read(_READ_BYTES)
+        self._at_end = not data
+        try:
+            text = self._tail + self._decoder.decode(data, final=self._at_end)
+        except UnicodeDecodeError as exc:
+            self._at_end = True  # this is the file's first fault, so finish() reads no further
+            # the text before the bad byte decodes; a stand-in for it ends the count on its line
+            head = self._tail + exc.object[:exc.start].decode("utf-8") + "?"
+            raise MalformedFileError(f"{self._path} is not UTF-8 text: cannot decode byte "
+                                     f"0x{exc.object[exc.start]:02x}",
+                                     self._decoded + len(head.splitlines())) from None
+        self._lines, self._next, self._tail = text.splitlines(), 0, ""
+        last = text[-1:]
+        if not self._at_end and (last == "\r" or last not in _LINE_BREAKS):
+            # the last line may go on in the next block, and a last "\r" may start a "\r\n"
+            self._tail = self._lines.pop() + ("\r" if last == "\r" else "")
+        self._decoded += len(self._lines)
+        return True
+
+    def take(self, count: int) -> list[str]:
+        """The next count lines, or every line left if fewer."""
+        lines = self._lines[self._next:self._next + count]
+        self._next += len(lines)
+        while len(lines) < count and self._read_block():
+            more = self._lines[:count - len(lines)]
+            self._next = len(more)
+            lines += more
+        return lines
+
+    def finish(self) -> None:
+        """Decode the rest of the file, so that a byte that is not UTF-8 there raises."""
+        while self._read_block():
+            pass
+
+
 def read_lines(path) -> list[str]:
     """The lines of a UTF-8 text file; a file that is not UTF-8 is a MalformedFileError."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read().splitlines()
-    except UnicodeDecodeError as exc:
-        # the text before the bad byte decodes; a stand-in for it ends the count on its line
-        head = exc.object[:exc.start].decode("utf-8") + "?"
-        raise MalformedFileError(f"{path} is not UTF-8 text: cannot decode byte "
-                                 f"0x{exc.object[exc.start]:02x}", len(head.splitlines())) from None
+    with open(path, "rb") as fh:
+        return _LineReader(fh, path).take(sys.maxsize)
 
 
 def read_records(lines: list[str], columns: tuple[type, ...],
@@ -497,15 +559,37 @@ def _int64_or_minus_one(line: str, columns, delimiter) -> str:
 
 
 def load_mesh(path) -> Mesh:
-    """Read and validate a mesh written by :func:`save_mesh`; round trip is bit-exact."""
-    raw = read_lines(path)
-    pos = 0
+    """Read and validate a mesh written by :func:`save_mesh`; round trip is bit-exact.
+
+    The file is read one section at a time.  Errors and their line numbers are those of
+    parsing its whole str.splitlines list, and a byte that is not UTF-8 anywhere in the
+    file is reported before any other fault.
+    """
+    with open(path, "rb") as fh:
+        reader = _LineReader(fh, path)
+        try:
+            vertices, triangles, boundary_edges, tags = _read_mesh_sections(reader)
+        except MalformedFileError:
+            reader.finish()
+            raise
+    mesh = Mesh(vertices, triangles, boundary_edges, tags, _max_edge_length(vertices, triangles))
+    try:
+        validate_mesh(mesh)
+    except InvalidGeometryError as exc:
+        raise MalformedFileError(f"invalid mesh in {path}: {exc}") from None
+    return mesh
+
+
+def _read_mesh_sections(reader: _LineReader):
+    """The vertices, triangles, boundary edges and tags of a mesh file, up to its end."""
+    pos = 0  # lines taken
 
     def expect_header(name: str) -> int:
         nonlocal pos
-        if pos >= len(raw):
+        header = reader.take(1)
+        if not header:
             raise MalformedFileError(f"missing {name} section", pos + 1)
-        parts = raw[pos].split()
+        parts = header[0].split()
         if len(parts) != 2 or parts[0] != name:
             raise MalformedFileError(f"expected '{name} <count>'", pos + 1)
         if not len(read_records(parts[1:], (int,))):  # the one number grammar
@@ -513,36 +597,39 @@ def load_mesh(path) -> Mesh:
         pos += 1
         return int(parts[1])  # as the grammar reads it, a count beyond int64 included
 
-    def section(count: int, columns: tuple[type, ...]) -> np.ndarray:
-        """The count records after the header, read by one loadtxt call."""
+    def section(count: int, columns: tuple[type, ...]):
+        """The count records after the header, read by one loadtxt call, and their lines."""
         nonlocal pos
-        lines = raw[pos:pos + max(count, 0)]
+        lines = reader.take(max(count, 0))
         records = read_records(lines, columns)
         if len(records) < len(lines):
             bad = len(records)
             raise MalformedFileError(f"malformed record {lines[bad]!r}", pos + bad + 1)
-        if len(lines) < count:
-            raise MalformedFileError("unexpected end of file", len(raw) + 1)
         pos += len(lines)
-        return records
+        if len(lines) < count:  # every line is taken
+            raise MalformedFileError("unexpected end of file", pos + 1)
+        return records, lines
 
     n_v = expect_header("VERTICES")
-    vertices = section(n_v, (float, float)).view((np.float64, 2))
+    vertices = section(n_v, (float, float))[0].view((np.float64, 2))
     n_t = expect_header("TRIANGLES")
     first_triangle_line = pos + 1
-    tris = section(n_t, (int, int, int)).view((np.int64, 3))
+    tris = section(n_t, (int, int, int))[0].view((np.int64, 3))
     n_b = expect_header("BOUNDARY_EDGES")
     first_edge_line = pos + 1
-    edges = section(n_b, (int, int, str))
+    edges, edge_lines = section(n_b, (int, int, str))
     tags = edges["f2"]
     unknown = np.flatnonzero(~np.isin(tags, VALID_TAGS))
     if unknown.size:
-        ln = first_edge_line + int(unknown[0])
-        raise MalformedFileError(f"unknown boundary tag {raw[ln - 1].split()[2]!r}", ln)
-    for ln in range(pos, len(raw)):
-        if raw[ln].strip():
-            raise MalformedFileError(f"unexpected record {raw[ln]!r} after the boundary edges",
-                                     ln + 1)
+        j = int(unknown[0])
+        raise MalformedFileError(f"unknown boundary tag {edge_lines[j].split()[2]!r}",
+                                 first_edge_line + j)
+    while rest := reader.take(1024):  # the rest of the file, in pieces
+        for j, line in enumerate(rest):
+            if line.strip():
+                raise MalformedFileError(f"unexpected record {line!r} after the boundary edges",
+                                         pos + j + 1)
+        pos += len(rest)
 
     def vertex_ids(ids: np.ndarray, first_line: int) -> np.ndarray:
         """Raise at the line of the first record naming no vertex; beyond int64 reads as -1."""
@@ -554,10 +641,4 @@ def load_mesh(path) -> Mesh:
     triangles = vertex_ids(tris, first_triangle_line)
     boundary_edges = vertex_ids(np.stack((edges["f0"], edges["f1"]), axis=1),
                                 first_edge_line)
-    mesh = Mesh(vertices, triangles, boundary_edges, np.asarray(tags.tolist()),
-                _max_edge_length(vertices, triangles))
-    try:
-        validate_mesh(mesh)
-    except InvalidGeometryError as exc:
-        raise MalformedFileError(f"invalid mesh in {path}: {exc}") from None
-    return mesh
+    return vertices, triangles, boundary_edges, np.asarray(tags.tolist())

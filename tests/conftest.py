@@ -506,6 +506,76 @@ def loop_load_mesh(path) -> geometry.Mesh:
     return mesh
 
 
+def whole_file_load_mesh(path) -> geometry.Mesh:
+    """Oracle of geometry.load_mesh that splits the whole decoded file into lines first."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        head = exc.object[:exc.start].decode("utf-8") + "?"
+        raise MalformedFileError(f"{path} is not UTF-8 text: cannot decode byte "
+                                 f"0x{exc.object[exc.start]:02x}", len(head.splitlines())) from None
+    pos = 0
+
+    def expect_header(name: str) -> int:
+        nonlocal pos
+        if pos >= len(raw):
+            raise MalformedFileError(f"missing {name} section", pos + 1)
+        parts = raw[pos].split()
+        if len(parts) != 2 or parts[0] != name:
+            raise MalformedFileError(f"expected '{name} <count>'", pos + 1)
+        if not len(geometry.read_records(parts[1:], (int,))):
+            raise MalformedFileError(f"bad {name} count {parts[1]!r}", pos + 1)
+        pos += 1
+        return int(parts[1])
+
+    def section(count: int, columns: tuple[type, ...]) -> np.ndarray:
+        nonlocal pos
+        lines = raw[pos:pos + max(count, 0)]
+        records = geometry.read_records(lines, columns)
+        if len(records) < len(lines):
+            bad = len(records)
+            raise MalformedFileError(f"malformed record {lines[bad]!r}", pos + bad + 1)
+        if len(lines) < count:
+            raise MalformedFileError("unexpected end of file", len(raw) + 1)
+        pos += len(lines)
+        return records
+
+    n_v = expect_header("VERTICES")
+    vertices = section(n_v, (float, float)).view((np.float64, 2))
+    n_t = expect_header("TRIANGLES")
+    first_triangle_line = pos + 1
+    tris = section(n_t, (int, int, int)).view((np.int64, 3))
+    n_b = expect_header("BOUNDARY_EDGES")
+    first_edge_line = pos + 1
+    edges = section(n_b, (int, int, str))
+    tags = edges["f2"]
+    unknown = np.flatnonzero(~np.isin(tags, geometry.VALID_TAGS))
+    if unknown.size:
+        ln = first_edge_line + int(unknown[0])
+        raise MalformedFileError(f"unknown boundary tag {raw[ln - 1].split()[2]!r}", ln)
+    for ln in range(pos, len(raw)):
+        if raw[ln].strip():
+            raise MalformedFileError(f"unexpected record {raw[ln]!r} after the boundary edges",
+                                     ln + 1)
+
+    def vertex_ids(ids: np.ndarray, first_line: int) -> np.ndarray:
+        bad = np.flatnonzero(((ids < 0) | (ids >= n_v)).any(axis=1))
+        if bad.size:
+            raise MalformedFileError("vertex index out of range", first_line + int(bad[0]))
+        return ids
+
+    triangles = vertex_ids(tris, first_triangle_line)
+    boundary_edges = vertex_ids(np.stack((edges["f0"], edges["f1"]), axis=1), first_edge_line)
+    mesh = geometry.Mesh(vertices, triangles, boundary_edges, np.asarray(tags.tolist()),
+                         geometry._max_edge_length(vertices, triangles))
+    try:
+        geometry.validate_mesh(mesh)
+    except InvalidGeometryError as exc:
+        raise MalformedFileError(f"invalid mesh in {path}: {exc}") from None
+    return mesh
+
+
 def loop_read_boundary_csv(path, mesh, tag) -> fem.BoundaryVector:
     """Per-line oracle of cli.read_boundary_csv: int() and float() on each field."""
     with open(path, encoding="utf-8") as fh:

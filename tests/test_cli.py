@@ -448,6 +448,27 @@ def test_invert_overflow_exits_1_before_any_output(workdir, tmp_path, capsys, fl
     assert not (tmp_path / "inv").exists()
 
 
+@pytest.mark.parametrize("key", ["alpha", "k"])
+@pytest.mark.parametrize("subcommand", ["forward", "invert", "vsc-check", "stability-probe",
+                                        "rates"])
+def test_an_overflowing_coefficient_prints_one_error_line(workdir, tmp_path, capsys, subcommand,
+                                                          key):
+    # numpy once warned of the overflow, and splu then called the inf system singular
+    (tmp_path / "big.cfg").write_text(f"{key} = 1e308\n")
+    mesh, out = str(workdir / "mesh.txt"), str(tmp_path / "out")
+    argv = {"forward": ["forward", "--mesh", mesh, "--flux", str(workdir / "flux.csv"),
+                        "--out-trace", out],
+            "invert": ["invert", "--mesh", mesh, "--data-trace", str(workdir / "trace.csv"),
+                       "--delta", "1e-4", "--out", out],
+            "vsc-check": ["vsc-check", "--mesh", mesh, "--out", out],
+            "stability-probe": ["stability-probe", "--mesh", mesh, "--out", out],
+            "rates": ["rates", "--out-dir", out]}[subcommand]
+    capsys.readouterr()
+    assert _warnings_as_errors_run([*argv, "--config", str(tmp_path / "big.cfg")]) == 1
+    assert capsys.readouterr().err == "fluxrec: error: the assembled system overflows float64\n"
+    assert sorted(os.listdir(tmp_path)) == ["big.cfg"]
+
+
 @pytest.mark.parametrize("subcommand", ["mesh-gen", "rates"])
 def test_refining_a_tiny_inner_radius_prints_one_error_line(tmp_path, capsys, subcommand):
     # the refined midpoint's radius underflows to 0, and 0/0 is the NaN validate_mesh rejects

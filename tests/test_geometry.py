@@ -13,6 +13,7 @@ from conftest import (
     loop_refine_uniform,
     loop_validate_mesh,
     oracle_mesh,
+    whole_file_load_mesh,
 )
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -556,10 +557,10 @@ def test_arbitrary_mesh_text_loads_valid_or_exits_2(small_mesh_file, text):
     _load_or_reject(small_mesh_file.with_name("arbitrary.txt"), text)
 
 
-def _assert_same_outcome(path) -> None:
-    """load_mesh and its per-line oracle give one mesh, bitwise, or one FluxRecError."""
+def _assert_same_outcome(path, oracle_load=loop_load_mesh) -> None:
+    """load_mesh and an oracle loader give one mesh, bitwise, or one FluxRecError."""
     outcomes = []
-    for load in (load_mesh, loop_load_mesh):
+    for load in (load_mesh, oracle_load):
         try:
             outcomes.append(load(path))
         except FluxRecError as exc:
@@ -718,3 +719,103 @@ def test_mutated_mesh_file_matches_the_per_line_oracle(small_mesh_file, data):
     path = small_mesh_file.with_name("mutated_oracle.txt")
     path.write_text(text, encoding="utf-8")
     _assert_same_outcome(path)
+
+
+# load_mesh decodes the file in blocks of geometry._READ_BYTES; 7-byte blocks end inside
+# records, line breaks and multi-byte characters
+_READ_BYTES = [7, geometry._READ_BYTES]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("read_bytes", _READ_BYTES)
+@pytest.mark.parametrize("name", ORACLE_MESHES)
+def test_load_matches_the_whole_file_oracle_bitwise(tmp_path, monkeypatch, name, read_bytes):
+    path = tmp_path / "mesh.txt"
+    save_mesh(oracle_mesh(name, tmp_path), path)
+    monkeypatch.setattr(geometry, "_READ_BYTES", read_bytes)
+    _assert_same_outcome(path, whole_file_load_mesh)
+
+
+def _record_line(lines: list[bytes], section: bytes) -> int:
+    """The index of the middle record of a section."""
+    header = next(i for i, line in enumerate(lines) if line.startswith(section))
+    return header + 1 + int(lines[header].split()[1]) // 2
+
+
+def _inside_record(sep: bytes, section: bytes):
+    def edit(lines):
+        i = _record_line(lines, section)
+        lines[i] = lines[i].replace(b" ", sep, 1)
+        return lines
+    return edit
+
+
+def _between_records(sep: bytes, section: bytes):
+    def edit(lines):
+        i = _record_line(lines, section)
+        lines[i:i + 2] = [lines[i] + sep + lines[i + 1]]
+        return lines
+    return edit
+
+
+def _replace_record(section: bytes, record: bytes):
+    def edit(lines):
+        lines[_record_line(lines, section)] = record
+        return lines
+    return edit
+
+
+def _cut_after_record(section: bytes):
+    def edit(lines):
+        return lines[:_record_line(lines, section)]
+    return edit
+
+
+def _count(section: bytes, count: bytes):
+    def edit(lines):
+        header = next(i for i, line in enumerate(lines) if line.startswith(section))
+        lines[header] = section + b" " + count
+        return lines
+    return edit
+
+
+_SECTIONS = (b"VERTICES", b"TRIANGLES", b"BOUNDARY_EDGES")
+_SEPARATORS = {"crlf": b"\r\n", "cr": b"\r", "vt": b"\x0b", "ff": b"\x0c", "fs": b"\x1c",
+               "nel": "\x85".encode(), "ls": "\u2028".encode()}
+_MALFORMED = {
+    **{f"{name}-inside-{section.decode()}": _inside_record(sep, section)
+       for name, sep in _SEPARATORS.items() for section in _SECTIONS},
+    **{f"{name}-between-{section.decode()}": _between_records(sep, section)
+       for name, sep in _SEPARATORS.items() for section in _SECTIONS},
+    **{f"non-utf8-{section.decode()}": _inside_record(b" \xff", section) for section in _SECTIONS},
+    **{f"split-char-{section.decode()}": _inside_record(b" \xe2\x82", section)
+       for section in _SECTIONS},
+    "arabic-indic-triangle": _replace_record(b"TRIANGLES", "0 1 \u0663".encode()),
+    "arabic-indic-edge": _replace_record(b"BOUNDARY_EDGES", "\u0661 2 GammaI".encode()),
+    **{f"truncated-{section.decode()}": _cut_after_record(section) for section in _SECTIONS},
+    **{f"count-beyond-int64-{section.decode()}": _count(section, b"99999999999999999999")
+       for section in _SECTIONS},
+    "trailing-record": lambda lines: lines + [b"0 1 GammaI", b""],
+    "trailing-record-after-blanks": lambda lines: lines + [b" ", b"\t", b"x", b""],
+    "trailing-non-utf8": lambda lines: lines + [b"", b"\xc3"],
+    "crlf-file": lambda lines: [b"\r\n".join(lines)],
+    "cr-file": lambda lines: [b"\r".join(lines)],
+    "two-bad-bytes": lambda lines: [lines[0], lines[1] + b"\xff", *lines[2:-2],
+                                    lines[-2] + b"\x80", lines[-1]],
+    "bad-byte-after-a-malformed-record": lambda lines: [lines[0], b"not a vertex", *lines[2:-2],
+                                                        lines[-2] + b"\xff", lines[-1]],
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("read_bytes", _READ_BYTES)
+@pytest.mark.parametrize("defect", sorted(_MALFORMED))
+def test_load_matches_the_whole_file_oracle_on_defects(tmp_path, monkeypatch, defect,
+                                                       read_bytes):
+    # the same mesh, bitwise, or the same error at the same line: line breaks are those of
+    # str.splitlines, and a byte that is not UTF-8 is reported before any other fault
+    path = tmp_path / "mesh.txt"
+    save_mesh(generate_annulus_mesh(0.5, 1.0, 0.3), path)
+    path.write_bytes(b"\n".join(_MALFORMED[defect](path.read_bytes().split(b"\n"))))
+    monkeypatch.setattr(geometry, "_READ_BYTES", read_bytes)
+    _assert_same_outcome(path, whole_file_load_mesh)

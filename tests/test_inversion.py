@@ -59,12 +59,22 @@ def test_singular_value_decay(forward_op, op_h005):
 
 
 def test_k_matches_direct_solve_across_blocks(op_h005):
-    # n_i = 126 > _FLUX_BLOCK, so K is built from two multi-right-hand-side solves
+    # n_i = 126 > _FLUX_BLOCK, so K is built from several multi-right-hand-side solves
     assert op_h005.n_i > fem._FLUX_BLOCK
     q = BoundaryVector(GAMMA_I, np.random.default_rng(5).standard_normal(op_h005.n_i))
     via_solve = trace(FactorizedSystem(op_h005.mesh, op_h005.data).solve_flux(q), GAMMA_A).values
     gap = np.linalg.norm(op_h005.apply_linear(q.values) - via_solve)
     assert gap <= 1e-12 * np.linalg.norm(via_solve)
+
+
+@pytest.mark.parametrize("h", [0.05, 0.025])
+def test_k_is_bitwise_that_of_64_column_blocks(monkeypatch, h):
+    # the block size bounds the solve's memory, not K's bits (n_i = 126 and 252)
+    mesh = generate_annulus_mesh(0.5, 1.0, h)
+    data = ProblemData.from_constants(mesh)
+    K = build_forward_operator(mesh, data).K
+    monkeypatch.setattr(fem, "_FLUX_BLOCK", 64)
+    assert build_forward_operator(mesh, data).K.tobytes() == K.tobytes()
 
 
 def test_adjoint_identity(forward_op, rng):
